@@ -16,8 +16,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import familyfile
 from .core import DimensionError, SetFamily, family_to_function
 from .extremal import nearest_dictator
@@ -26,7 +24,7 @@ from .families import (
     is_union_closed,
     roots,
     stats,
-    upper_shadow,
+    upper_shadow_deficiency,
 )
 from .influence import profile
 from .spectral import level_weights, transform
@@ -34,13 +32,10 @@ from .verify import (
     PROPERTY_NAMES,
     SweepPlan,
     conjecture2_margin,
-    largest_threshold_k,
     random_union_closed,
     run_sweep,
+    scan,
     union_closure,
-    _closure_masks,
-    _instance_rng,
-    _random_generator_masks,
 )
 
 USAGE_ERROR = 2
@@ -82,10 +77,7 @@ def analysis_report(family: SetFamily) -> dict:
         "unique_root_count": report_roots.unique_root_count,
     }
     if union_closed:
-        full = (1 << (1 << n)) - 1
-        report["upper_shadow_deficiency"] = (
-            upper_shadow(family).bits & (full ^ family.bits)
-        ).bit_count()
+        report["upper_shadow_deficiency"] = int(upper_shadow_deficiency(family.to_bool(), n))
     report["nearest_dictator"] = {"i": dict_i, "sign": dict_sign, "dist": _frac(dict_dist)}
     if simply_rooted and family.size > 0:
         k, margin = conjecture2_margin(family)
@@ -192,76 +184,37 @@ def cmd_closure(args) -> int:
     return 0
 
 
-def _scan_rows(target: str, n: int, samples: int, seed: int):
-    """Deterministic per-instance rows; mirrors the random sweep instances."""
-    half = 1 << (n - 1)
-    size_cube = 1 << n
-    for index in range(samples):
-        rng = _instance_rng(seed, index)
-        closure = _closure_masks(_random_generator_masks(rng, n))
-        closure.add(0)
-        in_g = np.zeros(size_cube, dtype=bool)
-        in_g[list(closure)] = True
-        g_size = len(closure)
-        if target == "theorem2-deficiency":
-            shadow = np.zeros(size_cube, dtype=bool)
-            for i in range(n):
-                src = in_g.reshape(-1, 2, 1 << i)
-                dst = shadow.reshape(-1, 2, 1 << i)
-                dst[:, 1, :] |= src[:, 0, :]
-            deficiency = int(np.count_nonzero(shadow & ~in_g))
-            mean = Fraction(size_cube - 2 * g_size, size_cube)
-            yield {
-                "instance_index": index,
-                "size": g_size,
-                "mean_coefficient": _frac(mean),
-                "quantity": deficiency,
-                "bound": half,
-                "margin": half - deficiency,
-            }, half - deficiency >= 0, closure
-        else:  # conjecture2
-            f_size = size_cube - g_size
-            mean = Fraction(size_cube - 2 * f_size, size_cube)
-            if f_size == 0:
-                yield {
-                    "instance_index": index,
-                    "size": 0,
-                    "mean_coefficient": _frac(mean),
-                    "quantity": "",
-                    "bound": "",
-                    "margin": "",
-                }, True, None
-                continue
-            from .influence import pair_counts
+_SCAN_PROPERTY = {"conjecture2": "conjecture2", "theorem2-deficiency": "theorem2"}
 
-            enter, _ = pair_counts(~in_g, n)
-            total_enter = sum(enter)
-            positive = Fraction(total_enter, half)
-            k = largest_threshold_k(n, f_size)
-            if k is None:
-                yield {
-                    "instance_index": index,
-                    "size": f_size,
-                    "mean_coefficient": _frac(mean),
-                    "quantity": _frac(positive),
-                    "bound": "",
-                    "margin": "",
-                }, True, None
-                continue
-            bound = Fraction(k + 1, 1 << k)
-            margin = bound - positive
-            members_f = [m for m in range(size_cube) if not in_g[m]]
-            yield {
-                "instance_index": index,
-                "size": f_size,
-                "mean_coefficient": _frac(mean),
-                "quantity": _frac(positive),
-                "bound": _frac(bound),
-                "margin": _frac(margin),
-            }, margin >= 0, members_f
+
+def _scan_csv_row(target: str, n: int, index: int, q: dict) -> tuple[dict, bool]:
+    """One CSV row of ``ucx scan`` from an instance's quantities, and whether
+    its margin is non-negative."""
+    size_cube = 1 << n
+    half = size_cube >> 1
+    row = {
+        "instance_index": index,
+        "size": q["size"],
+        "mean_coefficient": _frac(Fraction(size_cube - 2 * q["size"], size_cube)),
+        "quantity": "",
+        "bound": "",
+        "margin": "",
+    }
+    if target == "theorem2-deficiency":
+        row.update(quantity=q["deficiency"], bound=half, margin=half - q["deficiency"])
+        return row, half >= q["deficiency"]
+    if q["size"] == 0:
+        return row, True
+    row["quantity"] = _frac(Fraction(q["enter_pairs"], half))
+    if q["k"] < 0:
+        return row, True
+    margin = Fraction(q["margin_scaled"], half)
+    row.update(bound=_frac(Fraction(q["k"] + 1, 1 << q["k"])), margin=_frac(margin))
+    return row, margin >= 0
 
 
 def cmd_scan(args) -> int:
+    instances = scan(_SCAN_PROPERTY[args.target], args.n, args.samples, args.seed)
     out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
     writer = csv.DictWriter(
         out,
@@ -270,20 +223,18 @@ def cmd_scan(args) -> int:
     writer.writeheader()
     failed = None
     try:
-        for row, ok, witness in _scan_rows(args.target, args.n, args.samples, args.seed):
+        for index, members, quantities in instances:
+            row, ok = _scan_csv_row(args.target, args.n, index, quantities)
             writer.writerow(row)
             if not ok and failed is None:
-                failed = (row, witness)
+                failed = (row, members)
     finally:
         if args.csv:
             out.close()
     if failed:
-        row, witness = failed
-        payload = {"row": row}
-        if witness is not None:
-            payload["family"] = familyfile.format_family(
-                SetFamily.from_members(args.n, witness)
-            )
+        row, members = failed
+        family = SetFamily.from_bool(args.n, members)
+        payload = {"row": row, "family": familyfile.format_family(family)}
         print(f"violation: {json.dumps(payload, sort_keys=True)}", file=sys.stderr)
         return 1
     return 0

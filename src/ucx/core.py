@@ -99,6 +99,17 @@ def bool_to_bits(table: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def frequency_rows(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row of membership tables (..., 2^n): how many members contain each
+    element, as an int64 array (..., n)."""
+    lead = tables.shape[:-1]
+    counts = np.empty(lead + (n,), dtype=np.int64)
+    for i in range(n):
+        upper = tables.reshape(*lead, -1, 2, 1 << i)[..., 1, :]
+        counts[..., i] = np.count_nonzero(upper, axis=(-2, -1))
+    return counts
+
+
 class BooleanFunction:
     """A +/-1 valued function on the n-cube, stored as an immutable table."""
 
@@ -208,12 +219,12 @@ class SetFamily:
         """Member masks in ascending numeric order."""
         cached = self._members
         if cached is None:
-            cached = tuple(iter_bits(self.bits))
+            cached = tuple(self.members_array().tolist())
             object.__setattr__(self, "_members", cached)
         return cached
 
     def members_array(self) -> np.ndarray:
-        return np.fromiter(self.members(), dtype=np.uint32, count=self.size)
+        return np.flatnonzero(self.to_bool()).astype(np.uint32)
 
     def to_bool(self) -> np.ndarray:
         return bits_to_bool(self.bits, self.n)
@@ -223,11 +234,7 @@ class SetFamily:
 
     def frequencies(self) -> tuple[int, ...]:
         """Per-element membership counts: entry i-1 is the number of members containing i."""
-        counts = [0] * self.n
-        for m in self.members():
-            for i in iter_bits(m):
-                counts[i] += 1
-        return tuple(counts)
+        return tuple(frequency_rows(self.to_bool(), self.n).tolist())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SetFamily) and self.n == other.n and self.bits == other.bits

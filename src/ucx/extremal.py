@@ -173,7 +173,9 @@ class KSClassMember:
 def ks_enumerate(n: int) -> "Iterator[KSClassMember]":
     """All members of the quadratic rigid class on [n], in deterministic order:
     pair members first (by index pair, + before -), then four-index members
-    (by index tuple, + before -).  Four-index members require n >= 4.
+    (by index tuple, + before -).  Four-index members require n >= 4; of a
+    tuple and its reversal, which give the same function, only the one with
+    the smaller first index is listed.
     """
     if n < 2:
         raise ValueError("the quadratic class needs n >= 2")
@@ -184,6 +186,8 @@ def ks_enumerate(n: int) -> "Iterator[KSClassMember]":
             yield KSClassMember(-1, (i, j))
         if n >= 4:
             for quad in itertools.permutations(range(1, n + 1), 4):
+                if quad[0] > quad[3]:
+                    continue  # the reversal (d, c, b, a) is the same function
                 yield KSClassMember(1, quad)
                 yield KSClassMember(-1, quad)
 

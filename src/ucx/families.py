@@ -13,11 +13,13 @@ G without the empty set, the empty set lands in F rootless; every nonempty
 member of F still has a root.)  ``duality_check`` verifies exactly this
 corrected equivalence, which holds for every family without exception.
 
-Root computation offers two routes with identical results: a per-interval
-subset scan (the definition, kept as the small-n path and test oracle), and
-a subset-union sweep over the whole lattice in O(n 2^n) that computes, for
-every mask A, the union of all complement-members below A; the roots of A
-are then the elements of A missing from that union.
+Every operation is a batched kernel over boolean membership tables of shape
+(..., 2^n), one family per row, and the functions taking a ``SetFamily`` are
+one-row calls into them.  Most rest on one O(n 2^n) subset-union (zeta)
+sweep, ``cover_table``: cover[X] is the union of the members contained in X.
+A nonempty X is a union of members exactly when cover[X] = X, which gives
+the union closure and the union-closed test; the roots of a member A are the
+elements of A missing from the cover of the complement at A.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SetFamily, bool_to_bits, iter_bits
-from .influence import pair_counts
+from .core import SetFamily, iter_bits
+from .influence import pair_count_rows
 
 
 class PreconditionError(ValueError):
@@ -74,30 +76,143 @@ class FamilyStats:
     delta: Fraction
 
 
-def is_union_closed(family: SetFamily) -> bool:
-    """True when every pairwise union of members is a member."""
-    members = family.members()
-    if len(members) <= 1:
-        return True
-    if len(members) > 64:
-        return _is_union_closed_vector(family)
-    bits = family.bits
-    for idx, a in enumerate(members):
-        for b in members[idx + 1 :]:
-            if not (bits >> (a | b)) & 1:
-                return False
-    return True
+# ---------------------------------------------------------------------------
+# batched kernels over membership tables (..., 2^n)
 
 
-def _is_union_closed_vector(family: SetFamily) -> bool:
-    table = family.to_bool()
-    arr = family.members_array()
-    chunk = max(1, (1 << 20) // max(1, len(arr)))
-    for start in range(0, len(arr), chunk):
-        unions = arr[start : start + chunk, None] | arr[None, :]
-        if not table[unions].all():
-            return False
-    return True
+def _masks(n: int) -> np.ndarray:
+    return np.arange(1 << n, dtype=np.uint32)
+
+
+def _at_most_one_bit(masks: np.ndarray) -> np.ndarray:
+    return masks & (masks - np.uint32(1)) == 0
+
+
+def cover_table(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row and mask X: the union of the row's members contained in X."""
+    cover = np.where(tables, _masks(n), np.uint32(0))
+    for i in range(n):
+        view = cover.reshape(-1, 2, 1 << i)
+        view[:, 1, :] |= view[:, 0, :]
+    return cover
+
+
+def closure_rows(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row: the union closure, the unions of all nonempty sets of members.
+
+    It holds the empty set only when the row does.
+    """
+    closed = cover_table(tables, n) == _masks(n)
+    closed[..., 0] = tables[..., 0]
+    return closed
+
+
+def union_closed_rows(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row: whether the family equals its union closure, that is, whether
+    every nonempty X with cover[X] = X is a member."""
+    return np.all(closure_rows(tables, n) == tables, axis=-1)
+
+
+def root_masks(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row and mask: the roots of a member (0 for non-members), the
+    elements of the member outside every non-member below it."""
+    return np.where(tables, _masks(n) & ~cover_table(~tables, n), np.uint32(0))
+
+
+def simply_rooted_rows(tables: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Per row, given its ``root_masks``: whether every member has a root."""
+    return np.all(~tables | (roots != 0), axis=-1)
+
+
+def unique_root_counts(roots: np.ndarray) -> np.ndarray:
+    """Per row, given its ``root_masks``: the number of uniquely rooted members."""
+    return np.count_nonzero((roots != 0) & _at_most_one_bit(roots), axis=-1)
+
+
+def upper_shadow_rows(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row: all sets obtained by adding one element to some member."""
+    out = np.zeros_like(tables)
+    for i in range(n):
+        src = tables.reshape(-1, 2, 1 << i)
+        out.reshape(-1, 2, 1 << i)[:, 1, :] |= src[:, 0, :]
+    return out
+
+
+def upper_shadow_deficiency(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row: |upper_shadow(G) - G|, the shadow sets outside the family."""
+    return np.count_nonzero(upper_shadow_rows(tables, n) & ~tables, axis=-1)
+
+
+def missing_lower_rows(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row and mask A: the elements i of A with A - i outside the family."""
+    out = np.zeros(tables.shape, dtype=np.uint32)
+    for i in range(n):
+        src = tables.reshape(-1, 2, 1 << i)
+        gone = np.where(src[:, 0, :], np.uint32(0), np.uint32(1 << i))
+        out.reshape(-1, 2, 1 << i)[:, 1, :] |= gone
+    return out
+
+
+def component_directions(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row and vertex of the subgraph the row's vertex set induces in the
+    cube: the mask of edge directions used in the vertex's connected component
+    (0 outside the set).
+
+    Label propagation: across every edge inside the set, both endpoints take
+    the union of their labels and the edge's direction, until no label changes.
+    """
+    labels = np.zeros(tables.shape, dtype=np.uint32)
+    while True:
+        before = labels.copy()
+        for i in range(n):
+            side = tables.reshape(-1, 2, 1 << i)
+            view = labels.reshape(-1, 2, 1 << i)
+            joined = view[:, 0, :] | view[:, 1, :] | np.uint32(1 << i)
+            joined = np.where(side[:, 0, :] & side[:, 1, :], joined, np.uint32(0))
+            view[:, 0, :] |= joined
+            view[:, 1, :] |= joined
+        if np.array_equal(before, labels):
+            return labels
+
+
+def duality_rows(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row: (union-closed AND holds the empty set) == complement simply-rooted."""
+    complement = ~tables
+    lhs = union_closed_rows(tables, n) & tables[..., 0]
+    return lhs == simply_rooted_rows(complement, root_masks(complement, n))
+
+
+def shadow_dichotomy_rows(tables: np.ndarray, roots: np.ndarray, n: int) -> np.ndarray:
+    """Per simply-rooted row, given its ``root_masks``: whether every uniquely
+    rooted member misses exactly its root removed from the family, and every
+    other member misses nothing."""
+    missing = missing_lower_rows(tables, n)
+    unique = (roots != 0) & _at_most_one_bit(roots)
+    return np.all(~tables | np.where(unique, missing == roots, missing == 0), axis=-1)
+
+
+def thin_boundary_rows(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row: whether every member covers at most one set outside the family."""
+    return np.all(~tables | _at_most_one_bit(missing_lower_rows(tables, n)), axis=-1)
+
+
+def theorem2_rows(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the upper-shadow deficiency and the complement's unique-root count."""
+    return upper_shadow_deficiency(tables, n), unique_root_counts(root_masks(~tables, n))
+
+
+def positive_cap_rows(tables: np.ndarray, roots: np.ndarray, n: int):
+    """Per simply-rooted row, given its ``root_masks``: the enter-pair count,
+    the unique-root count, and whether I^+ = unique_root_count / 2^{n-1} and
+    I^+ <= min(1, |F| / 2^{n-1})."""
+    enter = pair_count_rows(tables, n)[0].sum(axis=-1)
+    unique = unique_root_counts(roots)
+    cap = np.minimum(1 << (n - 1), np.count_nonzero(tables, axis=-1))
+    return enter, unique, (enter == unique) & (enter <= cap)
+
+
+# ---------------------------------------------------------------------------
+# definition-level oracles for the tests
 
 
 def _root_set_naive(family: SetFamily, member: int) -> int:
@@ -124,66 +239,49 @@ def _roots_naive(family: SetFamily) -> tuple[int, ...]:
     return tuple(_root_set_naive(family, m) for m in family.members())
 
 
-def _cover_union_table(n: int, complement_table: np.ndarray) -> np.ndarray:
-    """For every mask A: union of all complement-members contained in A."""
-    masks = np.arange(1 << n, dtype=np.uint32)
-    cover = np.where(complement_table, masks, np.uint32(0))
-    for i in range(n):
-        view = cover.reshape(-1, 2, 1 << i)
-        view[:, 1, :] |= view[:, 0, :]
-    return cover
+# ---------------------------------------------------------------------------
+# single-family operations
 
 
-def _roots_fast(family: SetFamily) -> tuple[int, ...]:
-    cover = _cover_union_table(family.n, ~family.to_bool())
-    members = family.members_array()
-    return tuple(int(v) for v in members & ~cover[members])
+def is_union_closed(family: SetFamily) -> bool:
+    """True when every pairwise union of members is a member."""
+    return bool(union_closed_rows(family.to_bool(), family.n))
 
 
 def roots(family: SetFamily) -> RootReport:
     """Root sets for every member, in ascending member-mask order."""
-    members = family.members()
-    if family.n <= 6:
-        root_sets = tuple(_root_set_naive(family, m) for m in members)
-    else:
-        root_sets = _roots_fast(family)
-    return RootReport(family.n, members, root_sets)
+    table = family.to_bool()
+    root_sets = root_masks(table, family.n)[np.flatnonzero(table)]
+    return RootReport(family.n, family.members(), tuple(root_sets.tolist()))
 
 
 def is_simply_rooted(family: SetFamily) -> bool:
     """True when every member has a root; the empty set member never does."""
-    if family.size == 0:
-        return True
-    if 0 in family:
-        return False
-    if family.n <= 6:
-        return all(_root_set_naive(family, m) != 0 for m in family.members())
-    cover = _cover_union_table(family.n, ~family.to_bool())
-    members = family.members_array()
-    return bool(np.all(members & ~cover[members]))
+    table = family.to_bool()
+    return bool(simply_rooted_rows(table, root_masks(table, family.n)))
+
+
+def _simply_rooted_roots(family: SetFamily, what: str) -> tuple[np.ndarray, np.ndarray]:
+    table = family.to_bool()
+    found = root_masks(table, family.n)
+    if not simply_rooted_rows(table, found):
+        raise PreconditionError(f"{what} requires a simply-rooted family")
+    return table, found
 
 
 def duality_check(family: SetFamily) -> bool:
     """Verify the complement duality on one family; true for every family.
 
     The exact equivalence is: family union-closed AND containing the empty
-    set <=> complement simply-rooted.  Both sides are computed independently
-    (pairwise union scan versus root search) and compared.
+    set <=> complement simply-rooted.  The left side is read off the family's
+    subset-union cover and the right side off the complement's root masks.
     """
-    lhs = is_union_closed(family) and 0 in family
-    rhs = is_simply_rooted(family.complement())
-    return lhs == rhs
+    return bool(duality_rows(family.to_bool(), family.n))
 
 
 def upper_shadow(family: SetFamily) -> SetFamily:
     """All sets obtained by adding one element to some member."""
-    table = family.to_bool()
-    out = np.zeros_like(table)
-    for i in range(family.n):
-        src = table.reshape(-1, 2, 1 << i)
-        dst = out.reshape(-1, 2, 1 << i)
-        dst[:, 1, :] |= src[:, 0, :]
-    return SetFamily(family.n, bool_to_bits(out))
+    return SetFamily.from_bool(family.n, upper_shadow_rows(family.to_bool(), family.n))
 
 
 def lower_shadow(family: SetFamily) -> SetFamily:
@@ -194,16 +292,12 @@ def lower_shadow(family: SetFamily) -> SetFamily:
         src = table.reshape(-1, 2, 1 << i)
         dst = out.reshape(-1, 2, 1 << i)
         dst[:, 0, :] |= src[:, 1, :]
-    return SetFamily(family.n, bool_to_bits(out))
+    return SetFamily.from_bool(family.n, out)
 
 
 def missing_lower_covers(family: SetFamily, member: int) -> int:
     """Mask of elements i in the member with member - i outside the family."""
-    out = 0
-    for i in iter_bits(member):
-        if (member ^ (1 << i)) not in family:
-            out |= 1 << i
-    return out
+    return int(missing_lower_rows(family.to_bool(), family.n)[member])
 
 
 def shadow_lemma_check(family: SetFamily) -> bool:
@@ -211,22 +305,13 @@ def shadow_lemma_check(family: SetFamily) -> bool:
     in exactly one set (the unique root removed) when the member has a single
     root, and in no set otherwise.  Always true on the stated domain.
     """
-    if not is_simply_rooted(family):
-        raise PreconditionError("shadow dichotomy requires a simply-rooted family")
-    report = roots(family)
-    for member, root_set in zip(report.members, report.root_sets):
-        missing = missing_lower_covers(family, member)
-        if root_set.bit_count() == 1:
-            if missing != root_set:
-                return False
-        elif missing != 0:
-            return False
-    return True
+    table, found = _simply_rooted_roots(family, "shadow dichotomy")
+    return bool(shadow_dichotomy_rows(table, found, family.n))
 
 
 def thin_boundary_check(family: SetFamily) -> bool:
     """True when every member covers at most one set outside the family."""
-    return all(missing_lower_covers(family, m).bit_count() <= 1 for m in family.members())
+    return bool(thin_boundary_rows(family.to_bool(), family.n))
 
 
 def theorem2_quantities(family: SetFamily) -> tuple[int, int]:
@@ -239,27 +324,16 @@ def theorem2_quantities(family: SetFamily) -> tuple[int, int]:
     """
     if not is_union_closed(family):
         raise PreconditionError("upper-shadow deficiency requires a union-closed family")
-    full = (1 << (1 << family.n)) - 1
-    deficiency = (upper_shadow(family).bits & (full ^ family.bits)).bit_count()
-    unique_count = roots(family.complement()).unique_root_count
-    return deficiency, unique_count
+    deficiency, unique_count = theorem2_rows(family.to_bool(), family.n)
+    return int(deficiency), int(unique_count)
 
 
 def positive_influence_cap_check(family: SetFamily) -> bool:
     """For a simply-rooted family: I^+ = unique_root_count / 2^{n-1} and
     I^+ <= min(1, |F| / 2^{n-1}).
     """
-    if not is_simply_rooted(family):
-        raise PreconditionError("positive-influence cap requires a simply-rooted family")
-    n = family.n
-    enter, _ = pair_counts(family.to_bool(), n)
-    total_enter = sum(enter)
-    half = 1 << (n - 1)
-    cap = min(Fraction(1), Fraction(family.size, half))
-    return (
-        Fraction(total_enter, half) <= cap
-        and total_enter == roots(family).unique_root_count
-    )
+    table, found = _simply_rooted_roots(family, "positive-influence cap")
+    return bool(positive_cap_rows(table, found, family.n)[2])
 
 
 def stats(family: SetFamily) -> FamilyStats:

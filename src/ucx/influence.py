@@ -49,17 +49,25 @@ class InfluenceProfile:
         return self._ratio(count)
 
 
+def pair_count_rows(member_tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of membership tables (..., 2^n): enter and exit counts per
+    coordinate, as two int64 arrays (..., n)."""
+    lead = member_tables.shape[:-1]
+    enter = np.empty(lead + (n,), dtype=np.int64)
+    leave = np.empty(lead + (n,), dtype=np.int64)
+    for i in range(n):
+        view = member_tables.reshape(*lead, -1, 2, 1 << i)
+        low = view[..., 0, :]
+        high = view[..., 1, :]
+        enter[..., i] = np.count_nonzero(~low & high, axis=(-2, -1))
+        leave[..., i] = np.count_nonzero(low & ~high, axis=(-2, -1))
+    return enter, leave
+
+
 def pair_counts(member_table: np.ndarray, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Enter/exit counts per coordinate from a boolean membership table."""
-    enter = []
-    leave = []
-    for i in range(n):
-        view = member_table.reshape(-1, 2, 1 << i)
-        low = view[:, 0, :]
-        high = view[:, 1, :]
-        enter.append(int(np.count_nonzero(~low & high)))
-        leave.append(int(np.count_nonzero(low & ~high)))
-    return tuple(enter), tuple(leave)
+    enter, leave = pair_count_rows(member_table, n)
+    return tuple(enter.tolist()), tuple(leave.tolist())
 
 
 def profile(f: BooleanFunction) -> InfluenceProfile:

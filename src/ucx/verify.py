@@ -1,30 +1,40 @@
-"""Exhaustive and randomized property sweeps with deterministic reports.
+"""Property sweeps: one batched engine with deterministic reports.
 
-Instance spaces
----------------
-Exhaustive mode (n <= 4 only) walks every function or family on the cube:
-the integer ``bits`` in [0, 2^{2^n}) is read both as a family bitset and as
-the function that is -1 exactly on that family's members.  Random mode draws
-each instance from its own RNG stream seeded by (seed, instance_index), so
-the realized instances, violations, and summaries are identical no matter
-how the index range is partitioned across workers.  Canonical report
-serialization omits wall-clock time and the worker count for that reason.
+A sweep reads its instances as rows of a (rows, 2^n) table, one chunk at a
+time, and hands each chunk to the property's vectorized evaluator.  Per row
+the evaluator returns whether the property applies, whether it holds and the
+integer quantities behind the violation details, the summaries and the
+columns of ``ucx scan``.  Function properties read +/-1 value rows, family
+properties boolean membership rows.  The two modes differ only in where the
+rows come from:
 
-Random family instances are built from union closures of uniformly drawn
-generator sets.  Properties quantified over simply-rooted families use the
-complement of a closure with the empty set adjoined, which is simply-rooted
-by the complement duality; the upper-shadow property uses the closure with
-the empty set adjoined directly, the exact domain on which its deficiency
-equals the complement's unique-root count.
+* exhaustive mode (n <= 4 only) takes the binary digits of the instance
+  index ``bits`` in [0, 2^{2^n}), read both as a family bitset and as the
+  function that is -1 exactly on that family's members;
+* random mode draws each instance from its own RNG stream seeded by
+  (seed, index), so the realized instances, violations, and summaries are
+  identical no matter how the index range is partitioned across workers.
+  Canonical report serialization omits wall-clock time and the worker count
+  for that reason.
+
+Random family draws are mapped onto the property's domain.  Most draw the
+union closure of uniformly drawn generator sets: ``frankl`` reads the
+closure itself, ``theorem2`` the closure with the empty set adjoined (the
+exact domain on which its deficiency equals the complement's unique-root
+count), and the properties quantified over simply-rooted families read the
+complement of that, which is simply-rooted by the complement duality.
+``duality`` reads uniformly random families and ``kotlov`` random vertex
+sets larger than half the cube.  ``scan`` is the per-row output mode of the
+same engine.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,48 +42,29 @@ from . import familyfile
 from .core import (
     CharacterSpec,
     SetFamily,
+    bits_to_bool,
     check_dimension,
-    iter_bits,
+    frequency_rows,
     popcount_table,
 )
 from .families import (
     PreconditionError,
-    duality_check,
+    closure_rows,
+    component_directions,
+    duality_rows,
     is_simply_rooted,
     is_union_closed,
-    roots,
-    shadow_lemma_check,
-    stats,
-    thin_boundary_check,
-    theorem2_quantities,
-    _cover_union_table,
+    positive_cap_rows,
+    root_masks,
+    shadow_dichotomy_rows,
+    simply_rooted_rows,
+    theorem2_rows,
+    thin_boundary_rows,
+    union_closed_rows,
 )
-from .influence import pair_counts
+from .influence import pair_count_rows
 from .spectral import fwht_rows
 
-PROPERTY_NAMES = (
-    "duality",
-    "shadow-lemma",
-    "parseval",
-    "influence-identity",
-    "corollary-lb",
-    "theorem2",
-    "frankl",
-    "conjecture2",
-    "partial-claim",
-    "edge-iso",
-    "kotlov",
-    "fkn-zero",
-    "ks-zero",
-    "positive-cap",
-    "thin-boundary",
-)
-
-_FUNCTION_PROPS = frozenset(
-    {"parseval", "influence-identity", "corollary-lb", "edge-iso", "fkn-zero", "ks-zero"}
-)
-
-_CHUNK = 2048
 EXHAUSTIVE_MAX_N = 4
 
 
@@ -81,22 +72,10 @@ EXHAUSTIVE_MAX_N = 4
 # family generation primitives
 
 
-def _closure_masks(masks: Iterable[int]) -> set[int]:
-    """All unions of nonempty subsets of the given masks."""
-    closed: set[int] = set()
-    for g in masks:
-        g = int(g)
-        if g in closed:
-            continue
-        closed |= {g | s for s in closed}
-        closed.add(g)
-    return closed
-
-
 def union_closure(generators: SetFamily) -> SetFamily:
     """Smallest union-closed superfamily; contains the empty set only if a
     generator is the empty set."""
-    return SetFamily.from_members(generators.n, _closure_masks(generators.members()))
+    return SetFamily.from_bool(generators.n, closure_rows(generators.to_bool(), generators.n))
 
 
 def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
@@ -120,8 +99,9 @@ def random_union_closed(n: int, generator_count: int, seed: int) -> SetFamily:
     if generator_count < 0:
         raise ValueError("generator_count must be non-negative")
     rng = np.random.default_rng(seed)
-    masks = rng.integers(0, 1 << n, size=generator_count, dtype=np.int64)
-    return SetFamily.from_members(n, _closure_masks(masks))
+    table = np.zeros(1 << n, dtype=bool)
+    table[rng.integers(0, 1 << n, size=generator_count, dtype=np.int64)] = True
+    return SetFamily.from_bool(n, closure_rows(table, n))
 
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:
@@ -132,13 +112,31 @@ def _instance_rng(seed: int, index: int) -> np.random.Generator:
 # single-instance checks exposed as API
 
 
+def _threshold_k(n: int, sizes):
+    """Per family size: the largest k in [0, n-1] with mean coefficient
+    <= -(1 - 2^{-k}), or -1 when even k = 0 fails."""
+    doubled = 2 * np.asarray(sizes, dtype=np.int64)
+    k = np.full(doubled.shape, -1, dtype=np.int64)
+    for j in range(n):
+        k = np.where(doubled >= (1 << (n + 1)) - (1 << (n - j)), j, k)
+    return k
+
+
 def largest_threshold_k(n: int, size: int) -> int | None:
     """Largest k in [0, n-1] with mean coefficient <= -(1 - 2^{-k}),
     in terms of the family size; None when even k = 0 fails."""
-    for k in range(n - 1, -1, -1):
-        if 2 * size >= (1 << (n + 1)) - (1 << (n - k)):
-            return k
-    return None
+    k = int(_threshold_k(n, size))
+    return None if k < 0 else k
+
+
+def _margin_rows(tables: np.ndarray, n: int):
+    """Per row: size, enter pairs, threshold k (-1 for none) and the margin
+    (k+1) 2^{-k} - I^+ of the positive-influence cap, scaled by 2^{n-1}."""
+    sizes = np.count_nonzero(tables, axis=-1)
+    enter = pair_count_rows(tables, n)[0].sum(axis=-1)
+    k = _threshold_k(n, sizes)
+    margin = ((k + 1) << (n - 1 - k)) - enter
+    return sizes, enter, k, margin
 
 
 def conjecture2_margin(family: SetFamily) -> tuple[int | None, Fraction | None]:
@@ -149,41 +147,14 @@ def conjecture2_margin(family: SetFamily) -> tuple[int | None, Fraction | None]:
         raise PreconditionError("margin requires a nonempty family")
     if not is_simply_rooted(family):
         raise PreconditionError("margin requires a simply-rooted family")
-    n = family.n
-    k = largest_threshold_k(n, family.size)
-    if k is None:
+    _, _, k, margin = _margin_rows(family.to_bool(), family.n)
+    if k < 0:
         return None, None
-    enter, _ = pair_counts(family.to_bool(), n)
-    margin = Fraction(k + 1, 1 << k) - Fraction(sum(enter), 1 << (n - 1))
-    return k, margin
+    return int(k), Fraction(int(margin), 1 << (family.n - 1))
 
 
-def _has_full_direction_component(n: int, masks: Iterable[int]) -> bool:
-    index = {int(m): i for i, m in enumerate(masks)}
-    parent = list(range(len(index)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    dirs = [0] * len(index)
-    for v, vi in index.items():
-        for i in range(n):
-            u = v ^ (1 << i)
-            if u >= v:
-                continue  # visit each cube edge from its upper endpoint
-            ui = index.get(u)
-            if ui is None:
-                continue
-            ra, rb = find(vi), find(ui)
-            if ra != rb:
-                parent[rb] = ra
-                dirs[ra] |= dirs[rb]
-            dirs[find(vi)] |= 1 << i
-    full = (1 << n) - 1
-    return any(dirs[find(i)] == full for i in range(len(parent)))
+def _spans_all_directions(tables: np.ndarray, n: int) -> np.ndarray:
+    return np.any(component_directions(tables, n) == (1 << n) - 1, axis=-1)
 
 
 def kotlov_check(vertices: SetFamily) -> bool:
@@ -191,7 +162,7 @@ def kotlov_check(vertices: SetFamily) -> bool:
     of the induced subgraph uses edges in all n directions."""
     if vertices.size <= 1 << (vertices.n - 1):
         raise PreconditionError("vertex set must exceed half the cube")
-    return _has_full_direction_component(vertices.n, vertices.members())
+    return bool(_spans_all_directions(vertices.to_bool(), vertices.n))
 
 
 # ---------------------------------------------------------------------------
@@ -288,47 +259,140 @@ def _jsonable(value):
 # violation payloads
 
 
-def _family_witness(index: int, family: SetFamily, detail: dict) -> dict:
-    return {
-        "index": index,
-        "kind": "family",
-        "n": family.n,
-        "family": familyfile.format_family(family),
-        "detail": _jsonable(detail),
-    }
-
-
-def _function_witness(index: int, n: int, values: np.ndarray, detail: dict) -> dict:
-    return {
-        "index": index,
-        "kind": "function",
-        "n": n,
-        "function": "".join("-" if v < 0 else "+" for v in values),
-        "detail": _jsonable(detail),
-    }
+def _witness(index: int, n: int, row: np.ndarray, detail: dict) -> dict:
+    if row.dtype == bool:
+        kind, body = "family", familyfile.format_family(SetFamily.from_bool(n, row))
+    else:
+        kind, body = "function", "".join("-" if v < 0 else "+" for v in row)
+    return {"index": index, "kind": kind, "n": n, kind: body, "detail": _jsonable(detail)}
 
 
 # ---------------------------------------------------------------------------
-# function-space sweeps (vectorized over chunks)
+# row sources
+
+
+def _chunks(n: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Index ranges of at most min(2048, 2^24 / 2^n) rows each."""
+    step = min(2048, (1 << 24) >> n)
+    for start in range(lo, hi, step):
+        yield start, min(start + step, hi)
+
+
+def _index_bits(start: int, stop: int, n: int) -> np.ndarray:
+    """Exhaustive rows: the 2^n binary digits of each index, as int8 0/1."""
+    idx = np.arange(start, stop, dtype=np.uint64)
+    cols = np.arange(1 << n, dtype=np.uint32)
+    return ((idx[:, None] >> cols[None, :]) & 1).astype(np.int8)
 
 
 def _function_chunks(plan: SweepPlan, lo: int, hi: int):
     size = 1 << plan.n
-    if plan.mode == "exhaustive":
-        cols = np.arange(size, dtype=np.uint32)
-        for start in range(lo, hi, _CHUNK):
-            stop = min(start + _CHUNK, hi)
-            idx = np.arange(start, stop, dtype=np.uint64)
-            bits = ((idx[:, None] >> cols[None, :]) & 1).astype(np.int8)
-            yield start, (1 - 2 * bits).astype(np.int8)
-    else:
-        for start in range(lo, hi, _CHUNK):
-            stop = min(start + _CHUNK, hi)
+    for start, stop in _chunks(plan.n, lo, hi):
+        if plan.mode == "exhaustive":
+            yield start, (1 - 2 * _index_bits(start, stop, plan.n)).astype(np.int8)
+        else:
             rows = np.empty((stop - start, size), dtype=np.int8)
             for r, index in enumerate(range(start, stop)):
                 rng = _instance_rng(plan.seed, index)
                 rows[r] = (rng.integers(0, 2, size=size, dtype=np.int8) << 1) - 1
             yield start, rows
+
+
+def _family_chunks(plan: SweepPlan, lo: int, hi: int, draw, domain):
+    n = plan.n
+    for start, stop in _chunks(n, lo, hi):
+        if plan.mode == "exhaustive":
+            yield start, _index_bits(start, stop, n).view(bool)
+        else:
+            rows = np.zeros((stop - start, 1 << n), dtype=bool)
+            for r, index in enumerate(range(start, stop)):
+                draw(_instance_rng(plan.seed, index), n, rows[r])
+            yield start, domain(rows, n)
+
+
+def _draw_uniform(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
+    """A uniformly random family."""
+    if n >= 3:
+        bits = int.from_bytes(rng.bytes(1 << (n - 3)), "little")
+    else:
+        bits = int(rng.integers(0, 1 << (1 << n)))
+    row[:] = bits_to_bool(bits, n)
+
+
+def _draw_generators(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
+    """Between 1 and 2n uniformly drawn generator sets."""
+    count = 1 + int(rng.integers(0, 2 * n))
+    row[rng.integers(0, 1 << n, size=count, dtype=np.int64)] = True
+
+
+def _draw_vertices(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
+    """A uniformly random vertex set larger than half the cube."""
+    half = 1 << (n - 1)
+    size = half + 1 + int(rng.integers(0, (1 << n) - half))
+    row[rng.choice(1 << n, size=size, replace=False)] = True
+
+
+def _as_drawn(rows: np.ndarray, n: int) -> np.ndarray:
+    return rows
+
+
+def _closure_with_empty_set(rows: np.ndarray, n: int) -> np.ndarray:
+    closed = closure_rows(rows, n)
+    closed[:, 0] = True
+    return closed
+
+
+def _simply_rooted_complement(rows: np.ndarray, n: int) -> np.ndarray:
+    return ~_closure_with_empty_set(rows, n)
+
+
+# ---------------------------------------------------------------------------
+# vectorized evaluators: one chunk of rows in, one _Rows out
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Per row of a chunk: whether the property applies and whether it holds;
+    the detail of a failing row, the chunk's summary update, and the integer
+    quantities that ``scan`` writes out."""
+
+    applicable: np.ndarray
+    ok: np.ndarray
+    detail: Callable[[int], dict]
+    summary: dict = field(default_factory=dict)
+    quantities: dict = field(default_factory=dict)
+
+
+def _every(rows: np.ndarray) -> np.ndarray:
+    return np.ones(len(rows), dtype=bool)
+
+
+def _reason(text: str) -> Callable[[int], dict]:
+    return lambda r: {"reason": text}
+
+
+def _count(key: str, mask: np.ndarray) -> dict:
+    count = int(np.count_nonzero(mask))
+    return {key: count} if count else {}
+
+
+def _extreme(key: str, values: np.ndarray, mask: np.ndarray) -> dict:
+    if not mask.any():
+        return {}
+    picked = values[mask]
+    return {key: int(picked.max() if key.startswith("max_") else picked.min())}
+
+
+def _first_failure(fail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a (rows, cases) failure table: whether no case fails, and
+    the first failing case."""
+    return ~fail.any(axis=1), fail.argmax(axis=1)
+
+
+def _spectrum(mat: np.ndarray) -> np.ndarray:
+    spec = mat.astype(np.int64)
+    fwht_rows(spec)
+    return spec
 
 
 def _pivotal_totals(mat: np.ndarray, n: int) -> np.ndarray:
@@ -370,327 +434,184 @@ def _ks_distance_zero(n: int, spectrum_row: np.ndarray) -> bool:
     return False
 
 
-def _function_block(plan: SweepPlan, lo: int, hi: int) -> dict:
-    n = plan.n
-    prop = plan.property
+def _parseval(mat: np.ndarray, n: int) -> _Rows:
     four_n = 1 << (2 * n)
+    spec = _spectrum(mat)
+    sums = (spec * spec).sum(axis=1)
+    return _Rows(_every(mat), sums == four_n,
+                 lambda r: {"coefficient_square_sum": int(sums[r]), "expected": four_n})
+
+
+def _influence_identity(mat: np.ndarray, n: int) -> _Rows:
+    spec = _spectrum(mat)
+    pivotal = _pivotal_totals(mat, n)
+    weighted = (spec * spec) @ popcount_table(n).astype(np.int64)
+    return _Rows(_every(mat), weighted == pivotal << (n + 1),
+                 lambda r: {"pivotal_pairs": int(pivotal[r]),
+                            "weighted_square_sum": int(weighted[r])})
+
+
+def _corollary_lb(mat: np.ndarray, n: int) -> _Rows:
+    four_n = 1 << (2 * n)
+    spec = _spectrum(mat)
+    levels = _level_sum_matrix(spec * spec, n)
+    lhs = _pivotal_totals(mat, n) << (n + 1)  # I(f) * 2 * 4^n / 2^n
+    bounds = np.stack(
+        [k * four_n - sum((k - i) * levels[:, i] for i in range(k)) for k in range(1, n + 1)],
+        axis=1,
+    )
+    ok, first = _first_failure(lhs[:, None] < bounds)
+    return _Rows(_every(mat), ok,
+                 lambda r: {"k": int(first[r]) + 1, "influence_scaled": int(lhs[r]),
+                            "bound_scaled": int(bounds[r, first[r]])})
+
+
+def _edge_iso(mat: np.ndarray, n: int) -> _Rows:
     half = 1 << (n - 1)
-    violations: list[dict] = []
-    violation_count = 0
-    summary: dict = {}
-    checked = 0
-    dictators = _signed_dictator_rows(n) if prop == "fkn-zero" else None
-
-    for start, mat in _function_chunks(plan, lo, hi):
-        rows = mat.shape[0]
-        checked += rows
-        spec_mat = mat.astype(np.int64)
-        fwht_rows(spec_mat)
-        squares = spec_mat * spec_mat
-        bad_rows: dict[int, dict] = {}
-
-        if prop == "parseval":
-            sums = squares.sum(axis=1)
-            for r in np.nonzero(sums != four_n)[0]:
-                bad_rows[int(r)] = {"coefficient_square_sum": int(sums[r]), "expected": four_n}
-        elif prop == "influence-identity":
-            pivotal = _pivotal_totals(mat, n)
-            weighted = squares @ popcount_table(n).astype(np.int64)
-            for r in np.nonzero(weighted != pivotal << (n + 1))[0]:
-                bad_rows[int(r)] = {
-                    "pivotal_pairs": int(pivotal[r]),
-                    "weighted_square_sum": int(weighted[r]),
-                }
-        elif prop == "corollary-lb":
-            pivotal = _pivotal_totals(mat, n)
-            levels = _level_sum_matrix(squares, n)
-            lhs = pivotal << (n + 1)  # I(f) * 2 * 4^n / 2^n
-            for k in range(1, n + 1):
-                deficit = sum((k - i) * levels[:, i] for i in range(k))
-                bound = k * four_n - deficit
-                for r in np.nonzero(lhs < bound)[0]:
-                    bad_rows.setdefault(int(r), {"k": k, "influence_scaled": int(lhs[r]), "bound_scaled": int(bound[r])})
-        elif prop == "edge-iso":
-            pivotal = _pivotal_totals(mat, n)
-            s0 = spec_mat[:, 0]
-            for k in range(0, n):
-                lo_thresh = -((1 << n) - (1 << (n - k)))
-                applicable = (s0 >= lo_thresh) & (s0 <= 0)
-                ok = (pivotal << k) >= (k + 1) * half
-                for r in np.nonzero(applicable & ~ok)[0]:
-                    bad_rows.setdefault(int(r), {"k": k, "pivotal_pairs": int(pivotal[r]), "mean_scaled": int(s0[r])})
-        elif prop == "fkn-zero":
-            level1 = squares[:, np.nonzero(popcount_table(n) == 1)[0]].sum(axis=1)
-            for r in np.nonzero(level1 == four_n)[0]:
-                summary["num_qualifying"] = summary.get("num_qualifying", 0) + 1
-                if mat[int(r)].tobytes() not in dictators:
-                    bad_rows[int(r)] = {"reason": "full level-1 weight but not a signed dictator"}
-        elif prop == "ks-zero":
-            level2 = squares[:, np.nonzero(popcount_table(n) == 2)[0]].sum(axis=1)
-            for r in np.nonzero(level2 == four_n)[0]:
-                summary["num_qualifying"] = summary.get("num_qualifying", 0) + 1
-                if not _ks_distance_zero(n, spec_mat[int(r)]):
-                    bad_rows[int(r)] = {"reason": "full level-2 weight but outside the quadratic class"}
-        else:  # pragma: no cover - guarded by plan validation
-            raise ValueError(f"not a function property: {prop}")
-
-        for r in sorted(bad_rows):
-            violation_count += 1
-            if len(violations) < plan.witness_cap:
-                violations.append(_function_witness(start + r, n, mat[r], bad_rows[r]))
-
-    return {
-        "enumerated": hi - lo,
-        "checked": checked,
-        "violation_count": violation_count,
-        "violations": violations,
-        "summary": summary,
-    }
+    s0 = _spectrum(mat)[:, 0].copy()
+    pivotal = _pivotal_totals(mat, n)
+    fail = np.stack(
+        [(s0 >= (1 << (n - k)) - (1 << n)) & (s0 <= 0) & ((pivotal << k) < (k + 1) * half)
+         for k in range(n)],
+        axis=1,
+    )
+    ok, first = _first_failure(fail)
+    return _Rows(_every(mat), ok,
+                 lambda r: {"k": int(first[r]), "pivotal_pairs": int(pivotal[r]),
+                            "mean_scaled": int(s0[r])})
 
 
-# ---------------------------------------------------------------------------
-# family-space sweeps
+def _full_level_weight(spec: np.ndarray, n: int, level: int) -> np.ndarray:
+    squares = spec * spec
+    return squares[:, popcount_table(n) == level].sum(axis=1) == 1 << (2 * n)
 
 
-def _check_family(prop: str, fam: SetFamily):
-    """Honest op-backed check of one family.  Returns
-    (applicable, ok, detail, summary_update)."""
-    n = fam.n
+def _fkn_zero(mat: np.ndarray, n: int) -> _Rows:
+    qualifying = _full_level_weight(_spectrum(mat), n, 1)
+    ok = ~qualifying
+    if qualifying.any():
+        dictators = _signed_dictator_rows(n)
+        for r in np.flatnonzero(qualifying):
+            ok[r] = mat[r].tobytes() in dictators
+    return _Rows(_every(mat), ok, _reason("full level-1 weight but not a signed dictator"),
+                 _count("num_qualifying", qualifying))
+
+
+def _ks_zero(mat: np.ndarray, n: int) -> _Rows:
+    spec = _spectrum(mat)
+    qualifying = _full_level_weight(spec, n, 2)
+    ok = ~qualifying
+    for r in np.flatnonzero(qualifying):
+        ok[r] = _ks_distance_zero(n, spec[r])
+    return _Rows(_every(mat), ok, _reason("full level-2 weight but outside the quadratic class"),
+                 _count("num_qualifying", qualifying))
+
+
+def _duality(t: np.ndarray, n: int) -> _Rows:
+    return _Rows(_every(t), duality_rows(t, n), _reason("duality mismatch"))
+
+
+def _frankl(t: np.ndarray, n: int) -> _Rows:
+    sizes = np.count_nonzero(t, axis=1)
+    applicable = (sizes > 0) & ~((sizes == 1) & t[:, 0]) & union_closed_rows(t, n)
+    freqs = frequency_rows(t, n)
+    excess = (2 * freqs - sizes[:, None]).max(axis=1)
+    return _Rows(applicable, excess >= 0, lambda r: {"frequencies": freqs[r].tolist()},
+                 _extreme("min_abundance_excess", excess, applicable))
+
+
+def _theorem2(t: np.ndarray, n: int) -> _Rows:
+    applicable = t[:, 0] & union_closed_rows(t, n)
+    deficiency, unique = theorem2_rows(t, n)
+    ok = (deficiency == unique) & (deficiency <= 1 << (n - 1))
+    return _Rows(applicable, ok,
+                 lambda r: {"deficiency": int(deficiency[r]), "unique_root_count": int(unique[r])},
+                 _extreme("max_deficiency", deficiency, applicable),
+                 {"size": np.count_nonzero(t, axis=1), "deficiency": deficiency})
+
+
+def _simply_rooted(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' root masks, and which rows are simply-rooted."""
+    found = root_masks(t, n)
+    return found, simply_rooted_rows(t, found)
+
+
+def _shadow_lemma(t: np.ndarray, n: int) -> _Rows:
+    found, applicable = _simply_rooted(t, n)
+    return _Rows(applicable, shadow_dichotomy_rows(t, found, n), _reason("shadow dichotomy failed"))
+
+
+def _thin_boundary(t: np.ndarray, n: int) -> _Rows:
+    applicable = _simply_rooted(t, n)[1]
+    return _Rows(applicable, thin_boundary_rows(t, n), _reason("member covers two missing sets"))
+
+
+def _positive_cap(t: np.ndarray, n: int) -> _Rows:
+    found, applicable = _simply_rooted(t, n)
+    enter, unique, ok = positive_cap_rows(t, found, n)
+    return _Rows(applicable, ok,
+                 lambda r: {"enter_pairs": int(enter[r]), "unique_root_count": int(unique[r])})
+
+
+def _partial_claim(t: np.ndarray, n: int) -> _Rows:
+    applicable = _simply_rooted(t, n)[1] & (4 * np.count_nonzero(t, axis=1) > 3 << n)
+    enter = pair_count_rows(t, n)[0].sum(axis=1)
+    return _Rows(applicable, enter < 1 << (n - 1), lambda r: {"enter_pairs": int(enter[r])},
+                 _count("num_applicable", applicable))
+
+
+def _conjecture2(t: np.ndarray, n: int) -> _Rows:
     half = 1 << (n - 1)
-    if prop == "duality":
-        ok = duality_check(fam)
-        return True, ok, None if ok else {"reason": "duality mismatch"}, None
-    if prop == "frankl":
-        if fam.size == 0 or fam.bits == 1 or not is_union_closed(fam):
-            return False, True, None, None
-        st = stats(fam)
-        excess = max(2 * c - st.size for c in st.frequencies)
-        return True, excess >= 0, ({"frequencies": list(st.frequencies)} if excess < 0 else None), {
-            "min_abundance_excess": excess
-        }
-    if prop == "theorem2":
-        if 0 not in fam or not is_union_closed(fam):
-            return False, True, None, None
-        deficiency, unique_count = theorem2_quantities(fam)
-        ok = deficiency == unique_count and deficiency <= half
-        detail = None if ok else {"deficiency": deficiency, "unique_root_count": unique_count}
-        return True, ok, detail, {"max_deficiency": deficiency}
-    # remaining properties all quantify over simply-rooted families
-    if not is_simply_rooted(fam):
-        return False, True, None, None
-    if prop == "shadow-lemma":
-        ok = shadow_lemma_check(fam)
-        return True, ok, None if ok else {"reason": "shadow dichotomy failed"}, None
-    if prop == "thin-boundary":
-        ok = thin_boundary_check(fam)
-        return True, ok, None if ok else {"reason": "member covers two missing sets"}, None
-    if prop == "positive-cap":
-        enter, _ = pair_counts(fam.to_bool(), n)
-        total_enter = sum(enter)
-        unique_count = roots(fam).unique_root_count
-        ok = total_enter == unique_count and total_enter <= min(half, fam.size)
-        detail = None if ok else {"enter_pairs": total_enter, "unique_root_count": unique_count}
-        return True, ok, detail, None
-    if prop == "partial-claim":
-        if 4 * fam.size <= 3 * (1 << n):
-            return False, True, None, None
-        enter, _ = pair_counts(fam.to_bool(), n)
-        ok = sum(enter) < half
-        return True, ok, None if ok else {"enter_pairs": sum(enter)}, {"num_applicable": 1}
-    if prop == "conjecture2":
-        if fam.size == 0:
-            return False, True, None, None
-        k, margin = conjecture2_margin(fam)
-        if k is None:
-            return True, True, None, None
-        ok = margin >= 0
-        detail = None if ok else {"k": k, "margin": margin}
-        return True, ok, detail, {"num_applicable": 1, "min_margin": margin}
-    raise ValueError(f"not a family property: {prop}")  # pragma: no cover
+    sizes, enter, k, margin = _margin_rows(t, n)
+    applicable = _simply_rooted(t, n)[1] & (sizes > 0)
+    capped = applicable & (k >= 0)
+    summary = _count("num_applicable", capped)
+    if summary:
+        summary["min_margin"] = Fraction(int(margin[capped].min()), half)
+    return _Rows(applicable, (k < 0) | (margin >= 0),
+                 lambda r: {"k": int(k[r]), "margin": Fraction(int(margin[r]), half)},
+                 summary, {"size": sizes, "enter_pairs": enter, "k": k, "margin_scaled": margin})
 
 
-def _random_bits(rng: np.random.Generator, n: int) -> int:
-    if n >= 3:
-        return int.from_bytes(rng.bytes(1 << (n - 3)), "little")
-    return int(rng.integers(0, 1 << (1 << n)))
+def _kotlov(t: np.ndarray, n: int) -> _Rows:
+    applicable = np.count_nonzero(t, axis=1) > 1 << (n - 1)
+    return _Rows(applicable, _spans_all_directions(t, n),
+                 _reason("no component spans all directions"))
 
 
-def _random_generator_masks(rng: np.random.Generator, n: int) -> np.ndarray:
-    count = 1 + int(rng.integers(0, 2 * n))
-    return rng.integers(0, 1 << n, size=count, dtype=np.int64)
+@dataclass(frozen=True)
+class _Property:
+    """A property's evaluator and, for a family property, how random mode
+    draws one instance and maps a chunk of draws onto the domain."""
+
+    evaluate: Callable[[np.ndarray, int], _Rows]
+    draw: Callable | None = None
+    domain: Callable[[np.ndarray, int], np.ndarray] = _as_drawn
+
+    def chunks(self, plan: SweepPlan, lo: int, hi: int):
+        if self.draw is None:
+            return _function_chunks(plan, lo, hi)
+        return _family_chunks(plan, lo, hi, self.draw, self.domain)
 
 
-def _boundary_masks(members: np.ndarray, in_complement: np.ndarray, n: int) -> np.ndarray:
-    """For each member mask, the elements whose removal lands outside the family."""
-    out = np.zeros_like(members)
-    for i in range(n):
-        bit = np.uint32(1 << i)
-        has = (members & bit) != 0
-        low = (members ^ bit)[has]
-        hits = np.zeros(len(members), dtype=bool)
-        hits[has] = in_complement[low]
-        out[hits] |= bit
-    return out
-
-
-def _random_family_check(prop: str, n: int, seed: int, index: int):
-    """Fast-path randomized instance; mirrors ``_check_family`` semantics.
-
-    Returns (applicable, ok, witness_family_or_None, detail, summary_update).
-    """
-    rng = _instance_rng(seed, index)
-    half = 1 << (n - 1)
-    size_cube = 1 << n
-
-    if prop == "duality":
-        fam = SetFamily(n, _random_bits(rng, n))
-        ok = duality_check(fam)
-        return True, ok, None if ok else fam, None if ok else {"reason": "duality mismatch"}, None
-
-    closure = _closure_masks(_random_generator_masks(rng, n))
-
-    if prop == "frankl":
-        if not closure or closure == {0}:
-            return False, True, None, None, None
-        members = sorted(closure)
-        size = len(members)
-        freqs = [0] * n
-        for m in members:
-            for i in iter_bits(m):
-                freqs[i] += 1
-        excess = max(2 * c - size for c in freqs)
-        ok = excess >= 0
-        fam = None if ok else SetFamily.from_members(n, members)
-        return True, ok, fam, None if ok else {"frequencies": freqs}, {"min_abundance_excess": excess}
-
-    closure.add(0)
-    in_g = np.zeros(size_cube, dtype=bool)
-    in_g[list(closure)] = True
-
-    if prop == "theorem2":
-        shadow = np.zeros(size_cube, dtype=bool)
-        for i in range(n):
-            src = in_g.reshape(-1, 2, 1 << i)
-            dst = shadow.reshape(-1, 2, 1 << i)
-            dst[:, 1, :] |= src[:, 0, :]
-        deficiency = int(np.count_nonzero(shadow & ~in_g))
-        cover = _cover_union_table(n, in_g)
-        members_f = np.nonzero(~in_g)[0].astype(np.uint32)
-        root_masks = members_f & ~cover[members_f]
-        unique_count = int(np.count_nonzero(popcount_table(n)[root_masks] == 1))
-        ok = deficiency == unique_count and deficiency <= half
-        fam = None if ok else SetFamily.from_members(n, closure)
-        detail = None if ok else {"deficiency": deficiency, "unique_root_count": unique_count}
-        return True, ok, fam, detail, {"max_deficiency": deficiency}
-
-    # simply-rooted domain: the complement of the closure-with-empty-set
-    f_size = size_cube - len(closure)
-    members_f = np.nonzero(~in_g)[0].astype(np.uint32)
-
-    if prop in ("shadow-lemma", "thin-boundary", "positive-cap"):
-        cover = _cover_union_table(n, in_g)
-        root_masks = members_f & ~cover[members_f]
-        boundary = _boundary_masks(members_f, in_g, n)
-        pc = popcount_table(n)
-        if prop == "thin-boundary":
-            ok = bool(np.all(pc[boundary] <= 1))
-        elif prop == "shadow-lemma":
-            unique = pc[root_masks] == 1
-            ok = bool(np.all(np.where(unique, boundary == root_masks, boundary == 0)))
-        else:
-            enter, _ = pair_counts(~in_g, n)
-            total_enter = sum(enter)
-            unique_count = int(np.count_nonzero(pc[root_masks] == 1))
-            ok = total_enter == unique_count and total_enter <= min(half, f_size)
-        fam = None if ok else SetFamily.from_members(n, members_f.tolist())
-        return True, ok, fam, None if ok else {"reason": f"{prop} failed"}, None
-
-    if prop in ("conjecture2", "partial-claim"):
-        if f_size == 0:
-            return False, True, None, None, None
-        enter, _ = pair_counts(~in_g, n)
-        total_enter = sum(enter)
-        if prop == "partial-claim":
-            if 4 * f_size <= 3 * size_cube:
-                return False, True, None, None, None
-            ok = total_enter < half
-            fam = None if ok else SetFamily.from_members(n, members_f.tolist())
-            return True, ok, fam, None if ok else {"enter_pairs": total_enter}, {"num_applicable": 1}
-        k = largest_threshold_k(n, f_size)
-        if k is None:
-            return True, True, None, None, None
-        margin = Fraction(k + 1, 1 << k) - Fraction(total_enter, half)
-        ok = margin >= 0
-        fam = None if ok else SetFamily.from_members(n, members_f.tolist())
-        detail = None if ok else {"k": k, "margin": margin}
-        return True, ok, fam, detail, {"num_applicable": 1, "min_margin": margin}
-
-    raise ValueError(f"not a family property: {prop}")  # pragma: no cover
-
-
-def _family_block(plan: SweepPlan, lo: int, hi: int) -> dict:
-    violations: list[dict] = []
-    violation_count = 0
-    summary: dict = {}
-    checked = 0
-    for index in range(lo, hi):
-        if plan.mode == "exhaustive":
-            fam = SetFamily(plan.n, index)
-            applicable, ok, detail, upd = _check_family(plan.property, fam)
-            witness_fam = fam if not ok else None
-        else:
-            applicable, ok, witness_fam, detail, upd = _random_family_check(
-                plan.property, plan.n, plan.seed, index
-            )
-        if not applicable:
-            continue
-        checked += 1
-        if upd:
-            _merge_summary(summary, upd)
-        if not ok:
-            violation_count += 1
-            if len(violations) < plan.witness_cap:
-                violations.append(_family_witness(index, witness_fam, detail or {}))
-    return {
-        "enumerated": hi - lo,
-        "checked": checked,
-        "violation_count": violation_count,
-        "violations": violations,
-        "summary": summary,
-    }
-
-
-def _kotlov_block(plan: SweepPlan, lo: int, hi: int) -> dict:
-    n = plan.n
-    half = 1 << (n - 1)
-    size_cube = 1 << n
-    violations: list[dict] = []
-    violation_count = 0
-    checked = 0
-    for index in range(lo, hi):
-        if plan.mode == "exhaustive":
-            if index.bit_count() <= half:
-                continue
-            masks = tuple(iter_bits(index))
-        else:
-            rng = _instance_rng(plan.seed, index)
-            size = half + 1 + int(rng.integers(0, size_cube - half))
-            masks = tuple(int(v) for v in rng.choice(size_cube, size=size, replace=False))
-        checked += 1
-        if not _has_full_direction_component(n, masks):
-            violation_count += 1
-            if len(violations) < plan.witness_cap:
-                fam = SetFamily.from_members(n, masks)
-                violations.append(
-                    _family_witness(index, fam, {"reason": "no component spans all directions"})
-                )
-    return {
-        "enumerated": hi - lo,
-        "checked": checked,
-        "violation_count": violation_count,
-        "violations": violations,
-        "summary": {},
-    }
+_PROPERTIES = {
+    "duality": _Property(_duality, _draw_uniform),
+    "shadow-lemma": _Property(_shadow_lemma, _draw_generators, _simply_rooted_complement),
+    "parseval": _Property(_parseval),
+    "influence-identity": _Property(_influence_identity),
+    "corollary-lb": _Property(_corollary_lb),
+    "theorem2": _Property(_theorem2, _draw_generators, _closure_with_empty_set),
+    "frankl": _Property(_frankl, _draw_generators, closure_rows),
+    "conjecture2": _Property(_conjecture2, _draw_generators, _simply_rooted_complement),
+    "partial-claim": _Property(_partial_claim, _draw_generators, _simply_rooted_complement),
+    "edge-iso": _Property(_edge_iso),
+    "kotlov": _Property(_kotlov, _draw_vertices),
+    "fkn-zero": _Property(_fkn_zero),
+    "ks-zero": _Property(_ks_zero),
+    "positive-cap": _Property(_positive_cap, _draw_generators, _simply_rooted_complement),
+    "thin-boundary": _Property(_thin_boundary, _draw_generators, _simply_rooted_complement),
+}
+PROPERTY_NAMES = tuple(_PROPERTIES)
 
 
 # ---------------------------------------------------------------------------
@@ -708,11 +629,43 @@ def _merge_summary(acc: dict, upd: dict) -> None:
 
 
 def _sweep_block(plan: SweepPlan, lo: int, hi: int) -> dict:
-    if plan.property in _FUNCTION_PROPS:
-        return _function_block(plan, lo, hi)
-    if plan.property == "kotlov":
-        return _kotlov_block(plan, lo, hi)
-    return _family_block(plan, lo, hi)
+    prop = _PROPERTIES[plan.property]
+    violations: list[dict] = []
+    violation_count = 0
+    summary: dict = {}
+    checked = 0
+    for start, rows in prop.chunks(plan, lo, hi):
+        found = prop.evaluate(rows, plan.n)
+        checked += int(np.count_nonzero(found.applicable))
+        _merge_summary(summary, found.summary)
+        for r in np.flatnonzero(found.applicable & ~found.ok).tolist():
+            violation_count += 1
+            if len(violations) < plan.witness_cap:
+                violations.append(_witness(start + r, plan.n, rows[r], found.detail(r)))
+    return {
+        "enumerated": hi - lo,
+        "checked": checked,
+        "violation_count": violation_count,
+        "violations": violations,
+        "summary": summary,
+    }
+
+
+def scan(prop: str, n: int, samples: int, seed: int) -> Iterator[tuple[int, np.ndarray, dict]]:
+    """Per-row output mode of a random sweep of a family property: for each
+    instance in index order, its index, membership row and integer quantities.
+    The arguments are validated before the first row is drawn."""
+    plan = SweepPlan(prop, n, "random", samples=samples, seed=seed)
+    plan.validate()
+    spec = _PROPERTIES[prop]
+
+    def instances():
+        for start, rows in spec.chunks(plan, 0, samples):
+            quantities = spec.evaluate(rows, n).quantities
+            for r, row in enumerate(rows):
+                yield start + r, row, {key: int(v[r]) for key, v in quantities.items()}
+
+    return instances()
 
 
 def _split(total: int, parts: int) -> list[tuple[int, int]]:

@@ -22,6 +22,7 @@ from ucx.extremal import (
 from ucx.families import is_simply_rooted, is_union_closed
 from ucx.influence import profile
 from ucx.spectral import transform
+from ucx.verify import SweepPlan, run_sweep
 
 
 def test_or_family_examples():
@@ -90,7 +91,13 @@ def test_ks_quadruple_identity_at_origin():
 
 def test_ks_enumerate_counts():
     assert sum(1 for _ in ks_enumerate(3)) == 2 * 3
-    assert sum(1 for _ in ks_enumerate(4)) == 2 * 6 + 2 * 24
+    assert sum(1 for _ in ks_enumerate(4)) == 2 * 6 + 2 * 12 == 36
+    # every member is a distinct function, and they are all the full level-2 functions
+    for n in (4, 5):
+        tables = [member.values(n).tobytes() for member in ks_enumerate(n)]
+        assert len(tables) == len(set(tables))
+    assert len(tables) == 2 * 10 + 2 * 60
+    assert run_sweep(SweepPlan("ks-zero", 4, "exhaustive")).summary["num_qualifying"] == 36
     with pytest.raises(ValueError):
         ks_enumerate(1)
 

@@ -1,8 +1,9 @@
 """Family predicates, roots, shadows, and the complement duality.
 
-The fast lattice-sweep root computation is checked against a from-scratch
-interval enumeration, and the corrected duality (union-closed with the empty
-set <=> complement simply-rooted) is verified exhaustively, including the
+The lattice-sweep kernels are checked against definition-level oracles:
+interval enumeration for roots and the pairwise union scan for
+union-closedness.  The corrected duality (union-closed with the empty set
+<=> complement simply-rooted) is verified exhaustively, including the
 documented edge cases that break the uncorrected pairing.
 """
 
@@ -15,7 +16,6 @@ import pytest
 from ucx.core import SetFamily, iter_bits
 from ucx.families import (
     PreconditionError,
-    _roots_fast,
     _roots_naive,
     duality_check,
     is_simply_rooted,
@@ -30,6 +30,7 @@ from ucx.families import (
     thin_boundary_check,
     upper_shadow,
 )
+from ucx.verify import union_closure
 
 
 def oracle_root_set(family: SetFamily, member: int) -> int:
@@ -84,15 +85,26 @@ def test_is_union_closed_examples():
     assert is_union_closed(SetFamily.from_sets(2, [[1]]))
 
 
-def test_is_union_closed_vector_path_agrees():
+def oracle_union_closed(family: SetFamily) -> bool:
+    """Pairwise union scan (definition)."""
+    members = family.members()
+    return all((a | b) in family for a in members for b in members)
+
+
+def test_is_union_closed_matches_pairwise_scan():
+    for n in (1, 2, 3, 4):
+        for fam in all_families(n):
+            assert is_union_closed(fam) == oracle_union_closed(fam)
     rng = np.random.default_rng(31)
     for _ in range(40):
-        n = 7  # size can exceed the pairwise-loop threshold
-        bits = int.from_bytes(rng.bytes(16), "little")
-        fam = SetFamily(n, bits)
-        members = fam.members()
-        expected = all((a | b) in fam for a in members for b in members)
-        assert is_union_closed(fam) == expected
+        n = 7  # random families, and closures with one member dropped
+        fam = SetFamily(n, int.from_bytes(rng.bytes(16), "little"))
+        assert is_union_closed(fam) == oracle_union_closed(fam)
+        closed = union_closure(SetFamily.from_members(n, rng.integers(0, 128, size=5).tolist()))
+        assert is_union_closed(closed) and oracle_union_closed(closed)
+        dropped = closed.members()[int(rng.integers(0, closed.size))]
+        gapped = SetFamily(n, closed.bits ^ (1 << dropped))
+        assert is_union_closed(gapped) == oracle_union_closed(gapped)
 
 
 def test_is_simply_rooted_examples():
@@ -120,13 +132,13 @@ def test_roots_routes_agree_with_oracle():
         for fam in all_families(n):
             expected = tuple(oracle_root_set(fam, m) for m in fam.members())
             assert _roots_naive(fam) == expected
-            assert _roots_fast(fam) == expected
+            assert roots(fam).root_sets == expected
     rng = np.random.default_rng(37)
     for _ in range(50):
         n = 4 + int(rng.integers(0, 5))
         bits = int.from_bytes(rng.bytes((1 << n) // 8), "little")
         fam = SetFamily(n, bits)
-        assert _roots_fast(fam) == _roots_naive(fam)
+        assert roots(fam).root_sets == _roots_naive(fam)
 
 
 def test_duality_check_examples():

@@ -2,12 +2,18 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucx.core import SetFamily
-from ucx.families import PreconditionError, is_simply_rooted, is_union_closed
+from ucx.families import (
+    PreconditionError,
+    component_directions,
+    is_simply_rooted,
+    is_union_closed,
+)
 from ucx.verify import (
     SweepPlan,
     conjecture2_margin,
@@ -132,6 +138,41 @@ def test_kotlov_check():
         assert kotlov_check(SetFamily.from_members(2, members))
     with pytest.raises(PreconditionError):
         kotlov_check(SetFamily.from_members(2, [0, 1]))
+
+
+def bfs_component_directions(n: int, vertices: set[int]) -> dict[int, int]:
+    """Per vertex: the directions of the edges in its connected component."""
+    labels: dict[int, int] = {}
+    for start in vertices:
+        if start in labels:
+            continue
+        component, frontier, directions = {start}, [start], 0
+        while frontier:
+            x = frontier.pop()
+            for i in range(n):
+                y = x ^ (1 << i)
+                if y in vertices:
+                    directions |= 1 << i
+                    if y not in component:
+                        component.add(y)
+                        frontier.append(y)
+        labels.update(dict.fromkeys(component, directions))
+    return labels
+
+
+def test_component_directions_match_bfs():
+    # every vertex set, including those of at most half the cube, where no
+    # component need span all directions
+    for n in (1, 2, 3):
+        full = (1 << n) - 1
+        tables = (np.arange(1 << (1 << n))[:, None] >> np.arange(1 << n)) & 1 == 1
+        for bits, row in enumerate(component_directions(tables, n).tolist()):
+            vertices = {m for m in range(1 << n) if (bits >> m) & 1}
+            labels = bfs_component_directions(n, vertices)
+            assert row == [labels.get(m, 0) for m in range(1 << n)]
+            if len(vertices) > 1 << (n - 1):
+                family = SetFamily.from_members(n, vertices)
+                assert kotlov_check(family) == (full in labels.values())
 
 
 def test_plan_validation():
