@@ -2,12 +2,14 @@
 
 A cube point and a subset of [n] are the same object here: an integer mask
 in [0, 2^n) whose bit (i-1) records whether element i is present.  A Boolean
-function is a table of +/-1 values over all 2^n points; a set family is a
-bitset over all 2^n subset masks.  The membership function of a family takes
-the value -1 exactly on its members, so that the empty family is the constant
-+1 function.  All derived quantities are exact: integers, or dyadic rationals
-represented as ``fractions.Fraction``.  Numpy arrays serve as containers for
-speed, but only ever hold integers or booleans.
+function is a read-only table of +/-1 values over all 2^n points; a set
+family is a read-only boolean membership table over all 2^n subset masks.
+The bitset integer of a family (bit ``mask`` set for each member) is only
+an input and output format of this module.  The membership function of a
+family takes the value -1 exactly on its members, so that the empty family
+is the constant +1 function.  All derived quantities are exact: integers,
+or dyadic rationals represented as ``fractions.Fraction``.  Numpy arrays
+serve as containers for speed, but only ever hold integers or booleans.
 """
 
 from __future__ import annotations
@@ -163,38 +165,51 @@ class BooleanFunction:
 
 
 class SetFamily:
-    """A family of subsets of [n]: a bitset over all 2^n subset masks."""
+    """A family of subsets of [n], stored as a read-only boolean membership
+    table of shape (2^n,): entry ``mask`` is True exactly when that subset is
+    a member.  The constructor copies the table; ``bits`` derives the bitset
+    integer (bit ``mask`` set for each member) from it."""
 
-    __slots__ = ("n", "bits", "_members")
+    __slots__ = ("n", "_table")
 
-    def __init__(self, n: int, bits: int) -> None:
+    def __init__(self, n: int, table) -> None:
         check_dimension(n)
-        if bits < 0 or bits.bit_length() > 1 << n:
-            raise ValueError(f"bitset does not fit in 2^{n} bits")
+        table = np.array(table)
+        if table.dtype != np.bool_:
+            raise TypeError(f"expected a bool table (from_bits takes a bitset), got {table.dtype}")
+        if table.shape != (1 << n,):
+            raise DimensionError(f"expected a table of 2^{n} entries, got shape {table.shape}")
+        table.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "_members", None)
+        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("SetFamily is immutable")
 
     @classmethod
     def empty(cls, n: int) -> "SetFamily":
-        return cls(n, 0)
+        return cls(n, np.zeros(1 << check_dimension(n), dtype=bool))
 
     @classmethod
     def full(cls, n: int) -> "SetFamily":
-        return cls(n, (1 << (1 << n)) - 1)
+        return cls(n, np.ones(1 << check_dimension(n), dtype=bool))
+
+    @classmethod
+    def from_bits(cls, n: int, bits: int) -> "SetFamily":
+        """Build from a bitset integer whose bit ``mask`` marks a member."""
+        check_dimension(n)
+        if bits < 0 or bits.bit_length() > 1 << n:
+            raise ValueError(f"bitset does not fit in 2^{n} bits")
+        return cls(n, bits_to_bool(bits, n))
 
     @classmethod
     def from_members(cls, n: int, masks: Iterable[int]) -> "SetFamily":
-        bits = 0
-        top = 1 << n
+        table = np.zeros(1 << check_dimension(n), dtype=bool)
         for m in masks:
-            if not 0 <= m < top:
+            if not 0 <= m < table.size:
                 raise ValueError(f"subset mask {m} outside [0, 2^{n})")
-            bits |= 1 << m
-        return cls(n, bits)
+            table[m] = True
+        return cls(n, table)
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -203,44 +218,46 @@ class SetFamily:
 
     @classmethod
     def from_bool(cls, n: int, table: np.ndarray) -> "SetFamily":
-        return cls(n, bool_to_bits(table))
+        return cls(n, table)
+
+    @property
+    def bits(self) -> int:
+        return bool_to_bits(self._table)
 
     @property
     def size(self) -> int:
-        return self.bits.bit_count()
+        return int(np.count_nonzero(self._table))
 
     def __contains__(self, mask: int) -> bool:
-        return 0 <= mask < (1 << self.n) and (self.bits >> mask) & 1 == 1
+        return 0 <= mask < self._table.size and bool(self._table[mask])
 
     def __len__(self) -> int:
         return self.size
 
     def members(self) -> tuple[int, ...]:
         """Member masks in ascending numeric order."""
-        cached = self._members
-        if cached is None:
-            cached = tuple(self.members_array().tolist())
-            object.__setattr__(self, "_members", cached)
-        return cached
-
-    def members_array(self) -> np.ndarray:
-        return np.flatnonzero(self.to_bool()).astype(np.uint32)
+        return tuple(np.flatnonzero(self._table).tolist())
 
     def to_bool(self) -> np.ndarray:
-        return bits_to_bool(self.bits, self.n)
+        """The read-only membership table itself."""
+        return self._table
 
     def complement(self) -> "SetFamily":
-        return SetFamily(self.n, self.bits ^ ((1 << (1 << self.n)) - 1))
+        return SetFamily(self.n, ~self._table)
 
     def frequencies(self) -> tuple[int, ...]:
         """Per-element membership counts: entry i-1 is the number of members containing i."""
-        return tuple(frequency_rows(self.to_bool(), self.n).tolist())
+        return tuple(frequency_rows(self._table, self.n).tolist())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SetFamily) and self.n == other.n and self.bits == other.bits
+        return (
+            isinstance(other, SetFamily)
+            and self.n == other.n
+            and np.array_equal(self._table, other._table)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.bits))
+        return hash((self.n, self._table.tobytes()))
 
     def __repr__(self) -> str:
         if self.size <= 8:

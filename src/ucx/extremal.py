@@ -29,7 +29,6 @@ from .core import (
     BooleanFunction,
     CharacterSpec,
     SetFamily,
-    bool_to_bits,
     check_dimension,
     family_to_function,
     function_to_family,
@@ -54,7 +53,7 @@ def or_family(m: int, n: int) -> NamedConstruction:
         raise ValueError(f"disjunct count m={m} outside [1, {n}]")
     low = (1 << m) - 1
     table = (np.arange(1 << n, dtype=np.uint32) & low) != 0
-    family = SetFamily(n, bool_to_bits(table))
+    family = SetFamily(n, table)
     return NamedConstruction("or_family", n, m, family, family_to_function(family))
 
 
@@ -64,7 +63,7 @@ def half_cube_missing(i: int, n: int) -> NamedConstruction:
     if not 1 <= i <= n:
         raise ValueError(f"element i={i} outside [1, {n}]")
     table = (np.arange(1 << n, dtype=np.uint32) >> (i - 1)) & 1 == 0
-    family = SetFamily(n, bool_to_bits(table))
+    family = SetFamily(n, table)
     return NamedConstruction("half_cube_missing", n, i, family, family_to_function(family))
 
 

@@ -2,7 +2,7 @@
 
 Grammar: a header line ``n=<int>``, then one set per line as strictly
 ascending space-separated 1-based element labels, with ``-`` standing for
-the empty set.  Lines starting with ``#`` and blank lines are ignored.
+the empty set.  ``n`` and the labels are ASCII digits only.  Lines starting with ``#`` and blank lines are ignored.
 Canonical output orders sets by (cardinality, numeric mask), so writing a
 parsed canonical file reproduces it byte for byte.
 """
@@ -12,9 +12,11 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import numpy as np
+
 from .core import DimensionError, SetFamily, elements_from_mask, max_dimension
 
-_HEADER = re.compile(r"^n=(\d+)$")
+_HEADER = re.compile(r"^n=([0-9]+)$")
 _TOKEN = re.compile(r"\S+")
 
 
@@ -29,7 +31,7 @@ class FamilyFileError(ValueError):
 
 def parse_family(text: str) -> SetFamily:
     n: int | None = None
-    bits = 0
+    table = labels = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -42,34 +44,35 @@ def parse_family(text: str) -> SetFamily:
             cap = max_dimension()
             if not 1 <= n <= cap:
                 raise FamilyFileError(f"n={n} outside [1, {cap}]", lineno)
+            table = np.zeros(1 << n, dtype=bool)
+            # looked up without leading zeros: no int() of an unbounded digit string
+            labels = {str(e): e for e in range(1, n + 1)}
             continue
         tokens = list(_TOKEN.finditer(raw))
-        if len(tokens) == 1 and tokens[0].group() == "-":
-            mask = 0
-        else:
-            mask = 0
+        mask = 0
+        if not (len(tokens) == 1 and tokens[0].group() == "-"):
             prev = 0
             for tok in tokens:
                 col = tok.start() + 1
                 word = tok.group()
                 if word == "-":
                     raise FamilyFileError("'-' must stand alone on its line", lineno, col)
-                try:
-                    element = int(word)
-                except ValueError:
-                    raise FamilyFileError(f"not an element label: {word!r}", lineno, col) from None
-                if not 1 <= element <= n:
-                    raise FamilyFileError(f"element {element} outside [1, {n}]", lineno, col)
+                if not (word.isascii() and word.isdigit()):
+                    raise FamilyFileError(f"not an element label: {word!r}", lineno, col)
+                digits = word.lstrip("0")
+                if digits not in labels:
+                    raise FamilyFileError(f"element {digits or 0} outside [1, {n}]", lineno, col)
+                element = labels[digits]
                 if element <= prev:
                     raise FamilyFileError("elements must be strictly ascending", lineno, col)
                 prev = element
                 mask |= 1 << (element - 1)
-        if (bits >> mask) & 1:
+        if table[mask]:
             raise FamilyFileError("duplicate set", lineno)
-        bits |= 1 << mask
+        table[mask] = True
     if n is None:
         raise FamilyFileError("missing header 'n=<int>'", 1)
-    return SetFamily(n, bits)
+    return SetFamily(n, table)
 
 
 def format_family(family: SetFamily) -> str:

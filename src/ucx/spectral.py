@@ -92,13 +92,19 @@ def parseval_sum(spec: Spectrum) -> int:
     return int(np.dot(s, s))
 
 
+def level_sum_rows(squares: np.ndarray, n: int) -> np.ndarray:
+    """Per row of squared integer coefficients (..., 2^n): the sums over each
+    level |S| = k, as an int64 array (..., n+1)."""
+    pc = popcount_table(n)
+    out = np.zeros(squares.shape[:-1] + (n + 1,), dtype=np.int64)
+    for k in range(n + 1):
+        out[..., k] = squares[..., np.nonzero(pc == k)[0]].sum(axis=-1)
+    return out
+
+
 def level_sums(spec: Spectrum) -> tuple[int, ...]:
     """Sum of s(S)^2 over each level |S| = k; entry k is 4^n * W^k."""
-    sq = spec.s.astype(np.int64) ** 2
-    pc = popcount_table(spec.n)
-    out = np.zeros(spec.n + 1, dtype=np.int64)
-    np.add.at(out, pc, sq)
-    return tuple(int(v) for v in out)
+    return tuple(level_sum_rows(spec.s.astype(np.int64) ** 2, spec.n).tolist())
 
 
 def level_weight(spec: Spectrum, k: int) -> Fraction:

@@ -40,13 +40,14 @@ import numpy as np
 
 from . import familyfile
 from .core import (
-    CharacterSpec,
+    BooleanFunction,
     SetFamily,
     bits_to_bool,
     check_dimension,
     frequency_rows,
     popcount_table,
 )
+from .extremal import ks_distance, nearest_dictator
 from .families import (
     PreconditionError,
     closure_rows,
@@ -63,7 +64,7 @@ from .families import (
     union_closed_rows,
 )
 from .influence import pair_count_rows
-from .spectral import fwht_rows
+from .spectral import fwht_rows, level_sum_rows
 
 EXHAUSTIVE_MAX_N = 4
 
@@ -85,7 +86,7 @@ def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
     if which not in ("all", "union_closed", "simply_rooted"):
         raise ValueError(f"unknown filter {which!r}")
     for bits in range(1 << (1 << n)):
-        fam = SetFamily(n, bits)
+        fam = SetFamily.from_bits(n, bits)
         if which == "union_closed" and not is_union_closed(fam):
             continue
         if which == "simply_rooted" and not is_simply_rooted(fam):
@@ -404,36 +405,6 @@ def _pivotal_totals(mat: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
-def _level_sum_matrix(squares: np.ndarray, n: int) -> np.ndarray:
-    """Per-row sums of squared coefficients grouped by level: rows x (n+1)."""
-    pc = popcount_table(n)
-    out = np.zeros((squares.shape[0], n + 1), dtype=np.int64)
-    for k in range(n + 1):
-        cols = np.nonzero(pc == k)[0]
-        out[:, k] = squares[:, cols].sum(axis=1)
-    return out
-
-
-def _signed_dictator_rows(n: int) -> dict[bytes, tuple[int, int]]:
-    rows: dict[bytes, tuple[int, int]] = {}
-    for i in range(1, n + 1):
-        vals = CharacterSpec(1 << (i - 1)).values(n)
-        rows[vals.tobytes()] = (i, 1)
-        rows[(-vals).astype(np.int8).tobytes()] = (i, -1)
-    return rows
-
-
-def _ks_distance_zero(n: int, spectrum_row: np.ndarray) -> bool:
-    from .extremal import ks_enumerate
-    from .spectral import Spectrum
-
-    spec = Spectrum(n, spectrum_row)
-    for member in ks_enumerate(n):
-        if member.correlation(spec) == 1:
-            return True
-    return False
-
-
 def _parseval(mat: np.ndarray, n: int) -> _Rows:
     four_n = 1 << (2 * n)
     spec = _spectrum(mat)
@@ -454,7 +425,7 @@ def _influence_identity(mat: np.ndarray, n: int) -> _Rows:
 def _corollary_lb(mat: np.ndarray, n: int) -> _Rows:
     four_n = 1 << (2 * n)
     spec = _spectrum(mat)
-    levels = _level_sum_matrix(spec * spec, n)
+    levels = level_sum_rows(spec * spec, n)
     lhs = _pivotal_totals(mat, n) << (n + 1)  # I(f) * 2 * 4^n / 2^n
     bounds = np.stack(
         [k * four_n - sum((k - i) * levels[:, i] for i in range(k)) for k in range(1, n + 1)],
@@ -489,20 +460,17 @@ def _full_level_weight(spec: np.ndarray, n: int, level: int) -> np.ndarray:
 def _fkn_zero(mat: np.ndarray, n: int) -> _Rows:
     qualifying = _full_level_weight(_spectrum(mat), n, 1)
     ok = ~qualifying
-    if qualifying.any():
-        dictators = _signed_dictator_rows(n)
-        for r in np.flatnonzero(qualifying):
-            ok[r] = mat[r].tobytes() in dictators
+    for r in np.flatnonzero(qualifying):
+        ok[r] = nearest_dictator(BooleanFunction(n, mat[r]))[2] == 0
     return _Rows(_every(mat), ok, _reason("full level-1 weight but not a signed dictator"),
                  _count("num_qualifying", qualifying))
 
 
 def _ks_zero(mat: np.ndarray, n: int) -> _Rows:
-    spec = _spectrum(mat)
-    qualifying = _full_level_weight(spec, n, 2)
+    qualifying = _full_level_weight(_spectrum(mat), n, 2)
     ok = ~qualifying
     for r in np.flatnonzero(qualifying):
-        ok[r] = _ks_distance_zero(n, spec[r])
+        ok[r] = ks_distance(BooleanFunction(n, mat[r]))[1] == 0
     return _Rows(_every(mat), ok, _reason("full level-2 weight but outside the quadratic class"),
                  _count("num_qualifying", qualifying))
 

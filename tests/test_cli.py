@@ -50,6 +50,16 @@ def test_parse_errors_carry_position():
     with pytest.raises(familyfile.FamilyFileError):
         familyfile.parse_family("n=99\n")  # over the cap
 
+    # labels and the header take ASCII digits only
+    for word in ("1_0", "+2", "\u0663"):
+        with pytest.raises(familyfile.FamilyFileError) as err:
+            familyfile.parse_family(f"n=12\n1 {word}\n")
+        assert err.value.line == 2 and err.value.column == 3
+
+    with pytest.raises(familyfile.FamilyFileError) as err:
+        familyfile.parse_family("# dimension\nn=\u0663\n1\n")
+    assert err.value.line == 2 and err.value.column == 1
+
 
 def test_analysis_report_fields():
     report = cli.analysis_report(SetFamily.from_sets(2, [[1], [2], [1, 2]]))

@@ -20,6 +20,7 @@ from ucx.core import (
     family_to_function,
     function_to_family,
     inner_product,
+    iter_bits,
     mask_from_elements,
     max_dimension,
 )
@@ -41,6 +42,14 @@ def test_mask_element_round_trip():
 def test_bitset_bool_round_trip():
     for bits in (0, 1, 0b1010, (1 << 16) - 1):
         assert bool_to_bits(bits_to_bool(bits, 4)) == bits
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            fam = SetFamily.from_bits(n, bits)
+            assert fam.bits == bits
+            assert fam.members() == tuple(iter_bits(bits))
+        for oversize in (-1, 1 << (1 << n)):
+            with pytest.raises(ValueError):
+                SetFamily.from_bits(n, oversize)
 
 
 def test_family_basics():
@@ -52,6 +61,27 @@ def test_family_basics():
     assert fam.frequencies() == (2, 2)
     assert SetFamily.full(2).size == 4
     assert SetFamily.empty(2).size == 0
+
+    # the family keeps its own copy of the caller's table
+    table = np.array([False, True, True, True])
+    fam = SetFamily(2, table)
+    table[0] = True
+    assert fam.members() == (1, 2, 3)
+    # integer tables (0/1 or +/-1) are rejected rather than read as all-members
+    for wrong in (np.array([0, 1, 1, 1]), np.array([1, -1, -1, -1], dtype=np.int8), 7):
+        with pytest.raises(TypeError):
+            SetFamily(2, wrong)
+    for shape in ((3,), (8,), (1, 4)):
+        with pytest.raises(DimensionError):
+            SetFamily(2, np.zeros(shape, dtype=bool))
+
+    # == and hash agree with equality of the bitset integers
+    families = [(n, bits) for n in (1, 2, 3) for bits in range(1 << (1 << n))]
+    built = [SetFamily.from_bits(n, bits) for n, bits in families]
+    for (n, bits), fam in zip(families, built):
+        twin = SetFamily(n, fam.to_bool().copy())
+        assert twin == fam and hash(twin) == hash(fam)
+        assert [other == fam for other in built] == [key == (n, bits) for key in families]
 
 
 def test_family_to_function_sign_convention():
@@ -66,7 +96,7 @@ def test_family_to_function_sign_convention():
 def test_function_family_round_trip_exhaustive():
     for n in (1, 2, 3):
         for bits in range(1 << (1 << n)):
-            fam = SetFamily(n, bits)
+            fam = SetFamily.from_bits(n, bits)
             assert function_to_family(family_to_function(fam)) == fam
 
 
@@ -165,6 +195,9 @@ def test_immutability():
     fam = SetFamily.empty(2)
     with pytest.raises(AttributeError):
         fam.bits = 3
+    assert not fam.to_bool().flags.writeable
+    with pytest.raises(ValueError):
+        fam.to_bool()[0] = True  # table is read-only
     f = BooleanFunction.constant(1, 1)
     with pytest.raises(AttributeError):
         f.n = 2

@@ -70,7 +70,7 @@ def oracle_lower_shadow(family: SetFamily) -> SetFamily:
 
 def all_families(n):
     for bits in range(1 << (1 << n)):
-        yield SetFamily(n, bits)
+        yield SetFamily.from_bits(n, bits)
 
 
 HALF_CUBE_3 = SetFamily.from_members(3, [m for m in range(8) if not m & 1])  # sets avoiding 1
@@ -98,18 +98,18 @@ def test_is_union_closed_matches_pairwise_scan():
     rng = np.random.default_rng(31)
     for _ in range(40):
         n = 7  # random families, and closures with one member dropped
-        fam = SetFamily(n, int.from_bytes(rng.bytes(16), "little"))
+        fam = SetFamily.from_bits(n, int.from_bytes(rng.bytes(16), "little"))
         assert is_union_closed(fam) == oracle_union_closed(fam)
         closed = union_closure(SetFamily.from_members(n, rng.integers(0, 128, size=5).tolist()))
         assert is_union_closed(closed) and oracle_union_closed(closed)
         dropped = closed.members()[int(rng.integers(0, closed.size))]
-        gapped = SetFamily(n, closed.bits ^ (1 << dropped))
+        gapped = SetFamily.from_bits(n, closed.bits ^ (1 << dropped))
         assert is_union_closed(gapped) == oracle_union_closed(gapped)
 
 
 def test_is_simply_rooted_examples():
     assert is_simply_rooted(SetFamily.empty(2))
-    assert not is_simply_rooted(SetFamily(2, 1))  # the family {emptyset}
+    assert not is_simply_rooted(SetFamily.from_bits(2, 1))  # the family {emptyset}
     assert is_simply_rooted(DICTATOR_FAMILY_3)
 
 
@@ -137,7 +137,7 @@ def test_roots_routes_agree_with_oracle():
     for _ in range(50):
         n = 4 + int(rng.integers(0, 5))
         bits = int.from_bytes(rng.bytes((1 << n) // 8), "little")
-        fam = SetFamily(n, bits)
+        fam = SetFamily.from_bits(n, bits)
         assert roots(fam).root_sets == _roots_naive(fam)
 
 
@@ -165,13 +165,13 @@ def test_duality_requires_empty_set_on_the_union_closed_side():
 
 
 def test_shadows():
-    assert upper_shadow(SetFamily(2, 1)).members() == (1, 2)
+    assert upper_shadow(SetFamily.from_bits(2, 1)).members() == (1, 2)
     assert lower_shadow(SetFamily.from_sets(2, [[1, 2]])).members() == (1, 2)
     grown = upper_shadow(HALF_CUBE_3)
     outside = [m for m in grown.members() if m not in HALF_CUBE_3]
     assert sorted(outside) == [1, 3, 5, 7]  # exactly the sets containing 1
     assert upper_shadow(SetFamily.from_sets(2, [[1, 2]])).size == 0
-    assert lower_shadow(SetFamily(2, 1)).size == 0
+    assert lower_shadow(SetFamily.from_bits(2, 1)).size == 0
 
 
 def test_shadows_match_oracle():
@@ -191,7 +191,7 @@ def test_shadow_lemma_examples():
     assert shadow_lemma_check(two_rooted)
     assert shadow_lemma_check(SetFamily.empty(2))
     with pytest.raises(PreconditionError):
-        shadow_lemma_check(SetFamily(2, 1))
+        shadow_lemma_check(SetFamily.from_bits(2, 1))
 
 
 def test_shadow_lemma_exhaustive():
@@ -204,7 +204,7 @@ def test_shadow_lemma_exhaustive():
 def test_theorem2_quantities_examples():
     assert theorem2_quantities(HALF_CUBE_3) == (4, 4)
     assert theorem2_quantities(SetFamily.full(3)) == (0, 0)
-    assert theorem2_quantities(SetFamily(2, 1)) == (2, 2)
+    assert theorem2_quantities(SetFamily.from_bits(2, 1)) == (2, 2)
     with pytest.raises(PreconditionError):
         theorem2_quantities(SetFamily.from_sets(2, [[1], [2]]))
 
@@ -238,7 +238,7 @@ def test_positive_influence_cap():
     assert positive_influence_cap_check(SetFamily.from_sets(2, [[1], [2], [1, 2]]))
     assert positive_influence_cap_check(SetFamily.from_sets(2, [[1]]))
     with pytest.raises(PreconditionError):
-        positive_influence_cap_check(SetFamily(2, 1))
+        positive_influence_cap_check(SetFamily.from_bits(2, 1))
 
 
 def test_positive_influence_cap_exhaustive():
@@ -265,7 +265,7 @@ def test_stats():
     assert st.rare == (2, 3)
     assert st.delta == 0
 
-    st = stats(SetFamily(2, 1))  # the family {emptyset}
+    st = stats(SetFamily.from_bits(2, 1))  # the family {emptyset}
     assert st.abundant == ()
     assert st.rare == (1, 2)
 

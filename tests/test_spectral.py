@@ -139,7 +139,7 @@ def test_first_level_identity_examples():
 def test_first_level_identity_exhaustive_and_random():
     for n in (1, 2, 3):
         for bits in range(1 << (1 << n)):
-            fam = SetFamily(n, bits)
+            fam = SetFamily.from_bits(n, bits)
             for i in range(1, n + 1):
                 coeff, freq_form = first_level_identity(fam, i)
                 assert coeff == freq_form
@@ -147,7 +147,7 @@ def test_first_level_identity_exhaustive_and_random():
     for _ in range(100):
         n = 4 + int(rng.integers(0, 9))  # up to n = 12
         bits = int.from_bytes(rng.bytes(max(1, (1 << n) // 8)), "little") & ((1 << (1 << n)) - 1)
-        fam = SetFamily(n, bits)
+        fam = SetFamily.from_bits(n, bits)
         i = 1 + int(rng.integers(0, n))
         coeff, freq_form = first_level_identity(fam, i)
         assert coeff == freq_form

@@ -127,7 +127,7 @@ def test_conjecture2_margin_examples():
     with pytest.raises(PreconditionError):
         conjecture2_margin(SetFamily.empty(3))
     with pytest.raises(PreconditionError):
-        conjecture2_margin(SetFamily(2, 1))
+        conjecture2_margin(SetFamily.from_bits(2, 1))
     # small simply-rooted family: mean coefficient positive, no applicable k
     assert conjecture2_margin(SetFamily.from_sets(3, [[1]])) == (None, None)
 
