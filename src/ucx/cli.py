@@ -3,8 +3,10 @@
 Subcommands: ``analyze`` (full report for a family file), ``verify``
 (property sweeps with exit code 0 = pass, 1 = violation, 2 = usage error),
 ``gen`` and ``closure`` (family generation), and ``scan`` (CSV margin /
-deficiency scans over random instances).  All rationals in machine-readable
-output are reduced ``p/q`` strings; no floating point appears anywhere.
+deficiency scans over random instances).  Every subcommand exits 2 on a
+usage error, an unreadable input or an unwritable output.  All rationals in
+machine-readable output are reduced ``p/q`` strings; no floating point
+appears anywhere.
 """
 
 from __future__ import annotations
@@ -109,11 +111,7 @@ def _print_report(report: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        family = familyfile.load(args.path)
-    except (familyfile.FamilyFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    family = familyfile.load(args.path)
     report = analysis_report(family)
     _print_report(report)
     if args.json:
@@ -132,11 +130,6 @@ def cmd_verify(args) -> int:
         worker_count=args.workers,
         witness_cap=args.witness_cap,
     )
-    try:
-        plan.validate()
-    except (ValueError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     report = run_sweep(plan)
     print(
         f"checked={report.checked} violations={report.violation_count} "
@@ -156,11 +149,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        family = random_union_closed(args.n, args.generators, args.seed)
-    except (ValueError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    family = random_union_closed(args.n, args.generators, args.seed)
     text = familyfile.format_family(family)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -170,11 +159,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    try:
-        family = familyfile.load(args.path)
-    except (familyfile.FamilyFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    family = familyfile.load(args.path)
     closed = union_closure(family)
     text = familyfile.format_family(closed)
     if args.output:
@@ -311,7 +296,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, DimensionError) as exc:
+    except (ValueError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -131,6 +131,9 @@ class BooleanFunction:
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("BooleanFunction is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.n, self.values)
+
     @classmethod
     def constant(cls, n: int, sign: int = 1) -> "BooleanFunction":
         if sign not in (1, -1):
@@ -185,6 +188,9 @@ class SetFamily:
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("SetFamily is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.n, self._table)
 
     @classmethod
     def empty(cls, n: int) -> "SetFamily":

@@ -7,6 +7,11 @@ The opposite flip is an "exit" pair.  Positive influence counts enter pairs;
 this is the convention under which the first-level coefficient equals
 I_i^+ - I_i^-, the simply-rooted cap I^+ <= 1 holds, and the spectral link
 s({i}) = 2 (enter_i - exit_i) is an exact integer identity.
+
+Enter and exit counts come from two passes over a membership table: the
+flips per coordinate (pairs whose two points differ, enter_i + exit_i) and
+the frequencies |F_i|.  Pairs with both points in F cancel, so
+enter_i - exit_i = |F_i| - (|F| - |F_i|) = 2|F_i| - |F|.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BooleanFunction
-from .spectral import Spectrum, level_sums, transform
+from .core import BooleanFunction, frequency_rows
+from .spectral import Spectrum, degree_weight_rows, level_sum_rows, transform
 
 
 @dataclass(frozen=True)
@@ -49,19 +54,24 @@ class InfluenceProfile:
         return self._ratio(count)
 
 
+def flip_count_rows(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row of tables (..., 2^n) of any dtype: for each coordinate i, the
+    number of pairs (x, x + e_i) whose two entries differ, as int64 (..., n)."""
+    lead = tables.shape[:-1]
+    flips = np.empty(lead + (n,), dtype=np.int64)
+    for i in range(n):
+        view = tables.reshape(*lead, -1, 2, 1 << i)
+        flips[..., i] = np.count_nonzero(view[..., 0, :] != view[..., 1, :], axis=(-2, -1))
+    return flips
+
+
 def pair_count_rows(member_tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of membership tables (..., 2^n): enter and exit counts per
     coordinate, as two int64 arrays (..., n)."""
-    lead = member_tables.shape[:-1]
-    enter = np.empty(lead + (n,), dtype=np.int64)
-    leave = np.empty(lead + (n,), dtype=np.int64)
-    for i in range(n):
-        view = member_tables.reshape(*lead, -1, 2, 1 << i)
-        low = view[..., 0, :]
-        high = view[..., 1, :]
-        enter[..., i] = np.count_nonzero(~low & high, axis=(-2, -1))
-        leave[..., i] = np.count_nonzero(low & ~high, axis=(-2, -1))
-    return enter, leave
+    flips = flip_count_rows(member_tables, n)
+    sizes = np.count_nonzero(member_tables, axis=-1, keepdims=True)
+    gain = 2 * frequency_rows(member_tables, n) - sizes  # enter_i - exit_i
+    return (flips + gain) >> 1, (flips - gain) >> 1
 
 
 def pair_counts(member_table: np.ndarray, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -81,19 +91,23 @@ def influence_identity_check(f: BooleanFunction) -> tuple[Fraction, Fraction]:
 
     Returns (I(f), sum_k k W^k(f)); the two are always equal.
     """
-    prof = profile(f)
-    sums = level_sums(transform(f))
-    weighted = sum(k * a for k, a in enumerate(sums))
-    return prof.influence(), Fraction(weighted, 1 << (2 * f.n))
+    weighted = degree_weight_rows(transform(f).s ** 2, f.n)
+    return profile(f).influence(), Fraction(int(weighted), 1 << (2 * f.n))
+
+
+def corollary_bound_rows(levels: np.ndarray, n: int) -> np.ndarray:
+    """Per row of level sums (..., n+1): the floors 4^n (k - sum_{i<k} (k-i) W^i)
+    for k = 1..n, as int64 (..., n).  The deficit is a double prefix sum."""
+    deficit = np.cumsum(np.cumsum(levels[..., :n], axis=-1), axis=-1)
+    return np.arange(1, n + 1, dtype=np.int64) * (1 << (2 * n)) - deficit
 
 
 def corollary_lower_bound(spec: Spectrum, k: int) -> Fraction:
     """The influence floor k - sum_{i<k} (k-i) W^i; I(f) is never below it."""
     if not 1 <= k <= spec.n:
         raise ValueError(f"k={k} outside [1, {spec.n}]")
-    sums = level_sums(spec)
-    deficit = sum((k - i) * sums[i] for i in range(k))
-    return k - Fraction(deficit, 1 << (2 * spec.n))
+    floors = corollary_bound_rows(level_sum_rows(spec.s ** 2, spec.n), spec.n)
+    return Fraction(int(floors[k - 1]), 1 << (2 * spec.n))
 
 
 def balanced_distance_floor(f: BooleanFunction) -> Fraction:

@@ -38,6 +38,9 @@ class Spectrum:
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.n, self.s)
+
     def coefficient(self, mask: int) -> Fraction:
         """Normalized coefficient s(S)/2^n."""
         return Fraction(int(self.s[mask]), 1 << self.n)
@@ -64,11 +67,19 @@ def fwht_rows(mat: np.ndarray) -> None:
         h *= 2
 
 
+def spectrum_rows(tables: np.ndarray) -> np.ndarray:
+    """Integer spectra of the membership functions of the rows of a boolean
+    (rows, 2^n) table, as an int64 (rows, 2^n) array."""
+    spec = tables.astype(np.int64)
+    spec *= -2  # 1 - 2 * member, in place: no second int64 table
+    spec += 1
+    fwht_rows(spec)
+    return spec
+
+
 def transform(f: BooleanFunction) -> Spectrum:
     """Full spectrum in O(n 2^n) integer butterfly passes."""
-    table = f.values.astype(np.int64).reshape(1, -1)
-    fwht_rows(table)
-    return Spectrum(f.n, table[0])
+    return Spectrum(f.n, spectrum_rows(f.values[None] == -1)[0])
 
 
 def naive_transform(f: BooleanFunction) -> Spectrum:
@@ -100,6 +111,12 @@ def level_sum_rows(squares: np.ndarray, n: int) -> np.ndarray:
     for k in range(n + 1):
         out[..., k] = squares[..., np.nonzero(pc == k)[0]].sum(axis=-1)
     return out
+
+
+def degree_weight_rows(squares: np.ndarray, n: int) -> np.ndarray:
+    """Per row of squared integer coefficients (..., 2^n): the sum of
+    |S| s(S)^2, which is 4^n times sum_k k W^k."""
+    return squares @ popcount_table(n).astype(np.int64)
 
 
 def level_sums(spec: Spectrum) -> tuple[int, ...]:

@@ -4,28 +4,29 @@ A sweep reads its instances as rows of a (rows, 2^n) table, one chunk at a
 time, and hands each chunk to the property's vectorized evaluator.  Per row
 the evaluator returns whether the property applies, whether it holds and the
 integer quantities behind the violation details, the summaries and the
-columns of ``ucx scan``.  Function properties read +/-1 value rows, family
-properties boolean membership rows.  The two modes differ only in where the
-rows come from:
+columns of ``ucx scan``.  Every row is a boolean membership row: a family
+property reads the family, a function property the membership function of
+the row, which is -1 exactly on its members.  The two modes differ only in
+where the rows come from:
 
 * exhaustive mode (n <= 4 only) takes the binary digits of the instance
-  index ``bits`` in [0, 2^{2^n}), read both as a family bitset and as the
-  function that is -1 exactly on that family's members;
-* random mode draws each instance from its own RNG stream seeded by
-  (seed, index), so the realized instances, violations, and summaries are
-  identical no matter how the index range is partitioned across workers.
-  Canonical report serialization omits wall-clock time and the worker count
-  for that reason.
+  index ``bits`` in [0, 2^{2^n}), the family whose bitset is ``bits``;
+* random mode draws each instance into its row from its own RNG stream
+  seeded by (seed, index), then maps the chunk onto the property's domain,
+  so the realized instances, violations, and summaries are identical no
+  matter how the index range is partitioned across workers.  Canonical
+  report serialization omits wall-clock time and the worker count for that
+  reason.
 
-Random family draws are mapped onto the property's domain.  Most draw the
-union closure of uniformly drawn generator sets: ``frankl`` reads the
-closure itself, ``theorem2`` the closure with the empty set adjoined (the
-exact domain on which its deficiency equals the complement's unique-root
-count), and the properties quantified over simply-rooted families read the
-complement of that, which is simply-rooted by the complement duality.
-``duality`` reads uniformly random families and ``kotlov`` random vertex
-sets larger than half the cube.  ``scan`` is the per-row output mode of the
-same engine.
+Function properties draw uniformly random functions.  Most family
+properties draw the union closure of uniformly drawn generator sets:
+``frankl`` reads the closure itself, ``theorem2`` the closure with the empty
+set adjoined (the exact domain on which its deficiency equals the
+complement's unique-root count), and the properties quantified over
+simply-rooted families read the complement of that, which is simply-rooted
+by the complement duality.  ``duality`` reads uniformly random families and
+``kotlov`` random vertex sets larger than half the cube.  ``scan`` is the
+per-row output mode of the same engine.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ import numpy as np
 
 from . import familyfile
 from .core import (
-    BooleanFunction,
     SetFamily,
     bits_to_bool,
     check_dimension,
+    family_to_function,
     frequency_rows,
-    popcount_table,
 )
 from .extremal import ks_distance, nearest_dictator
 from .families import (
@@ -63,8 +63,8 @@ from .families import (
     thin_boundary_rows,
     union_closed_rows,
 )
-from .influence import pair_count_rows
-from .spectral import fwht_rows, level_sum_rows
+from .influence import corollary_bound_rows, flip_count_rows, pair_count_rows
+from .spectral import degree_weight_rows, level_sum_rows, spectrum_rows
 
 EXHAUSTIVE_MAX_N = 4
 
@@ -260,11 +260,11 @@ def _jsonable(value):
 # violation payloads
 
 
-def _witness(index: int, n: int, row: np.ndarray, detail: dict) -> dict:
-    if row.dtype == bool:
-        kind, body = "family", familyfile.format_family(SetFamily.from_bool(n, row))
+def _witness(kind: str, index: int, n: int, row: np.ndarray, detail: dict) -> dict:
+    if kind == "family":
+        body = familyfile.format_family(SetFamily.from_bool(n, row))
     else:
-        kind, body = "function", "".join("-" if v < 0 else "+" for v in row)
+        body = "".join("-" if member else "+" for member in row)
     return {"index": index, "kind": kind, "n": n, kind: body, "detail": _jsonable(detail)}
 
 
@@ -280,35 +280,15 @@ def _chunks(n: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
 
 
 def _index_bits(start: int, stop: int, n: int) -> np.ndarray:
-    """Exhaustive rows: the 2^n binary digits of each index, as int8 0/1."""
+    """Exhaustive rows: the 2^n binary digits of each index, as bool."""
     idx = np.arange(start, stop, dtype=np.uint64)
     cols = np.arange(1 << n, dtype=np.uint32)
-    return ((idx[:, None] >> cols[None, :]) & 1).astype(np.int8)
+    return ((idx[:, None] >> cols[None, :]) & 1).astype(bool)
 
 
-def _function_chunks(plan: SweepPlan, lo: int, hi: int):
-    size = 1 << plan.n
-    for start, stop in _chunks(plan.n, lo, hi):
-        if plan.mode == "exhaustive":
-            yield start, (1 - 2 * _index_bits(start, stop, plan.n)).astype(np.int8)
-        else:
-            rows = np.empty((stop - start, size), dtype=np.int8)
-            for r, index in enumerate(range(start, stop)):
-                rng = _instance_rng(plan.seed, index)
-                rows[r] = (rng.integers(0, 2, size=size, dtype=np.int8) << 1) - 1
-            yield start, rows
-
-
-def _family_chunks(plan: SweepPlan, lo: int, hi: int, draw, domain):
-    n = plan.n
-    for start, stop in _chunks(n, lo, hi):
-        if plan.mode == "exhaustive":
-            yield start, _index_bits(start, stop, n).view(bool)
-        else:
-            rows = np.zeros((stop - start, 1 << n), dtype=bool)
-            for r, index in enumerate(range(start, stop)):
-                draw(_instance_rng(plan.seed, index), n, rows[r])
-            yield start, domain(rows, n)
+def _draw_signs(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
+    """A uniformly random function: a member wherever the drawn bit is 0."""
+    row[:] = rng.integers(0, 2, size=1 << n, dtype=np.int8) == 0
 
 
 def _draw_uniform(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
@@ -390,88 +370,68 @@ def _first_failure(fail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ~fail.any(axis=1), fail.argmax(axis=1)
 
 
-def _spectrum(mat: np.ndarray) -> np.ndarray:
-    spec = mat.astype(np.int64)
-    fwht_rows(spec)
-    return spec
-
-
-def _pivotal_totals(mat: np.ndarray, n: int) -> np.ndarray:
-    rows = mat.shape[0]
-    total = np.zeros(rows, dtype=np.int64)
-    for i in range(n):
-        view = mat.reshape(rows, -1, 2, 1 << i)
-        total += np.count_nonzero(view[:, :, 0, :] != view[:, :, 1, :], axis=(1, 2))
-    return total
-
-
-def _parseval(mat: np.ndarray, n: int) -> _Rows:
+def _parseval(t: np.ndarray, n: int) -> _Rows:
     four_n = 1 << (2 * n)
-    spec = _spectrum(mat)
+    spec = spectrum_rows(t)
     sums = (spec * spec).sum(axis=1)
-    return _Rows(_every(mat), sums == four_n,
+    return _Rows(_every(t), sums == four_n,
                  lambda r: {"coefficient_square_sum": int(sums[r]), "expected": four_n})
 
 
-def _influence_identity(mat: np.ndarray, n: int) -> _Rows:
-    spec = _spectrum(mat)
-    pivotal = _pivotal_totals(mat, n)
-    weighted = (spec * spec) @ popcount_table(n).astype(np.int64)
-    return _Rows(_every(mat), weighted == pivotal << (n + 1),
+def _influence_identity(t: np.ndarray, n: int) -> _Rows:
+    spec = spectrum_rows(t)
+    pivotal = flip_count_rows(t, n).sum(axis=1)
+    weighted = degree_weight_rows(spec * spec, n)
+    return _Rows(_every(t), weighted == pivotal << (n + 1),
                  lambda r: {"pivotal_pairs": int(pivotal[r]),
                             "weighted_square_sum": int(weighted[r])})
 
 
-def _corollary_lb(mat: np.ndarray, n: int) -> _Rows:
-    four_n = 1 << (2 * n)
-    spec = _spectrum(mat)
-    levels = level_sum_rows(spec * spec, n)
-    lhs = _pivotal_totals(mat, n) << (n + 1)  # I(f) * 2 * 4^n / 2^n
-    bounds = np.stack(
-        [k * four_n - sum((k - i) * levels[:, i] for i in range(k)) for k in range(1, n + 1)],
-        axis=1,
-    )
+def _corollary_lb(t: np.ndarray, n: int) -> _Rows:
+    spec = spectrum_rows(t)
+    bounds = corollary_bound_rows(level_sum_rows(spec * spec, n), n)
+    lhs = flip_count_rows(t, n).sum(axis=1) << (n + 1)  # I(f) * 2 * 4^n / 2^n
     ok, first = _first_failure(lhs[:, None] < bounds)
-    return _Rows(_every(mat), ok,
+    return _Rows(_every(t), ok,
                  lambda r: {"k": int(first[r]) + 1, "influence_scaled": int(lhs[r]),
                             "bound_scaled": int(bounds[r, first[r]])})
 
 
-def _edge_iso(mat: np.ndarray, n: int) -> _Rows:
+def _edge_iso(t: np.ndarray, n: int) -> _Rows:
     half = 1 << (n - 1)
-    s0 = _spectrum(mat)[:, 0].copy()
-    pivotal = _pivotal_totals(mat, n)
+    s0 = (1 << n) - 2 * np.count_nonzero(t, axis=1)  # s(empty) = 2^n - 2|F|
+    pivotal = flip_count_rows(t, n).sum(axis=1)
     fail = np.stack(
         [(s0 >= (1 << (n - k)) - (1 << n)) & (s0 <= 0) & ((pivotal << k) < (k + 1) * half)
          for k in range(n)],
         axis=1,
     )
     ok, first = _first_failure(fail)
-    return _Rows(_every(mat), ok,
+    return _Rows(_every(t), ok,
                  lambda r: {"k": int(first[r]), "pivotal_pairs": int(pivotal[r]),
                             "mean_scaled": int(s0[r])})
 
 
-def _full_level_weight(spec: np.ndarray, n: int, level: int) -> np.ndarray:
-    squares = spec * spec
-    return squares[:, popcount_table(n) == level].sum(axis=1) == 1 << (2 * n)
+def _full_level_weight(t: np.ndarray, n: int, level: int) -> np.ndarray:
+    spec = spectrum_rows(t)
+    return level_sum_rows(spec * spec, n)[:, level] == 1 << (2 * n)
 
 
-def _fkn_zero(mat: np.ndarray, n: int) -> _Rows:
-    qualifying = _full_level_weight(_spectrum(mat), n, 1)
+def _fkn_zero(t: np.ndarray, n: int) -> _Rows:
+    qualifying = _full_level_weight(t, n, 1)
     ok = ~qualifying
     for r in np.flatnonzero(qualifying):
-        ok[r] = nearest_dictator(BooleanFunction(n, mat[r]))[2] == 0
-    return _Rows(_every(mat), ok, _reason("full level-1 weight but not a signed dictator"),
+        ok[r] = nearest_dictator(family_to_function(SetFamily(n, t[r])))[2] == 0
+    return _Rows(_every(t), ok, _reason("full level-1 weight but not a signed dictator"),
                  _count("num_qualifying", qualifying))
 
 
-def _ks_zero(mat: np.ndarray, n: int) -> _Rows:
-    qualifying = _full_level_weight(_spectrum(mat), n, 2)
+def _ks_zero(t: np.ndarray, n: int) -> _Rows:
+    qualifying = _full_level_weight(t, n, 2)
     ok = ~qualifying
     for r in np.flatnonzero(qualifying):
-        ok[r] = ks_distance(BooleanFunction(n, mat[r]))[1] == 0
-    return _Rows(_every(mat), ok, _reason("full level-2 weight but outside the quadratic class"),
+        ok[r] = ks_distance(family_to_function(SetFamily(n, t[r])))[1] == 0
+    return _Rows(_every(t), ok, _reason("full level-2 weight but outside the quadratic class"),
                  _count("num_qualifying", qualifying))
 
 
@@ -549,33 +509,42 @@ def _kotlov(t: np.ndarray, n: int) -> _Rows:
 
 @dataclass(frozen=True)
 class _Property:
-    """A property's evaluator and, for a family property, how random mode
-    draws one instance and maps a chunk of draws onto the domain."""
+    """A property's evaluator, how random mode draws one instance and maps a
+    chunk of draws onto the domain, and whether a witness is a function or a
+    family."""
 
     evaluate: Callable[[np.ndarray, int], _Rows]
-    draw: Callable | None = None
+    draw: Callable[[np.random.Generator, int, np.ndarray], None]
     domain: Callable[[np.ndarray, int], np.ndarray] = _as_drawn
+    kind: str = "family"
 
-    def chunks(self, plan: SweepPlan, lo: int, hi: int):
-        if self.draw is None:
-            return _function_chunks(plan, lo, hi)
-        return _family_chunks(plan, lo, hi, self.draw, self.domain)
+    def chunks(self, plan: SweepPlan, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(first index, boolean rows) per chunk of the index range [lo, hi)."""
+        n = plan.n
+        for start, stop in _chunks(n, lo, hi):
+            if plan.mode == "exhaustive":
+                yield start, _index_bits(start, stop, n)
+            else:
+                rows = np.zeros((stop - start, 1 << n), dtype=bool)
+                for r, index in enumerate(range(start, stop)):
+                    self.draw(_instance_rng(plan.seed, index), n, rows[r])
+                yield start, self.domain(rows, n)
 
 
 _PROPERTIES = {
     "duality": _Property(_duality, _draw_uniform),
     "shadow-lemma": _Property(_shadow_lemma, _draw_generators, _simply_rooted_complement),
-    "parseval": _Property(_parseval),
-    "influence-identity": _Property(_influence_identity),
-    "corollary-lb": _Property(_corollary_lb),
+    "parseval": _Property(_parseval, _draw_signs, kind="function"),
+    "influence-identity": _Property(_influence_identity, _draw_signs, kind="function"),
+    "corollary-lb": _Property(_corollary_lb, _draw_signs, kind="function"),
     "theorem2": _Property(_theorem2, _draw_generators, _closure_with_empty_set),
     "frankl": _Property(_frankl, _draw_generators, closure_rows),
     "conjecture2": _Property(_conjecture2, _draw_generators, _simply_rooted_complement),
     "partial-claim": _Property(_partial_claim, _draw_generators, _simply_rooted_complement),
-    "edge-iso": _Property(_edge_iso),
+    "edge-iso": _Property(_edge_iso, _draw_signs, kind="function"),
     "kotlov": _Property(_kotlov, _draw_vertices),
-    "fkn-zero": _Property(_fkn_zero),
-    "ks-zero": _Property(_ks_zero),
+    "fkn-zero": _Property(_fkn_zero, _draw_signs, kind="function"),
+    "ks-zero": _Property(_ks_zero, _draw_signs, kind="function"),
     "positive-cap": _Property(_positive_cap, _draw_generators, _simply_rooted_complement),
     "thin-boundary": _Property(_thin_boundary, _draw_generators, _simply_rooted_complement),
 }
@@ -609,7 +578,8 @@ def _sweep_block(plan: SweepPlan, lo: int, hi: int) -> dict:
         for r in np.flatnonzero(found.applicable & ~found.ok).tolist():
             violation_count += 1
             if len(violations) < plan.witness_cap:
-                violations.append(_witness(start + r, plan.n, rows[r], found.detail(r)))
+                violations.append(
+                    _witness(prop.kind, start + r, plan.n, rows[r], found.detail(r)))
     return {
         "enumerated": hi - lo,
         "checked": checked,

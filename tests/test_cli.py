@@ -203,5 +203,20 @@ def test_cmd_scan(tmp_path):
             assert int(p) >= 0 and int(q) > 0
 
 
+def test_file_errors_exit_2(tmp_path, capsys):
+    family = tmp_path / "f3.family"
+    family.write_text(F3_TEXT)
+    unwritable = str(tmp_path / "missing-dir" / "out")
+    for argv in (
+        ["scan", "conjecture2", "--n", "3", "--samples", "5", "--csv", unwritable],
+        ["gen", "--n", "3", "--generators", "2", "-o", unwritable],
+        ["analyze", str(family), "--json", unwritable],
+        ["closure", str(family), "-o", unwritable],
+        ["closure", str(tmp_path / "missing.family")],
+    ):
+        assert cli.main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
+
+
 def test_cmd_scan_rejects_zero_samples():
     assert cli.main(["scan", "conjecture2", "--n", "3", "--samples", "0", "--seed", "1"]) == 2

@@ -1,5 +1,6 @@
 """Encodings, characters, inner products, and the distance metric."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -201,3 +202,9 @@ def test_immutability():
     f = BooleanFunction.constant(1, 1)
     with pytest.raises(AttributeError):
         f.n = 2
+    fam = SetFamily.from_sets(3, [[1], [2, 3]])
+    f = family_to_function(fam)
+    for obj, table in ((fam, SetFamily.to_bool), (f, lambda g: g.values)):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and copy is not obj
+        assert not table(copy).flags.writeable

@@ -9,11 +9,14 @@ from ucx.core import BooleanFunction, CharacterSpec, SetFamily, dist, family_to_
 from ucx.influence import (
     InfluenceProfile,
     balanced_distance_floor,
+    corollary_bound_rows,
     corollary_lower_bound,
+    flip_count_rows,
     influence_identity_check,
+    pair_count_rows,
     profile,
 )
-from ucx.spectral import transform
+from ucx.spectral import level_sums, level_weights, transform
 
 
 def naive_profile(f: BooleanFunction) -> InfluenceProfile:
@@ -72,6 +75,35 @@ def test_profile_matches_naive_random():
         n = 4 + int(rng.integers(0, 5))
         f = random_function(rng, n)
         assert profile(f) == naive_profile(f)
+
+
+def test_pair_count_rows_match_direct_counts():
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        tables = rng.integers(0, 2, size=(7, 1 << n)).astype(bool)
+        enter, leave = pair_count_rows(tables, n)
+        for i in range(n):
+            view = tables.reshape(7, -1, 2, 1 << i)
+            low, high = view[:, :, 0, :], view[:, :, 1, :]
+            assert enter[:, i].tolist() == np.count_nonzero(~low & high, axis=(1, 2)).tolist()
+            assert leave[:, i].tolist() == np.count_nonzero(low & ~high, axis=(1, 2)).tolist()
+        signs = np.where(tables, np.int8(-1), np.int8(1))
+        flips = flip_count_rows(tables, n)
+        assert np.array_equal(flip_count_rows(signs, n), flips)
+        assert np.array_equal(flips, enter + leave)
+
+
+def test_corollary_bound_rows_match_corollary_lower_bound():
+    rng = np.random.default_rng(37)
+    for n in range(1, 8):
+        spec = transform(random_function(rng, n))
+        floors = corollary_bound_rows(np.array(level_sums(spec)), n)
+        weights = level_weights(spec)
+        assert floors.shape == (n,)
+        for k in range(1, n + 1):
+            direct = k - sum((k - i) * weights[i] for i in range(k))
+            assert Fraction(int(floors[k - 1]), 1 << (2 * n)) == direct
+            assert corollary_lower_bound(spec, k) == direct
 
 
 def test_spectral_link_exhaustive():

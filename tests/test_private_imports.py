@@ -1,4 +1,5 @@
-"""No module of the package imports another module's private names."""
+"""No module of the package imports another module's private names, and no
+module keeps an import it does not use."""
 
 import ast
 from pathlib import Path
@@ -19,4 +20,27 @@ def test_no_cross_module_private_imports():
                 if alias.name.startswith("_"):
                     offenders.append(f"{path.name}: from {'.' * node.level}{node.module or ''} "
                                      f"import {alias.name}")
+    assert offenders == []
+
+
+def test_no_unused_imports():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # the package's imports are its re-exports
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):  # names inside quoted annotations
+            for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                    parsed = ast.parse(note.value, mode="eval")
+                    used |= {sub.id for sub in ast.walk(parsed) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in used:
+                        offenders.append(f"{path.name}:{node.lineno}: {bound}")
     assert offenders == []

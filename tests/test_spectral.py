@@ -1,5 +1,6 @@
 """Spectra: butterfly vs definition oracles, Parseval, level identities."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from ucx.spectral import (
     mean_identity_check,
     naive_transform,
     parseval_sum,
+    spectrum_rows,
     transform,
 )
 
@@ -60,6 +62,17 @@ def test_transform_matches_definition_oracle_random():
         f = random_function(rng, n)
         expected = character_matrix(n) @ f.values.astype(np.int64)
         assert np.array_equal(transform(f).s, expected)
+
+
+def test_spectrum_rows_match_naive_transform():
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        tables = rng.integers(0, 2, size=(9, 1 << n)).astype(bool)
+        spectra = spectrum_rows(tables)
+        assert spectra.dtype == np.int64 and spectra.shape == tables.shape
+        for table, spec in zip(tables, spectra):
+            f = family_to_function(SetFamily(n, table))
+            assert spec.tolist() == naive_transform(f).s.tolist()
 
 
 def test_parseval_exhaustive_small():
@@ -160,4 +173,6 @@ def test_spectrum_coefficient_and_eq():
     assert spec.coefficient(0) == Fraction(-1, 2)
     assert spec == Spectrum(2, [-2, 2, 2, 2])
     assert spec != Spectrum(2, [4, 0, 0, 0])
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and not copy.s.flags.writeable
     assert level_sums(spec) == (4, 8, 4)

@@ -1,5 +1,6 @@
 """Closure, enumeration, sweep harness, margins, and cube connectivity."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucx import familyfile, verify
 from ucx.core import SetFamily
 from ucx.families import (
     PreconditionError,
@@ -234,6 +236,26 @@ def test_sweep_determinism_across_workers():
         ]
         blobs = {r.canonical_json() for r in reports}
         assert len(blobs) == 1, prop
+
+
+def test_witness_serialization(monkeypatch):
+    def fail_every_row(rows, n):
+        return verify._Rows(np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool),
+                            lambda r: {"reason": "forced"})
+
+    for prop, kind in (("parseval", "function"), ("duality", "family")):
+        forced = dataclasses.replace(verify._PROPERTIES[prop], evaluate=fail_every_row)
+        monkeypatch.setitem(verify._PROPERTIES, prop, forced)
+        rep = run_sweep(SweepPlan(prop, 2, "exhaustive", witness_cap=16))
+        assert rep.violation_count == 16 and len(rep.violations) == 16
+        for index, witness in enumerate(rep.violations):
+            assert witness["index"] == index and witness["kind"] == kind
+            assert witness["n"] == 2 and witness["detail"] == {"reason": "forced"}
+            family = SetFamily.from_bits(2, index)
+            if kind == "function":
+                assert witness["function"] == "".join("-" if x in family else "+" for x in range(4))
+            else:
+                assert witness["family"] == familyfile.format_family(family)
 
 
 def test_report_canonical_shape():
