@@ -1,13 +1,16 @@
 """Exact combinatorics on the Boolean cube: shared encodings and metrics.
 
 A cube point and a subset of [n] are the same object here: an integer mask
-in [0, 2^n) whose bit (i-1) records whether element i is present.  A Boolean
-function is a read-only table of +/-1 values over all 2^n points; a set
-family is a read-only boolean membership table over all 2^n subset masks.
-The bitset integer of a family (bit ``mask`` set for each member) is only
-an input and output format of this module.  The membership function of a
+in [0, 2^n) whose bit (i-1) records whether element i is present.  A set
+family and a Boolean function are both stored as a read-only boolean
+membership table over all 2^n points (``CubeTable``): a family's members,
+or the points where the function is -1.  The membership function of a
 family takes the value -1 exactly on its members, so that the empty family
-is the constant +1 function.  All derived quantities are exact: integers,
+is the constant +1 function, and a family and its membership function share
+one table.  The +/-1 value table of a function and the bitset integer of a
+family (bit ``mask`` set for each member) are only input and output formats
+of this module, and ``coordinate_pairs`` is the one place that splits a
+table into the pairs (x, x + e_i).  All derived quantities are exact: integers,
 or dyadic rationals represented as ``fractions.Fraction``.  Numpy arrays
 serve as containers for speed, but only ever hold integers or booleans.
 """
@@ -101,35 +104,74 @@ def bool_to_bits(table: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def coordinate_pairs(tables: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views (low, high) of a table (..., 2^n), each of shape
+    (..., 2^{n-1-i}, 2^i), that pair every point x without bit i with
+    x + e_{i+1}.  Only the last axis is split, so they are views for any
+    memory layout, and writes through them reach the table."""
+    lead, size = tables.shape[:-1], tables.shape[-1]
+    view = tables.reshape(*lead, size >> (i + 1), 2, 1 << i)
+    return view[..., 0, :], view[..., 1, :]
+
+
 def frequency_rows(tables: np.ndarray, n: int) -> np.ndarray:
     """Per row of membership tables (..., 2^n): how many members contain each
     element, as an int64 array (..., n)."""
-    lead = tables.shape[:-1]
-    counts = np.empty(lead + (n,), dtype=np.int64)
+    counts = np.empty(tables.shape[:-1] + (n,), dtype=np.int64)
     for i in range(n):
-        upper = tables.reshape(*lead, -1, 2, 1 << i)[..., 1, :]
-        counts[..., i] = np.count_nonzero(upper, axis=(-2, -1))
+        counts[..., i] = np.count_nonzero(coordinate_pairs(tables, i)[1], axis=(-2, -1))
     return counts
 
 
-class BooleanFunction:
-    """A +/-1 valued function on the n-cube, stored as an immutable table."""
+class CubeTable:
+    """An immutable table over the 2^n points of the n-cube.  Subclasses
+    validate their input and pass a table of their own, which is marked
+    read-only.  Two tables are equal when they have the same type, dimension
+    and entries."""
 
-    __slots__ = ("n", "values")
+    __slots__ = ("n", "_table")
 
-    def __init__(self, n: int, values) -> None:
+    def __init__(self, n: int, table: np.ndarray) -> None:
         check_dimension(n)
-        table = np.array(values, dtype=np.int8)
         if table.shape != (1 << n,):
-            raise DimensionError(f"expected 2^{n} values, got shape {table.shape}")
-        if not np.all(np.abs(table) == 1):
-            raise ValueError("function values must all be +1 or -1")
+            raise DimensionError(f"expected a table of 2^{n} entries, got shape {table.shape}")
         table.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", table)
+        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, name, value):  # immutability
-        raise AttributeError("BooleanFunction is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.n, self._table)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.n == other.n and np.array_equal(self._table, other._table)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._table.tobytes()))
+
+    def to_bool(self) -> np.ndarray:
+        """The read-only table itself: a family's members, or the points where
+        a function is -1.  A ``Spectrum`` names its int64 table ``s``."""
+        return self._table
+
+
+class BooleanFunction(CubeTable):
+    """A +/-1 valued function on the n-cube, stored as its membership table,
+    True exactly where the function is -1.  The constructor takes the +/-1
+    values, and ``values`` derives them."""
+
+    __slots__ = ()
+
+    def __init__(self, n: int, values) -> None:
+        values = np.asarray(values)
+        if values.dtype == np.bool_:
+            raise TypeError("function values must be +1 or -1, got a bool table")
+        minus = values == -1
+        if not np.all(minus | (values == 1)):
+            raise ValueError("function values must all be +1 or -1")
+        super().__init__(n, minus)
 
     def __reduce__(self):
         return type(self), (self.n, self.values)
@@ -140,57 +182,43 @@ class BooleanFunction:
             raise ValueError("sign must be +1 or -1")
         return cls(n, np.full(1 << n, sign, dtype=np.int8))
 
+    @property
+    def values(self) -> np.ndarray:
+        """The read-only int8 table of +/-1 values."""
+        table = np.where(self._table, np.int8(-1), np.int8(1))
+        table.setflags(write=False)
+        return table
+
     def __call__(self, x: int) -> int:
-        return int(self.values[x])
+        return -1 if self._table[x] else 1
 
     def minus_count(self) -> int:
         """Number of points where the function is -1."""
-        return int(np.count_nonzero(self.values == -1))
+        return int(np.count_nonzero(self._table))
 
     def is_balanced(self) -> bool:
         return 2 * self.minus_count() == 1 << self.n
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BooleanFunction)
-            and self.n == other.n
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.values.tobytes()))
-
     def __repr__(self) -> str:
         if self.n <= 4:
-            body = "".join("-" if v < 0 else "+" for v in self.values)
+            body = "".join("-" if minus else "+" for minus in self._table)
             return f"BooleanFunction(n={self.n}, {body})"
         return f"BooleanFunction(n={self.n}, 2^{self.n} values)"
 
 
-class SetFamily:
+class SetFamily(CubeTable):
     """A family of subsets of [n], stored as a read-only boolean membership
     table of shape (2^n,): entry ``mask`` is True exactly when that subset is
     a member.  The constructor copies the table; ``bits`` derives the bitset
     integer (bit ``mask`` set for each member) from it."""
 
-    __slots__ = ("n", "_table")
+    __slots__ = ()
 
     def __init__(self, n: int, table) -> None:
-        check_dimension(n)
         table = np.array(table)
         if table.dtype != np.bool_:
             raise TypeError(f"expected a bool table (from_bits takes a bitset), got {table.dtype}")
-        if table.shape != (1 << n,):
-            raise DimensionError(f"expected a table of 2^{n} entries, got shape {table.shape}")
-        table.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_table", table)
-
-    def __setattr__(self, name, value):  # immutability
-        raise AttributeError("SetFamily is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.n, self._table)
+        super().__init__(n, table)
 
     @classmethod
     def empty(cls, n: int) -> "SetFamily":
@@ -244,26 +272,12 @@ class SetFamily:
         """Member masks in ascending numeric order."""
         return tuple(np.flatnonzero(self._table).tolist())
 
-    def to_bool(self) -> np.ndarray:
-        """The read-only membership table itself."""
-        return self._table
-
     def complement(self) -> "SetFamily":
         return SetFamily(self.n, ~self._table)
 
     def frequencies(self) -> tuple[int, ...]:
         """Per-element membership counts: entry i-1 is the number of members containing i."""
         return tuple(frequency_rows(self._table, self.n).tolist())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SetFamily)
-            and self.n == other.n
-            and np.array_equal(self._table, other._table)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._table.tobytes()))
 
     def __repr__(self) -> str:
         if self.size <= 8:
@@ -308,7 +322,7 @@ def family_to_function(family: SetFamily) -> BooleanFunction:
 
 def function_to_family(f: BooleanFunction) -> SetFamily:
     """Inverse of family_to_function: the family of points where f is -1."""
-    return SetFamily.from_bool(f.n, f.values == -1)
+    return SetFamily(f.n, f.to_bool())
 
 
 GLike = Union[BooleanFunction, CharacterSpec, Sequence, np.ndarray]

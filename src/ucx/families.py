@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SetFamily, iter_bits
+from .core import SetFamily, coordinate_pairs, iter_bits
 from .influence import pair_count_rows
 
 
@@ -92,8 +92,8 @@ def cover_table(tables: np.ndarray, n: int) -> np.ndarray:
     """Per row and mask X: the union of the row's members contained in X."""
     cover = np.where(tables, _masks(n), np.uint32(0))
     for i in range(n):
-        view = cover.reshape(-1, 2, 1 << i)
-        view[:, 1, :] |= view[:, 0, :]
+        low, high = coordinate_pairs(cover, i)
+        high |= low
     return cover
 
 
@@ -133,8 +133,8 @@ def upper_shadow_rows(tables: np.ndarray, n: int) -> np.ndarray:
     """Per row: all sets obtained by adding one element to some member."""
     out = np.zeros_like(tables)
     for i in range(n):
-        src = tables.reshape(-1, 2, 1 << i)
-        out.reshape(-1, 2, 1 << i)[:, 1, :] |= src[:, 0, :]
+        high = coordinate_pairs(out, i)[1]
+        high |= coordinate_pairs(tables, i)[0]
     return out
 
 
@@ -147,9 +147,8 @@ def missing_lower_rows(tables: np.ndarray, n: int) -> np.ndarray:
     """Per row and mask A: the elements i of A with A - i outside the family."""
     out = np.zeros(tables.shape, dtype=np.uint32)
     for i in range(n):
-        src = tables.reshape(-1, 2, 1 << i)
-        gone = np.where(src[:, 0, :], np.uint32(0), np.uint32(1 << i))
-        out.reshape(-1, 2, 1 << i)[:, 1, :] |= gone
+        high = coordinate_pairs(out, i)[1]
+        high |= np.where(coordinate_pairs(tables, i)[0], np.uint32(0), np.uint32(1 << i))
     return out
 
 
@@ -165,12 +164,11 @@ def component_directions(tables: np.ndarray, n: int) -> np.ndarray:
     while True:
         before = labels.copy()
         for i in range(n):
-            side = tables.reshape(-1, 2, 1 << i)
-            view = labels.reshape(-1, 2, 1 << i)
-            joined = view[:, 0, :] | view[:, 1, :] | np.uint32(1 << i)
-            joined = np.where(side[:, 0, :] & side[:, 1, :], joined, np.uint32(0))
-            view[:, 0, :] |= joined
-            view[:, 1, :] |= joined
+            inside_low, inside_high = coordinate_pairs(tables, i)
+            low, high = coordinate_pairs(labels, i)
+            joined = np.where(inside_low & inside_high, low | high | np.uint32(1 << i), np.uint32(0))
+            low |= joined
+            high |= joined
         if np.array_equal(before, labels):
             return labels
 
@@ -289,9 +287,8 @@ def lower_shadow(family: SetFamily) -> SetFamily:
     table = family.to_bool()
     out = np.zeros_like(table)
     for i in range(family.n):
-        src = table.reshape(-1, 2, 1 << i)
-        dst = out.reshape(-1, 2, 1 << i)
-        dst[:, 0, :] |= src[:, 1, :]
+        low = coordinate_pairs(out, i)[0]
+        low |= coordinate_pairs(table, i)[1]
     return SetFamily.from_bool(family.n, out)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BooleanFunction, frequency_rows
+from .core import BooleanFunction, coordinate_pairs, frequency_rows
 from .spectral import Spectrum, degree_weight_rows, level_sum_rows, transform
 
 
@@ -57,11 +57,10 @@ class InfluenceProfile:
 def flip_count_rows(tables: np.ndarray, n: int) -> np.ndarray:
     """Per row of tables (..., 2^n) of any dtype: for each coordinate i, the
     number of pairs (x, x + e_i) whose two entries differ, as int64 (..., n)."""
-    lead = tables.shape[:-1]
-    flips = np.empty(lead + (n,), dtype=np.int64)
+    flips = np.empty(tables.shape[:-1] + (n,), dtype=np.int64)
     for i in range(n):
-        view = tables.reshape(*lead, -1, 2, 1 << i)
-        flips[..., i] = np.count_nonzero(view[..., 0, :] != view[..., 1, :], axis=(-2, -1))
+        low, high = coordinate_pairs(tables, i)
+        flips[..., i] = np.count_nonzero(low != high, axis=(-2, -1))
     return flips
 
 
@@ -82,7 +81,7 @@ def pair_counts(member_table: np.ndarray, n: int) -> tuple[tuple[int, ...], tupl
 
 def profile(f: BooleanFunction) -> InfluenceProfile:
     """Scan all direction pairs and count membership flips."""
-    enter, leave = pair_counts(f.values == -1, f.n)
+    enter, leave = pair_counts(f.to_bool(), f.n)
     return InfluenceProfile(f.n, enter, leave)
 
 

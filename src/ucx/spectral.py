@@ -14,42 +14,33 @@ import numpy as np
 
 from .core import (
     BooleanFunction,
+    CubeTable,
     SetFamily,
-    check_dimension,
+    coordinate_pairs,
     family_to_function,
     popcount_table,
 )
 
 
-class Spectrum:
+class Spectrum(CubeTable):
     """Integer-scaled Fourier data of a +/-1 function, indexed by subset mask."""
 
-    __slots__ = ("n", "s")
+    __slots__ = ()
 
     def __init__(self, n: int, s) -> None:
-        check_dimension(n)
-        table = np.array(s, dtype=np.int64)
-        if table.shape != (1 << n,):
-            raise ValueError(f"expected 2^{n} coefficients, got shape {table.shape}")
-        table.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", table)
+        table = np.asarray(s)
+        if table.dtype == np.bool_ or not np.can_cast(table.dtype, np.int64):
+            raise TypeError(f"expected integer coefficients, got {table.dtype}")
+        super().__init__(n, table.astype(np.int64))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Spectrum is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.n, self.s)
+    @property
+    def s(self) -> np.ndarray:
+        """The read-only int64 coefficient table."""
+        return self._table
 
     def coefficient(self, mask: int) -> Fraction:
         """Normalized coefficient s(S)/2^n."""
         return Fraction(int(self.s[mask]), 1 << self.n)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Spectrum) and self.n == other.n and np.array_equal(self.s, other.s)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.s.tobytes()))
 
     def __repr__(self) -> str:
         return f"Spectrum(n={self.n}, s={self.s.tolist() if self.n <= 3 else '...'})"
@@ -57,14 +48,12 @@ class Spectrum:
 
 def fwht_rows(mat: np.ndarray) -> None:
     """In-place Walsh-Hadamard transform of each row of an int64 matrix."""
-    rows, cols = mat.shape
-    h = 1
-    while h < cols:
-        view = mat.reshape(rows, -1, 2, h)
-        low = view[:, :, 0, :].copy()
-        view[:, :, 0, :] += view[:, :, 1, :]
-        view[:, :, 1, :] = low - view[:, :, 1, :]
-        h *= 2
+    _, cols = mat.shape
+    for i in range(cols.bit_length() - 1):
+        low, high = coordinate_pairs(mat, i)
+        keep = low.copy()
+        low += high
+        high[...] = keep - high
 
 
 def spectrum_rows(tables: np.ndarray) -> np.ndarray:
@@ -79,7 +68,7 @@ def spectrum_rows(tables: np.ndarray) -> np.ndarray:
 
 def transform(f: BooleanFunction) -> Spectrum:
     """Full spectrum in O(n 2^n) integer butterfly passes."""
-    return Spectrum(f.n, spectrum_rows(f.values[None] == -1)[0])
+    return Spectrum(f.n, spectrum_rows(f.to_bool()[None])[0])
 
 
 def naive_transform(f: BooleanFunction) -> Spectrum:
@@ -99,8 +88,7 @@ def naive_transform(f: BooleanFunction) -> Spectrum:
 
 def parseval_sum(spec: Spectrum) -> int:
     """Sum of squared integer coefficients; equals 4^n for +/-1 functions."""
-    s = spec.s.astype(np.int64)
-    return int(np.dot(s, s))
+    return int(np.dot(spec.s, spec.s))
 
 
 def level_sum_rows(squares: np.ndarray, n: int) -> np.ndarray:
@@ -121,7 +109,7 @@ def degree_weight_rows(squares: np.ndarray, n: int) -> np.ndarray:
 
 def level_sums(spec: Spectrum) -> tuple[int, ...]:
     """Sum of s(S)^2 over each level |S| = k; entry k is 4^n * W^k."""
-    return tuple(level_sum_rows(spec.s.astype(np.int64) ** 2, spec.n).tolist())
+    return tuple(level_sum_rows(spec.s ** 2, spec.n).tolist())
 
 
 def level_weight(spec: Spectrum, k: int) -> Fraction:

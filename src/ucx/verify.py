@@ -54,7 +54,6 @@ from .families import (
     component_directions,
     duality_rows,
     is_simply_rooted,
-    is_union_closed,
     positive_cap_rows,
     root_masks,
     shadow_dichotomy_rows,
@@ -85,13 +84,14 @@ def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
         raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}")
     if which not in ("all", "union_closed", "simply_rooted"):
         raise ValueError(f"unknown filter {which!r}")
-    for bits in range(1 << (1 << n)):
-        fam = SetFamily.from_bits(n, bits)
-        if which == "union_closed" and not is_union_closed(fam):
-            continue
-        if which == "simply_rooted" and not is_simply_rooted(fam):
-            continue
-        yield fam
+    for start, stop in _chunks(n, 0, 1 << (1 << n)):
+        rows = _index_bits(start, stop, n)
+        if which == "union_closed":
+            rows = rows[union_closed_rows(rows, n)]
+        elif which == "simply_rooted":
+            rows = rows[simply_rooted_rows(rows, root_masks(rows, n))]
+        for row in rows:
+            yield SetFamily(n, row)
 
 
 def random_union_closed(n: int, generator_count: int, seed: int) -> SetFamily:

@@ -15,6 +15,7 @@ from ucx.core import (
     SetFamily,
     bits_to_bool,
     bool_to_bits,
+    coordinate_pairs,
     dist,
     elements_from_mask,
     eval_character,
@@ -83,6 +84,9 @@ def test_family_basics():
         twin = SetFamily(n, fam.to_bool().copy())
         assert twin == fam and hash(twin) == hash(fam)
         assert [other == fam for other in built] == [key == (n, bits) for key in families]
+        f = family_to_function(fam)
+        twin_f = BooleanFunction(n, f.values.copy())
+        assert twin_f == f and hash(twin_f) == hash(f)
 
 
 def test_family_to_function_sign_convention():
@@ -98,7 +102,36 @@ def test_function_family_round_trip_exhaustive():
     for n in (1, 2, 3):
         for bits in range(1 << (1 << n)):
             fam = SetFamily.from_bits(n, bits)
-            assert function_to_family(family_to_function(fam)) == fam
+            f = family_to_function(fam)
+            assert function_to_family(f) == fam
+            # a family and its membership function share one table
+            table = fam.to_bool()
+            assert np.array_equal(f.to_bool(), table)
+            assert np.array_equal(f.values, np.where(table, -1, 1))
+            assert [f(x) for x in range(1 << n)] == f.values.tolist()
+            assert f.minus_count() == fam.size
+            # same table, different objects: never equal
+            assert f != fam and fam != f
+
+
+def test_coordinate_pairs_match_index_arithmetic():
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        tables = rng.integers(0, 100, size=(3, 1 << n))
+        if n % 2:
+            tables = np.asfortranarray(tables)  # views for any memory layout
+        for i in range(n):
+            low_points = [x for x in range(1 << n) if not x >> i & 1]
+            high_points = [x | 1 << i for x in low_points]
+            low, high = coordinate_pairs(tables, i)
+            assert np.array_equal(low.reshape(3, -1), tables[:, low_points])
+            assert np.array_equal(high.reshape(3, -1), tables[:, high_points])
+            assert np.array_equal(coordinate_pairs(tables[0], i)[1].ravel(), tables[0, high_points])
+            # writes through a view reach the table
+            before = tables.copy()
+            high += 1000
+            assert np.array_equal(tables[:, high_points], before[:, high_points] + 1000)
+            assert np.array_equal(tables[:, low_points], before[:, low_points])
 
 
 def test_function_to_family_dictator():
@@ -184,6 +217,13 @@ def test_dimension_cap_env(monkeypatch):
 def test_boolean_function_validation():
     with pytest.raises(ValueError):
         BooleanFunction(2, [1, 1, 0, 1])
+    # values are compared with +/-1 as given, before any cast
+    for wrong in ([1.5, -1.2], np.array([255, 1], dtype=np.int16), np.array([257, -1])):
+        with pytest.raises(ValueError):
+            BooleanFunction(1, wrong)
+    with pytest.raises(TypeError):
+        BooleanFunction(1, [True, True])
+    assert BooleanFunction(1, [1.0, -1.0]) == BooleanFunction(1, np.array([1, -1], dtype=np.int64))
     with pytest.raises(DimensionError):
         BooleanFunction(2, [1, 1, 1])
     f = BooleanFunction.constant(2, -1)
@@ -200,7 +240,7 @@ def test_immutability():
     with pytest.raises(ValueError):
         fam.to_bool()[0] = True  # table is read-only
     f = BooleanFunction.constant(1, 1)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="BooleanFunction is immutable"):
         f.n = 2
     fam = SetFamily.from_sets(3, [[1], [2, 3]])
     f = family_to_function(fam)

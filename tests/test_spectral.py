@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucx.core import BooleanFunction, CharacterSpec, SetFamily, family_to_function, popcount_table
+from ucx.core import (
+    BooleanFunction,
+    CharacterSpec,
+    DimensionError,
+    SetFamily,
+    family_to_function,
+    popcount_table,
+)
 from ucx.spectral import (
     Spectrum,
     first_level_identity,
@@ -176,3 +183,9 @@ def test_spectrum_coefficient_and_eq():
     copy = pickle.loads(pickle.dumps(spec))
     assert copy == spec and not copy.s.flags.writeable
     assert level_sums(spec) == (4, 8, 4)
+    # coefficients are integers: no rounding of floats, no bools
+    for wrong in ([1.7, 0.2], np.array([2.0, 0.0]), [True, False], [Fraction(1), 0]):
+        with pytest.raises(TypeError):
+            Spectrum(1, wrong)
+    with pytest.raises(DimensionError):
+        Spectrum(2, [1, 2, 3])

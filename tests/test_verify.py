@@ -81,6 +81,11 @@ def test_enumerate_families_counts():
     assert sum(1 for _ in enumerate_families(2, "simply_rooted")) == 7
     assert sum(1 for _ in enumerate_families(3, "union_closed")) == 122
     assert sum(1 for _ in enumerate_families(3, "simply_rooted")) == 61
+    # n = 4: the simply-rooted count equals exhaustive shadow-lemma's checked
+    simply_rooted = sum(1 for _ in enumerate_families(4, "simply_rooted"))
+    assert simply_rooted == 2480
+    assert simply_rooted == run_sweep(SweepPlan("shadow-lemma", 4, "exhaustive")).checked
+    assert sum(1 for _ in enumerate_families(4, "union_closed")) == 2 * 2480
     with pytest.raises(ValueError):
         next(enumerate_families(5, "all"))
     with pytest.raises(ValueError):
@@ -98,9 +103,12 @@ def test_simply_rooted_count_is_half_the_union_closed_count():
 
 
 def test_enumerated_filters_agree_with_predicates():
-    listed = {f.bits for f in enumerate_families(2, "simply_rooted")}
-    expected = {f.bits for f in enumerate_families(2, "all") if is_simply_rooted(f)}
-    assert listed == expected
+    for n in (1, 2, 3):
+        everything = list(enumerate_families(n, "all"))
+        assert [f.bits for f in everything] == list(range(1 << (1 << n)))
+        for which, predicate in (("simply_rooted", is_simply_rooted), ("union_closed", is_union_closed)):
+            listed = [f.bits for f in enumerate_families(n, which)]
+            assert listed == [f.bits for f in everything if predicate(f)]
 
 
 def test_random_union_closed():
