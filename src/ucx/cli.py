@@ -22,10 +22,11 @@ from . import familyfile
 from .core import DimensionError, SetFamily, family_to_function
 from .extremal import nearest_dictator
 from .families import (
-    is_simply_rooted,
     is_union_closed,
-    roots,
+    root_masks,
+    simply_rooted_rows,
     stats,
+    unique_root_counts,
     upper_shadow_deficiency,
 )
 from .influence import profile
@@ -33,7 +34,7 @@ from .spectral import level_weights, transform
 from .verify import (
     PROPERTY_NAMES,
     SweepPlan,
-    conjecture2_margin,
+    conjecture2_margin_rows,
     random_union_closed,
     run_sweep,
     scan,
@@ -47,21 +48,30 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _cap_fields(n: int, k: int, margin_scaled: int) -> dict:
+    """The positive-influence cap (k+1) 2^{-k} and its margin, as strings."""
+    return {"bound": _frac(Fraction(k + 1, 1 << k)),
+            "margin": _frac(Fraction(margin_scaled, 1 << (n - 1)))}
+
+
 def analysis_report(family: SetFamily) -> dict:
-    """The full exact report for one family, with a fixed key order."""
+    """The full exact report for one family, with a fixed key order.  Each
+    pass runs once; the root masks give simple-rootedness and the unique-root
+    count."""
     n = family.n
+    table = family.to_bool()
     func = family_to_function(family)
     spec = transform(func)
     prof = profile(func)
     st = stats(family)
     union_closed = is_union_closed(family)
-    simply_rooted = is_simply_rooted(family)
-    report_roots = roots(family)
+    found = root_masks(table, n)
+    simply_rooted = bool(simply_rooted_rows(table, found))
     dict_i, dict_sign, dict_dist = nearest_dictator(func)
 
     report = {
         "n": n,
-        "size": family.size,
+        "size": st.size,
         "is_union_closed": union_closed,
         "is_simply_rooted": simply_rooted,
         "frequencies": list(st.frequencies),
@@ -76,21 +86,15 @@ def analysis_report(family: SetFamily) -> dict:
             "negative": _frac(prof.negative_influence()),
             "per_coordinate": [_frac(prof.influence(i)) for i in range(1, n + 1)],
         },
-        "unique_root_count": report_roots.unique_root_count,
+        "unique_root_count": int(unique_root_counts(found)),
     }
     if union_closed:
-        report["upper_shadow_deficiency"] = int(upper_shadow_deficiency(family.to_bool(), n))
+        report["upper_shadow_deficiency"] = int(upper_shadow_deficiency(table, n))
     report["nearest_dictator"] = {"i": dict_i, "sign": dict_sign, "dist": _frac(dict_dist)}
-    if simply_rooted and family.size > 0:
-        k, margin = conjecture2_margin(family)
-        if k is None:
-            report["conjecture2"] = {"k": None, "bound": None, "margin": None}
-        else:
-            report["conjecture2"] = {
-                "k": k,
-                "bound": _frac(Fraction(k + 1, 1 << k)),
-                "margin": _frac(margin),
-            }
+    if simply_rooted and st.size > 0:
+        k, margin = (int(v) for v in conjecture2_margin_rows(st.size, sum(prof.enter), n))
+        report["conjecture2"] = ({"k": k, **_cap_fields(n, k, margin)} if k >= 0
+                                 else {"k": None, "bound": None, "margin": None})
     return report
 
 
@@ -111,8 +115,7 @@ def _print_report(report: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    family = familyfile.load(args.path)
-    report = analysis_report(family)
+    report = analysis_report(familyfile.load(args.path))
     _print_report(report)
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -148,25 +151,20 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_gen(args) -> int:
-    family = random_union_closed(args.n, args.generators, args.seed)
-    text = familyfile.format_family(family)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+def _write_family(family: SetFamily, output) -> int:
+    if output:
+        familyfile.save(family, output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(familyfile.format_family(family))
     return 0
+
+
+def cmd_gen(args) -> int:
+    return _write_family(random_union_closed(args.n, args.generators, args.seed), args.output)
 
 
 def cmd_closure(args) -> int:
-    family = familyfile.load(args.path)
-    closed = union_closure(family)
-    text = familyfile.format_family(closed)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_family(union_closure(familyfile.load(args.path)), args.output)
 
 
 _SCAN_PROPERTY = {"conjecture2": "conjecture2", "theorem2-deficiency": "theorem2"}
@@ -181,10 +179,7 @@ def _scan_csv_row(target: str, n: int, index: int, q: dict) -> tuple[dict, bool]
         "instance_index": index,
         "size": q["size"],
         "mean_coefficient": _frac(Fraction(size_cube - 2 * q["size"], size_cube)),
-        "quantity": "",
-        "bound": "",
-        "margin": "",
-    }
+    }  # DictWriter writes the missing columns empty
     if target == "theorem2-deficiency":
         row.update(quantity=q["deficiency"], bound=half, margin=half - q["deficiency"])
         return row, half >= q["deficiency"]
@@ -193,9 +188,8 @@ def _scan_csv_row(target: str, n: int, index: int, q: dict) -> tuple[dict, bool]
     row["quantity"] = _frac(Fraction(q["enter_pairs"], half))
     if q["k"] < 0:
         return row, True
-    margin = Fraction(q["margin_scaled"], half)
-    row.update(bound=_frac(Fraction(q["k"] + 1, 1 << q["k"])), margin=_frac(margin))
-    return row, margin >= 0
+    row.update(_cap_fields(n, q["k"], q["margin_scaled"]))
+    return row, q["margin_scaled"] >= 0
 
 
 def cmd_scan(args) -> int:

@@ -60,10 +60,9 @@ def check_dimension(n: int) -> int:
 @lru_cache(maxsize=None)
 def popcount_table(n: int) -> np.ndarray:
     """Read-only uint8 table of popcounts for every mask below 2^n."""
-    idx = np.arange(1 << n, dtype=np.uint32)
     out = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
-        out += ((idx >> i) & 1).astype(np.uint8)
+        out[1 << i : 2 << i] = out[: 1 << i] + 1
     out.setflags(write=False)
     return out
 
@@ -127,7 +126,8 @@ class CubeTable:
     """An immutable table over the 2^n points of the n-cube.  Subclasses
     validate their input and pass a table of their own, which is marked
     read-only.  Two tables are equal when they have the same type, dimension
-    and entries."""
+    and entries.  ``SetFamily`` and ``BooleanFunction`` expose their boolean
+    table as ``to_bool``, and ``Spectrum`` its int64 table as ``s``."""
 
     __slots__ = ("n", "_table")
 
@@ -143,18 +143,21 @@ class CubeTable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return type(self), (self.n, self._table)
+        return type(self)._of, (self.n, self._table)
+
+    @classmethod
+    def _of(cls, n: int, table: np.ndarray):
+        """An instance over a table that needs no validation or copy: another
+        instance's read-only table, or an unpickled one."""
+        made = cls.__new__(cls)
+        CubeTable.__init__(made, n, table)
+        return made
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.n == other.n and np.array_equal(self._table, other._table)
 
     def __hash__(self) -> int:
         return hash((self.n, self._table.tobytes()))
-
-    def to_bool(self) -> np.ndarray:
-        """The read-only table itself: a family's members, or the points where
-        a function is -1.  A ``Spectrum`` names its int64 table ``s``."""
-        return self._table
 
 
 class BooleanFunction(CubeTable):
@@ -173,9 +176,6 @@ class BooleanFunction(CubeTable):
             raise ValueError("function values must all be +1 or -1")
         super().__init__(n, minus)
 
-    def __reduce__(self):
-        return type(self), (self.n, self.values)
-
     @classmethod
     def constant(cls, n: int, sign: int = 1) -> "BooleanFunction":
         if sign not in (1, -1):
@@ -188,6 +188,10 @@ class BooleanFunction(CubeTable):
         table = np.where(self._table, np.int8(-1), np.int8(1))
         table.setflags(write=False)
         return table
+
+    def to_bool(self) -> np.ndarray:
+        """The read-only membership table, True where the function is -1."""
+        return self._table
 
     def __call__(self, x: int) -> int:
         return -1 if self._table[x] else 1
@@ -254,6 +258,10 @@ class SetFamily(CubeTable):
     def from_bool(cls, n: int, table: np.ndarray) -> "SetFamily":
         return cls(n, table)
 
+    def to_bool(self) -> np.ndarray:
+        """The read-only membership table."""
+        return self._table
+
     @property
     def bits(self) -> int:
         return bool_to_bits(self._table)
@@ -315,14 +323,13 @@ def eval_character(spec: CharacterSpec, x: int) -> int:
 
 
 def family_to_function(family: SetFamily) -> BooleanFunction:
-    """Membership function of a family: -1 on members, +1 elsewhere."""
-    table = np.where(family.to_bool(), np.int8(-1), np.int8(1))
-    return BooleanFunction(family.n, table)
+    """Membership function of a family, -1 on members: the same table."""
+    return BooleanFunction._of(family.n, family.to_bool())
 
 
 def function_to_family(f: BooleanFunction) -> SetFamily:
-    """Inverse of family_to_function: the family of points where f is -1."""
-    return SetFamily(f.n, f.to_bool())
+    """Inverse of family_to_function: the points where f is -1, the same table."""
+    return SetFamily._of(f.n, f.to_bool())
 
 
 GLike = Union[BooleanFunction, CharacterSpec, Sequence, np.ndarray]

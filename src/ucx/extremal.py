@@ -31,6 +31,7 @@ from .core import (
     SetFamily,
     check_dimension,
     family_to_function,
+    frequency_rows,
     function_to_family,
     mask_from_elements,
 )
@@ -199,27 +200,19 @@ def ks_distance(f: BooleanFunction) -> tuple[KSClassMember, Fraction]:
     Ties resolve to the earliest member in ks_enumerate order.
     """
     spec = transform(f)
-    best_member = None
-    best = None
-    for member in ks_enumerate(f.n):
-        d = (1 - member.correlation(spec)) / 2
-        if best is None or d < best:
-            best_member, best = member, d
-    return best_member, best
+    distances = ((member, (1 - member.correlation(spec)) / 2) for member in ks_enumerate(f.n))
+    return min(distances, key=lambda pair: pair[1])  # the first of equal distances
 
 
 def nearest_dictator(f: BooleanFunction) -> tuple[int, int, Fraction]:
     """Closest signed single-coordinate parity: (coordinate, sign, distance).
 
-    Ties break to the smallest coordinate, then to the positive sign.
+    The first-level coefficients come from the frequencies of the family
+    where f is -1, by s({i}) = 2 (2|F_i| - |F|), without a transform.  Ties
+    break to the smallest coordinate, then to the positive sign.
     """
-    spec = transform(f)
-    scale = 1 << f.n
-    best = None
-    for i in range(1, f.n + 1):
-        s_i = int(spec.s[1 << (i - 1)])
-        for sign in (1, -1):
-            d = Fraction(scale - sign * s_i, 2 * scale)
-            if best is None or d < best[2]:
-                best = (i, sign, d)
-    return best
+    size, scale = f.minus_count(), 1 << f.n
+    first_level = [2 * (2 * freq - size) for freq in frequency_rows(f.to_bool(), f.n).tolist()]
+    candidates = ((i, sign, Fraction(scale - sign * s_i, 2 * scale))
+                  for i, s_i in enumerate(first_level, 1) for sign in (1, -1))
+    return min(candidates, key=lambda c: c[2])  # the first of equal distances

@@ -37,27 +37,28 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated domain."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootReport:
-    """Roots of every member; members and root sets are parallel mask tuples."""
+    """Roots of every member: members and root sets are parallel read-only
+    uint32 mask arrays, in ascending member order."""
 
     n: int
-    members: tuple[int, ...]
-    root_sets: tuple[int, ...]
+    members: np.ndarray
+    root_sets: np.ndarray
 
     @property
-    def uniquely_rooted(self) -> tuple[int, ...]:
-        return tuple(m for m, r in zip(self.members, self.root_sets) if r.bit_count() == 1)
+    def uniquely_rooted(self) -> np.ndarray:
+        return self.members[_uniquely_rooted(self.root_sets)]
 
     @property
     def unique_root_count(self) -> int:
-        return sum(1 for r in self.root_sets if r.bit_count() == 1)
+        return int(unique_root_counts(self.root_sets))
 
     def roots_of(self, member: int) -> int:
-        try:
-            return self.root_sets[self.members.index(member)]
-        except ValueError:
-            raise KeyError(f"mask {member} is not a member") from None
+        at = int(np.searchsorted(self.members, member))
+        if at == self.members.size or self.members[at] != member:
+            raise KeyError(f"mask {member} is not a member")
+        return int(self.root_sets[at])
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,13 @@ def simply_rooted_rows(tables: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.all(~tables | (roots != 0), axis=-1)
 
 
+def _uniquely_rooted(roots: np.ndarray) -> np.ndarray:
+    return (roots != 0) & _at_most_one_bit(roots)
+
+
 def unique_root_counts(roots: np.ndarray) -> np.ndarray:
     """Per row, given its ``root_masks``: the number of uniquely rooted members."""
-    return np.count_nonzero((roots != 0) & _at_most_one_bit(roots), axis=-1)
+    return np.count_nonzero(_uniquely_rooted(roots), axis=-1)
 
 
 def upper_shadow_rows(tables: np.ndarray, n: int) -> np.ndarray:
@@ -185,7 +190,7 @@ def shadow_dichotomy_rows(tables: np.ndarray, roots: np.ndarray, n: int) -> np.n
     rooted member misses exactly its root removed from the family, and every
     other member misses nothing."""
     missing = missing_lower_rows(tables, n)
-    unique = (roots != 0) & _at_most_one_bit(roots)
+    unique = _uniquely_rooted(roots)
     return np.all(~tables | np.where(unique, missing == roots, missing == 0), axis=-1)
 
 
@@ -249,8 +254,11 @@ def is_union_closed(family: SetFamily) -> bool:
 def roots(family: SetFamily) -> RootReport:
     """Root sets for every member, in ascending member-mask order."""
     table = family.to_bool()
-    root_sets = root_masks(table, family.n)[np.flatnonzero(table)]
-    return RootReport(family.n, family.members(), tuple(root_sets.tolist()))
+    members = np.flatnonzero(table).astype(np.uint32)
+    root_sets = root_masks(table, family.n)[members]
+    members.setflags(write=False)
+    root_sets.setflags(write=False)
+    return RootReport(family.n, members, root_sets)
 
 
 def is_simply_rooted(family: SetFamily) -> bool:
@@ -283,13 +291,10 @@ def upper_shadow(family: SetFamily) -> SetFamily:
 
 
 def lower_shadow(family: SetFamily) -> SetFamily:
-    """All sets obtained by removing one element from some member."""
-    table = family.to_bool()
-    out = np.zeros_like(table)
-    for i in range(family.n):
-        low = coordinate_pairs(out, i)[0]
-        low |= coordinate_pairs(table, i)[1]
-    return SetFamily.from_bool(family.n, out)
+    """All sets obtained by removing one element from some member: the
+    complements of the upper shadow of the members' complements.  X -> [n] - X
+    reverses the mask order."""
+    return SetFamily.from_bool(family.n, upper_shadow_rows(family.to_bool()[::-1], family.n)[::-1])
 
 
 def missing_lower_covers(family: SetFamily, member: int) -> int:

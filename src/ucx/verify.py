@@ -31,6 +31,7 @@ per-row output mode of the same engine.
 
 from __future__ import annotations
 
+import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -130,14 +131,12 @@ def largest_threshold_k(n: int, size: int) -> int | None:
     return None if k < 0 else k
 
 
-def _margin_rows(tables: np.ndarray, n: int):
-    """Per row: size, enter pairs, threshold k (-1 for none) and the margin
-    (k+1) 2^{-k} - I^+ of the positive-influence cap, scaled by 2^{n-1}."""
-    sizes = np.count_nonzero(tables, axis=-1)
-    enter = pair_count_rows(tables, n)[0].sum(axis=-1)
+def conjecture2_margin_rows(sizes, enter, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per family size and total enter-pair count: the threshold k (-1 for
+    none) and the margin (k+1) 2^{-k} - I^+ of the positive-influence cap,
+    scaled by 2^{n-1}."""
     k = _threshold_k(n, sizes)
-    margin = ((k + 1) << (n - 1 - k)) - enter
-    return sizes, enter, k, margin
+    return k, ((k + 1) << (n - 1 - k)) - enter
 
 
 def conjecture2_margin(family: SetFamily) -> tuple[int | None, Fraction | None]:
@@ -148,7 +147,8 @@ def conjecture2_margin(family: SetFamily) -> tuple[int | None, Fraction | None]:
         raise PreconditionError("margin requires a nonempty family")
     if not is_simply_rooted(family):
         raise PreconditionError("margin requires a simply-rooted family")
-    _, _, k, margin = _margin_rows(family.to_bool(), family.n)
+    enter = pair_count_rows(family.to_bool(), family.n)[0].sum()
+    k, margin = conjecture2_margin_rows(family.size, enter, family.n)
     if k < 0:
         return None, None
     return int(k), Fraction(int(margin), 1 << (family.n - 1))
@@ -237,8 +237,6 @@ class VerificationReport:
         )
 
     def canonical_json(self) -> str:
-        import json
-
         return json.dumps(self.canonical_dict(), sort_keys=True, indent=2) + "\n"
 
 
@@ -490,7 +488,9 @@ def _partial_claim(t: np.ndarray, n: int) -> _Rows:
 
 def _conjecture2(t: np.ndarray, n: int) -> _Rows:
     half = 1 << (n - 1)
-    sizes, enter, k, margin = _margin_rows(t, n)
+    sizes = np.count_nonzero(t, axis=1)
+    enter = pair_count_rows(t, n)[0].sum(axis=1)
+    k, margin = conjecture2_margin_rows(sizes, enter, n)
     applicable = _simply_rooted(t, n)[1] & (sizes > 0)
     capped = applicable & (k >= 0)
     summary = _count("num_applicable", capped)

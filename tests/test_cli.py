@@ -1,11 +1,14 @@
 """File format, analysis reports, and command-line contracts."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from ucx import cli, familyfile
+from ucx import cli, families, familyfile, spectral
 from ucx.core import SetFamily
+from ucx.verify import union_closure
 
 
 F3_TEXT = "n=2\n1\n2\n1 2\n"
@@ -90,6 +93,63 @@ def test_analysis_report_half_cube():
     assert report["is_union_closed"] is True
     assert report["upper_shadow_deficiency"] == 4
     assert "conjecture2" not in report  # not simply-rooted (contains the empty set)
+
+
+def _report_families():
+    """Every family at n <= 3; per n = 5..9 two seeded random families (one
+    uniform, one of a few generators with the empty set), their closures and
+    the complements of the closures; and the empty and full families."""
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            yield SetFamily.from_bits(n, bits)
+    rng = np.random.default_rng(2024)
+    for n in range(5, 10):
+        uniform = SetFamily(n, rng.integers(0, 2, size=1 << n).astype(bool))
+        sparse = SetFamily.from_members(n, [0, *rng.integers(0, 1 << n, size=n).tolist()])
+        for fam in (uniform, sparse):
+            closed = union_closure(fam)
+            yield from (fam, closed, closed.complement())
+    yield from (SetFamily.empty(4), SetFamily.full(4))
+
+
+# sha256 of the JSON reports of _report_families(), recorded from a known-good
+# build; to print it for the current build, run ``python tests/test_cli.py``
+ANALYSIS_DIGEST = "b4c25f90115928fc83ad6acc355faa625cfa52a52efc12b4393bcec02e5a98c3"
+
+
+def _analysis_digest() -> str:
+    digest = hashlib.sha256()
+    for fam in _report_families():
+        digest.update(json.dumps(cli.analysis_report(fam), indent=2).encode())
+    return digest.hexdigest()
+
+
+def test_analysis_report_golden_digest():
+    assert _analysis_digest() == ANALYSIS_DIGEST
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_analysis_report_runs_each_pass_once(monkeypatch):
+    # a nonempty simply-rooted family: the complement of a union-closed
+    # family that holds the empty set
+    fam = union_closure(SetFamily.from_members(6, [0, 3, 12, 48, 5])).complement()
+    fwht = _counting(monkeypatch, spectral, "fwht_rows")
+    cover = _counting(monkeypatch, families, "cover_table")
+    report = cli.analysis_report(fam)
+    assert report["is_simply_rooted"] and "conjecture2" in report
+    assert len(fwht) == 1  # the spectrum
+    assert len(cover) == 2  # union-closedness of the family, roots of its complement
 
 
 def test_cmd_analyze(tmp_path, capsys):
@@ -220,3 +280,7 @@ def test_file_errors_exit_2(tmp_path, capsys):
 
 def test_cmd_scan_rejects_zero_samples():
     assert cli.main(["scan", "conjecture2", "--n", "3", "--samples", "0", "--seed", "1"]) == 2
+
+
+if __name__ == "__main__":
+    print(_analysis_digest())

@@ -25,6 +25,7 @@ from ucx.core import (
     iter_bits,
     mask_from_elements,
     max_dimension,
+    popcount_table,
 )
 
 
@@ -39,6 +40,10 @@ def test_mask_element_round_trip():
     assert mask_from_elements([], 3) == 0
     with pytest.raises(ValueError):
         mask_from_elements([4], 3)
+    for n in range(1, 13):
+        table = popcount_table(n)
+        assert table.tolist() == [m.bit_count() for m in range(1 << n)]
+        assert not table.flags.writeable
 
 
 def test_bitset_bool_round_trip():
@@ -106,6 +111,7 @@ def test_function_family_round_trip_exhaustive():
             assert function_to_family(f) == fam
             # a family and its membership function share one table
             table = fam.to_bool()
+            assert np.shares_memory(f.to_bool(), table)
             assert np.array_equal(f.to_bool(), table)
             assert np.array_equal(f.values, np.where(table, -1, 1))
             assert [f(x) for x in range(1 << n)] == f.values.tolist()

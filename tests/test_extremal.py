@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ucx.core import BooleanFunction, CharacterSpec, SetFamily, family_to_function
+from ucx.core import BooleanFunction, CharacterSpec, SetFamily, dist, family_to_function
 from ucx.extremal import (
     KSClassMember,
     build,
@@ -130,6 +130,13 @@ def test_ks_distance_correlation_matches_direct():
             assert member.correlation(spec) == direct
 
 
+def _nearest_dictator_by_definition(f: BooleanFunction):
+    """The first minimum of dist(f, sign * chi_{i}) over i = 1..n, + before -."""
+    candidates = [(i, sign) for i in range(1, f.n + 1) for sign in (1, -1)]
+    found = [(i, sign, dist(f, CharacterSpec(1 << (i - 1), sign))) for i, sign in candidates]
+    return min(found, key=lambda c: c[2])  # min keeps the first of equal keys
+
+
 def test_nearest_dictator():
     chi1 = BooleanFunction(3, CharacterSpec(1).values(3))
     assert nearest_dictator(chi1) == (1, 1, 0)
@@ -142,3 +149,24 @@ def test_nearest_dictator():
 
     anti = BooleanFunction(2, CharacterSpec(2, -1).values(2))
     assert nearest_dictator(anti) == (2, -1, 0)
+
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            f = family_to_function(SetFamily.from_bits(n, bits))
+            assert nearest_dictator(f) == _nearest_dictator_by_definition(f)
+    rng = np.random.default_rng(61)
+    for n in range(4, 9):
+        for _ in range(10):
+            f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
+            assert nearest_dictator(f) == _nearest_dictator_by_definition(f)
+    # ties: a constant is at distance 1/2 from every signed dictator, and so
+    # is a balanced function uncorrelated with every coordinate
+    for n in (1, 4, 8):
+        for sign in (1, -1):
+            const = BooleanFunction.constant(n, sign)
+            assert nearest_dictator(const) == (1, 1, Fraction(1, 2))
+            assert nearest_dictator(const) == _nearest_dictator_by_definition(const)
+    balanced = BooleanFunction(3, CharacterSpec(0b111).values(3))
+    assert balanced.is_balanced()
+    assert nearest_dictator(balanced) == (1, 1, Fraction(1, 2))
+    assert nearest_dictator(balanced) == _nearest_dictator_by_definition(balanced)

@@ -122,7 +122,12 @@ def test_roots_examples():
     rep = roots(fam)
     assert rep.roots_of(0b11) == 0b11
     assert rep.unique_root_count == 2
-    assert rep.uniquely_rooted == (1, 2)
+    assert rep.uniquely_rooted.tolist() == [1, 2]
+    for member in (0, 4, -1):
+        with pytest.raises(KeyError):
+            rep.roots_of(member)
+    for field in (rep.members, rep.root_sets):
+        assert field.dtype == np.uint32 and not field.flags.writeable
 
     assert roots(SetFamily.empty(3)).unique_root_count == 0
 
@@ -132,13 +137,13 @@ def test_roots_routes_agree_with_oracle():
         for fam in all_families(n):
             expected = tuple(oracle_root_set(fam, m) for m in fam.members())
             assert _roots_naive(fam) == expected
-            assert roots(fam).root_sets == expected
+            assert roots(fam).root_sets.tolist() == list(expected)
     rng = np.random.default_rng(37)
     for _ in range(50):
         n = 4 + int(rng.integers(0, 5))
         bits = int.from_bytes(rng.bytes((1 << n) // 8), "little")
         fam = SetFamily.from_bits(n, bits)
-        assert roots(fam).root_sets == _roots_naive(fam)
+        assert roots(fam).root_sets.tolist() == list(_roots_naive(fam))
 
 
 def test_duality_check_examples():

@@ -182,6 +182,7 @@ def test_spectrum_coefficient_and_eq():
     assert spec != Spectrum(2, [4, 0, 0, 0])
     copy = pickle.loads(pickle.dumps(spec))
     assert copy == spec and not copy.s.flags.writeable
+    assert not hasattr(spec, "to_bool")  # the int64 table is ``s`` only
     assert level_sums(spec) == (4, 8, 4)
     # coefficients are integers: no rounding of floats, no bools
     for wrong in ([1.7, 0.2], np.array([2.0, 0.0]), [True, False], [Fraction(1), 0]):
