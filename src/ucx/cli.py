@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import familyfile
 from .core import DimensionError, SetFamily, family_to_function
-from .extremal import nearest_dictator
+from .extremal import dictator_from_first_level
 from .families import (
     is_union_closed,
     root_masks,
@@ -67,7 +67,8 @@ def analysis_report(family: SetFamily) -> dict:
     union_closed = is_union_closed(family)
     found = root_masks(table, n)
     simply_rooted = bool(simply_rooted_rows(table, found))
-    dict_i, dict_sign, dict_dist = nearest_dictator(func)
+    first_level = [2 * (a - b) for a, b in zip(prof.enter, prof.exit)]  # s({i}), no transform
+    dict_i, dict_sign, dict_dist = dictator_from_first_level(first_level, n)
 
     report = {
         "n": n,

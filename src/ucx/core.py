@@ -345,18 +345,15 @@ def _as_table(g: GLike, n: int) -> np.ndarray:
     table = np.asarray(g)
     if table.shape != (1 << n,):
         raise DimensionError(f"expected a table of 2^{n} values, got shape {table.shape}")
+    if not np.issubdtype(table.dtype, np.integer):
+        raise TypeError(f"expected an integer table, got {table.dtype}")
     return table
 
 
 def inner_product(f: BooleanFunction, g: GLike) -> Fraction:
     """Normalized correlation: the average of f(x)g(x) over the cube, exact."""
-    table = _as_table(g, f.n)
-    if np.issubdtype(table.dtype, np.integer):
-        total = int(np.dot(f.values.astype(np.int64), table.astype(np.int64)))
-        return Fraction(total, 1 << f.n)
-    # object tables (e.g. Fractions) summed exactly in python
-    total = sum(int(a) * b for a, b in zip(f.values, table.tolist()))
-    return Fraction(total, 1) / (1 << f.n)
+    table = _as_table(g, f.n).astype(np.int64)
+    return Fraction(int(np.dot(f.values.astype(np.int64), table)), 1 << f.n)
 
 
 def dist(f: BooleanFunction, g: Union[BooleanFunction, CharacterSpec]) -> Fraction:

@@ -13,7 +13,10 @@ The quadratic rigid class contains all signed parities of two coordinates,
 plus all functions (a b + b c + c d - a d)/2 built from four distinct
 single-coordinate parities a, b, c, d; that combination is +/-1-valued
 pointwise.  These are exactly the +/-1 functions whose squared-coefficient
-mass sits entirely on the second level.
+mass sits entirely on the second level.  A member is sign (chi_a + chi_b +
+chi_c - chi_d)/2 for the masks (ij, jk, kl, il) of four indices, or (ij, ij,
+0, 0) of a pair.  ``nearest_signed_rows`` is the one tie-break of the
+nearest-member searches, which are row kernels over correlation tables.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -31,11 +35,10 @@ from .core import (
     SetFamily,
     check_dimension,
     family_to_function,
-    frequency_rows,
     function_to_family,
     mask_from_elements,
 )
-from .spectral import Spectrum, transform
+from .spectral import Spectrum, first_level_rows, spectrum_rows
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,8 @@ def half_cube_missing(i: int, n: int) -> NamedConstruction:
 
 def dictator(i: int, n: int) -> NamedConstruction:
     """Single-coordinate parity; as a family, all sets containing element i."""
-    check_dimension(n)
-    if not 1 <= i <= n:
-        raise ValueError(f"element i={i} outside [1, {n}]")
-    func = BooleanFunction(n, CharacterSpec(1 << (i - 1)).values(n))
-    return NamedConstruction("dictator", n, i, function_to_family(func), func)
+    built = parity((i,), n)
+    return NamedConstruction("dictator", n, i, built.family, built.function)
 
 
 def parity(elements: tuple[int, ...], n: int) -> NamedConstruction:
@@ -119,6 +119,28 @@ def or_family_stats(m: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
     return mean, influence, influence
 
 
+@lru_cache(maxsize=None)
+def _ks_cycles(n: int) -> np.ndarray:
+    """The class order on [n] (see ks_enumerate): a read-only table (M, 4) of
+    1-based index cycles, a pair (i, j) written (i, j, i, i), each standing
+    for its + member and then its - member."""
+    if n < 2:
+        raise ValueError("the quadratic class needs n >= 2")
+    pairs = [(i, j, i, i) for i, j in itertools.combinations(range(1, n + 1), 2)]
+    quads = [q for q in itertools.permutations(range(1, n + 1), 4) if q[0] < q[3]]  # not reversals
+    table = np.array(pairs + quads)
+    table.setflags(write=False)
+    return table
+
+
+def _cycle_masks(cycles: np.ndarray) -> np.ndarray:
+    """Masks (a, b, c, d) of index cycles (..., 4): the symmetric differences
+    of consecutive singletons, (ij, jk, kl, li), which is (ij, ij, 0, 0) for a
+    pair.  The member is sign (chi_a + chi_b + chi_c - chi_d) / 2."""
+    bits = np.left_shift(1, cycles - 1)
+    return bits ^ np.roll(bits, -1, axis=-1)
+
+
 @dataclass(frozen=True)
 class KSClassMember:
     """A member of the quadratic rigid class: a signed two-coordinate parity,
@@ -133,40 +155,27 @@ class KSClassMember:
         if len(self.indices) not in (2, 4) or len(set(self.indices)) != len(self.indices):
             raise ValueError("indices must be 2 or 4 distinct 1-based coordinates")
 
-    def _pair_masks(self) -> tuple[int, ...]:
-        if len(self.indices) == 2:
-            i, j = self.indices
-            return (mask_from_elements((i, j), max(self.indices)),)
-        i, j, k, l = self.indices
-        top = max(self.indices)
-        return (
-            mask_from_elements((i, j), top),
-            mask_from_elements((j, k), top),
-            mask_from_elements((k, l), top),
-            mask_from_elements((i, l), top),
-        )
+    @classmethod
+    def _of_cycle(cls, sign: int, cycle: list[int]) -> "KSClassMember":
+        return cls(sign, tuple(cycle[:2] if cycle[2] == cycle[0] else cycle))
+
+    def masks(self) -> tuple[int, ...]:
+        """(a, b, c, d) with the member equal to sign (chi_a + chi_b + chi_c - chi_d) / 2."""
+        cycle = self.indices + (self.indices[0],) * (4 - len(self.indices))  # (i, j, i, i)
+        return tuple(_cycle_masks(np.array(cycle)).tolist())
 
     def values(self, n: int) -> np.ndarray:
-        if max(self.indices) > n:
-            raise ValueError(f"indices {self.indices} do not fit in dimension {n}")
-        masks = self._pair_masks()
-        if len(masks) == 1:
-            return (self.sign * CharacterSpec(masks[0]).values(n)).astype(np.int8)
-        a, b, c, d = (CharacterSpec(m).values(n).astype(np.int16) for m in masks)
-        combined = (a + b + c - d) // 2  # always +/-1: (ab+bc+cd-ad)/2 with a..d in {+/-1}
-        return (self.sign * combined).astype(np.int8)
+        a, b, c, d = (CharacterSpec(m).values(n).astype(np.int16) for m in self.masks())
+        return (self.sign * ((a + b + c - d) // 2)).astype(np.int8)  # always +/-1
 
     def function(self, n: int) -> BooleanFunction:
         return BooleanFunction(n, self.values(n))
 
     def correlation(self, spec: Spectrum) -> Fraction:
         """Exact correlation with any function, read off its spectrum."""
-        masks = self._pair_masks()
         if max(self.indices) > spec.n:
             raise ValueError(f"indices {self.indices} do not fit in dimension {spec.n}")
-        if len(masks) == 1:
-            return Fraction(self.sign * int(spec.s[masks[0]]), 1 << spec.n)
-        a, b, c, d = (int(spec.s[m]) for m in masks)
+        a, b, c, d = (int(spec.s[m]) for m in self.masks())
         return Fraction(self.sign * (a + b + c - d), 1 << (spec.n + 1))
 
 
@@ -177,42 +186,47 @@ def ks_enumerate(n: int) -> "Iterator[KSClassMember]":
     tuple and its reversal, which give the same function, only the one with
     the smaller first index is listed.
     """
-    if n < 2:
-        raise ValueError("the quadratic class needs n >= 2")
+    cycles = _ks_cycles(n).tolist()
+    return (KSClassMember._of_cycle(sign, cycle) for cycle in cycles for sign in (1, -1))
 
-    def gen():
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            yield KSClassMember(1, (i, j))
-            yield KSClassMember(-1, (i, j))
-        if n >= 4:
-            for quad in itertools.permutations(range(1, n + 1), 4):
-                if quad[0] > quad[3]:
-                    continue  # the reversal (d, c, b, a) is the same function
-                yield KSClassMember(1, quad)
-                yield KSClassMember(-1, quad)
 
-    return gen()
+def nearest_signed_rows(corr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of correlations (rows, members) with the + members of a class:
+    the nearest signed member (member index, sign, correlation), the first of
+    the candidates (member, +), (member, -) in member order with the largest
+    correlation.  This is the one tie-break of the package."""
+    member = np.abs(corr).argmax(axis=1)
+    picked = np.take_along_axis(corr, member[:, None], axis=1)[:, 0]
+    return member, np.where(picked < 0, -1, 1), np.abs(picked)
+
+
+def ks_correlation_rows(spectra: np.ndarray, n: int) -> np.ndarray:
+    """Per row of integer spectra (rows, 2^n): the correlation with the +
+    member of each row of the class order, s[a] + s[b] + s[c] - s[d], scaled
+    by 2^{n+1}, as int64 (rows, M)."""
+    a, b, c, d = _cycle_masks(_ks_cycles(n)).T
+    return spectra[:, a] + spectra[:, b] + spectra[:, c] - spectra[:, d]
 
 
 def ks_distance(f: BooleanFunction) -> tuple[KSClassMember, Fraction]:
-    """Nearest member of the quadratic rigid class and the exact distance.
+    """Nearest member of the quadratic rigid class and the exact distance; ties
+    resolve to the earliest member in ks_enumerate order."""
+    n = f.n
+    corr = ks_correlation_rows(spectrum_rows(f.to_bool()[None]), n)
+    row, sign, best = (int(v[0]) for v in nearest_signed_rows(corr))
+    member = KSClassMember._of_cycle(sign, _ks_cycles(n)[row].tolist())
+    return member, Fraction((1 << (n + 1)) - best, 1 << (n + 2))
 
-    Ties resolve to the earliest member in ks_enumerate order.
-    """
-    spec = transform(f)
-    distances = ((member, (1 - member.correlation(spec)) / 2) for member in ks_enumerate(f.n))
-    return min(distances, key=lambda pair: pair[1])  # the first of equal distances
+
+def dictator_from_first_level(first_level, n: int) -> tuple[int, int, Fraction]:
+    """Closest signed single-coordinate parity (coordinate, sign, distance) to
+    a function with first-level coefficients s({i}); ties go to the smallest
+    coordinate, then to the positive sign."""
+    i, sign, best = (int(v[0]) for v in nearest_signed_rows(np.asarray(first_level)[None]))
+    return i + 1, sign, Fraction((1 << n) - best, 1 << (n + 1))
 
 
 def nearest_dictator(f: BooleanFunction) -> tuple[int, int, Fraction]:
-    """Closest signed single-coordinate parity: (coordinate, sign, distance).
-
-    The first-level coefficients come from the frequencies of the family
-    where f is -1, by s({i}) = 2 (2|F_i| - |F|), without a transform.  Ties
-    break to the smallest coordinate, then to the positive sign.
-    """
-    size, scale = f.minus_count(), 1 << f.n
-    first_level = [2 * (2 * freq - size) for freq in frequency_rows(f.to_bool(), f.n).tolist()]
-    candidates = ((i, sign, Fraction(scale - sign * s_i, 2 * scale))
-                  for i, s_i in enumerate(first_level, 1) for sign in (1, -1))
-    return min(candidates, key=lambda c: c[2])  # the first of equal distances
+    """Closest signed single-coordinate parity, from the first-level
+    coefficients read off the frequencies, with no transform."""
+    return dictator_from_first_level(first_level_rows(f.to_bool(), f.n), f.n)

@@ -18,6 +18,7 @@ from .core import (
     SetFamily,
     coordinate_pairs,
     family_to_function,
+    frequency_rows,
     popcount_table,
 )
 
@@ -64,6 +65,14 @@ def spectrum_rows(tables: np.ndarray) -> np.ndarray:
     spec += 1
     fwht_rows(spec)
     return spec
+
+
+def first_level_rows(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row of membership tables (..., 2^n): the first-level coefficients
+    s({i}) = 2 (2|F_i| - |F|) read off the frequencies, with no transform, as
+    int64 (..., n)."""
+    sizes = np.count_nonzero(tables, axis=-1, keepdims=True)
+    return 2 * (2 * frequency_rows(tables, n) - sizes)
 
 
 def transform(f: BooleanFunction) -> Spectrum:
@@ -144,7 +153,5 @@ def first_level_identity(family: SetFamily, i: int) -> tuple[Fraction, Fraction]
     if not 1 <= i <= family.n:
         raise ValueError(f"element {i} outside [1, {family.n}]")
     spec = transform(family_to_function(family))
-    coefficient = spec.coefficient(1 << (i - 1))
-    freq = family.frequencies()[i - 1]
-    frequency_form = Fraction(2 * (2 * freq - family.size), 1 << family.n)
-    return coefficient, frequency_form
+    frequency_form = first_level_rows(family.to_bool(), family.n)[i - 1]
+    return spec.coefficient(1 << (i - 1)), Fraction(int(frequency_form), 1 << family.n)

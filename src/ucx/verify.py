@@ -41,14 +41,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import familyfile
-from .core import (
-    SetFamily,
-    bits_to_bool,
-    check_dimension,
-    family_to_function,
-    frequency_rows,
-)
-from .extremal import ks_distance, nearest_dictator
+from .core import SetFamily, bits_to_bool, check_dimension, frequency_rows
+from .extremal import ks_correlation_rows, nearest_signed_rows
 from .families import (
     PreconditionError,
     closure_rows,
@@ -64,7 +58,7 @@ from .families import (
     union_closed_rows,
 )
 from .influence import corollary_bound_rows, flip_count_rows, pair_count_rows
-from .spectral import degree_weight_rows, level_sum_rows, spectrum_rows
+from .spectral import degree_weight_rows, first_level_rows, level_sum_rows, spectrum_rows
 
 EXHAUSTIVE_MAX_N = 4
 
@@ -104,10 +98,6 @@ def random_union_closed(n: int, generator_count: int, seed: int) -> SetFamily:
     table = np.zeros(1 << n, dtype=bool)
     table[rng.integers(0, 1 << n, size=generator_count, dtype=np.int64)] = True
     return SetFamily.from_bool(n, closure_rows(table, n))
-
-
-def _instance_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((seed, index))
 
 
 # ---------------------------------------------------------------------------
@@ -410,25 +400,20 @@ def _edge_iso(t: np.ndarray, n: int) -> _Rows:
                             "mean_scaled": int(s0[r])})
 
 
-def _full_level_weight(t: np.ndarray, n: int, level: int) -> np.ndarray:
-    spec = spectrum_rows(t)
-    return level_sum_rows(spec * spec, n)[:, level] == 1 << (2 * n)
-
-
 def _fkn_zero(t: np.ndarray, n: int) -> _Rows:
-    qualifying = _full_level_weight(t, n, 1)
-    ok = ~qualifying
-    for r in np.flatnonzero(qualifying):
-        ok[r] = nearest_dictator(family_to_function(SetFamily(n, t[r])))[2] == 0
+    first = first_level_rows(t, n)
+    qualifying = (first * first).sum(axis=1) == 1 << (2 * n)
+    ok = ~qualifying | (nearest_signed_rows(first)[2] == 1 << n)
     return _Rows(_every(t), ok, _reason("full level-1 weight but not a signed dictator"),
                  _count("num_qualifying", qualifying))
 
 
 def _ks_zero(t: np.ndarray, n: int) -> _Rows:
-    qualifying = _full_level_weight(t, n, 2)
+    spec = spectrum_rows(t)
+    qualifying = level_sum_rows(spec * spec, n)[:, 2] == 1 << (2 * n)
     ok = ~qualifying
-    for r in np.flatnonzero(qualifying):
-        ok[r] = ks_distance(family_to_function(SetFamily(n, t[r])))[1] == 0
+    best = nearest_signed_rows(ks_correlation_rows(spec[qualifying], n))[2]
+    ok[qualifying] = best == 1 << (n + 1)  # correlation 1 with a member
     return _Rows(_every(t), ok, _reason("full level-2 weight but outside the quadratic class"),
                  _count("num_qualifying", qualifying))
 
@@ -527,7 +512,7 @@ class _Property:
             else:
                 rows = np.zeros((stop - start, 1 << n), dtype=bool)
                 for r, index in enumerate(range(start, stop)):
-                    self.draw(_instance_rng(plan.seed, index), n, rows[r])
+                    self.draw(np.random.default_rng((plan.seed, index)), n, rows[r])
                 yield start, self.domain(rows, n)
 
 
@@ -607,15 +592,9 @@ def scan(prop: str, n: int, samples: int, seed: int) -> Iterator[tuple[int, np.n
 
 
 def _split(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, parts)
-    base, rem = divmod(total, parts)
-    ranges = []
-    start = 0
-    for p in range(parts):
-        stop = start + base + (1 if p < rem else 0)
-        ranges.append((start, stop))
-        start = stop
-    return [r for r in ranges if r[0] < r[1]]
+    """The nonempty ones of ``parts`` near-equal consecutive ranges of [0, total)."""
+    bounds = [total * p // parts for p in range(parts + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def run_sweep(plan: SweepPlan) -> VerificationReport:

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from ucx import cli, families, familyfile, spectral
-from ucx.core import SetFamily
+from ucx.core import SetFamily, family_to_function, frequency_rows
+from ucx.extremal import nearest_dictator
 from ucx.verify import union_closure
 
 
@@ -150,6 +152,19 @@ def test_analysis_report_runs_each_pass_once(monkeypatch):
     assert report["is_simply_rooted"] and "conjecture2" in report
     assert len(fwht) == 1  # the spectrum
     assert len(cover) == 2  # union-closedness of the family, roots of its complement
+
+
+def test_analysis_report_counts_frequencies_twice(monkeypatch):
+    fam = union_closure(SetFamily.from_members(6, [0, 3, 12, 48, 5])).complement()
+    i, sign, dist = nearest_dictator(family_to_function(fam))
+    bindings = [module for name, module in sys.modules.items()
+                if name.partition(".")[0] == "ucx"
+                and getattr(module, "frequency_rows", None) is frequency_rows]
+    assert len(bindings) >= 3  # core and the modules that import it
+    counts = [_counting(monkeypatch, module, "frequency_rows") for module in bindings]
+    report = cli.analysis_report(fam)
+    assert report["nearest_dictator"] == {"i": i, "sign": sign, "dist": cli._frac(dist)}
+    assert sum(map(len, counts)) == 2  # stats and profile; the dictator reads the profile
 
 
 def test_cmd_analyze(tmp_path, capsys):

@@ -178,6 +178,10 @@ def test_inner_product_dimension_mismatch():
         inner_product(f, g)
     with pytest.raises(DimensionError):
         inner_product(f, [1, 1])
+    # only integer tables: floats and exact rationals are refused up front
+    for wrong in ([1.0, 1.0, -1.0, 1.0], [Fraction(1), Fraction(1), Fraction(-1), Fraction(1)]):
+        with pytest.raises(TypeError):
+            inner_product(f, wrong)
 
 
 def test_dist_examples():

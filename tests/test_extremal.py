@@ -12,9 +12,11 @@ from ucx.extremal import (
     dictator,
     example_f3,
     half_cube_missing,
+    ks_correlation_rows,
     ks_distance,
     ks_enumerate,
     nearest_dictator,
+    nearest_signed_rows,
     or_family,
     or_family_stats,
     parity,
@@ -170,3 +172,56 @@ def test_nearest_dictator():
     assert balanced.is_balanced()
     assert nearest_dictator(balanced) == (1, 1, Fraction(1, 2))
     assert nearest_dictator(balanced) == _nearest_dictator_by_definition(balanced)
+
+
+def _ks_distance_by_definition(f: BooleanFunction):
+    """The first minimum of dist(f, member) over ks_enumerate(n)."""
+    found = [(member, dist(f, member.function(f.n))) for member in ks_enumerate(f.n)]
+    return min(found, key=lambda c: c[1])  # min keeps the first of equal keys
+
+
+def test_ks_distance_by_definition():
+    for n in (2, 3):
+        for bits in range(1 << (1 << n)):
+            f = family_to_function(SetFamily.from_bits(n, bits))
+            assert ks_distance(f) == _ks_distance_by_definition(f)
+    rng = np.random.default_rng(67)
+    for n in (4, 5, 6):
+        for _ in range(6):
+            f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
+            assert ks_distance(f) == _ks_distance_by_definition(f)
+    members = list(ks_enumerate(4))
+    assert len(members) == 36
+    for member in members:  # every member is its own nearest member
+        assert ks_distance(member.function(4)) == (member, 0)
+    with pytest.raises(ValueError):
+        ks_distance(BooleanFunction.constant(1))
+
+
+def test_ks_member_masks():
+    assert KSClassMember(1, (2, 3)).masks() == (0b110, 0b110, 0, 0)
+    assert KSClassMember(-1, (1, 2, 3, 4)).masks() == (0b0011, 0b0110, 0b1100, 0b1001)
+    spec = transform(BooleanFunction(4, 1 - 2 * np.random.default_rng(3).integers(0, 2, size=16)))
+    corr = ks_correlation_rows(spec.s[None], 4)[0]
+    plus = [member for member in ks_enumerate(4) if member.sign == 1]
+    assert [member.correlation(spec) for member in plus] == [Fraction(int(c), 32) for c in corr]
+    for member in (KSClassMember(1, (1, 5)), KSClassMember(-1, (2, 5, 1, 3))):
+        with pytest.raises(ValueError):  # an index above the dimension
+            member.values(4)
+        with pytest.raises(ValueError):
+            member.correlation(spec)
+
+
+def test_nearest_signed_rows_is_first_of_interleaved():
+    rng = np.random.default_rng(71)
+    corr = rng.integers(-3, 4, size=(300, 5))
+    member, sign, best = nearest_signed_rows(corr)
+    for r in range(len(corr)):
+        candidates = [(m, s, s * int(corr[r, m])) for m in range(5) for s in (1, -1)]
+        assert (member[r], sign[r], best[r]) == max(candidates, key=lambda c: c[2])
+    assert [tuple(map(int, v)) for v in nearest_signed_rows(np.array([[0, 0], [-3, 3]]))] == [
+        (0, 0), (1, -1), (0, 3)]
+    # a chunk in which no row qualifies
+    for found in nearest_signed_rows(np.zeros((0, 4), dtype=np.int64)):
+        assert found.shape == (0,)
+    assert ks_correlation_rows(np.zeros((0, 16), dtype=np.int64), 4).shape == (0, 18)

@@ -19,6 +19,7 @@ from ucx.core import (
 from ucx.spectral import (
     Spectrum,
     first_level_identity,
+    first_level_rows,
     level_sums,
     level_weight,
     level_weights,
@@ -172,6 +173,15 @@ def test_first_level_identity_exhaustive_and_random():
         coeff, freq_form = first_level_identity(fam, i)
         assert coeff == freq_form
         assert (coeff > 0) == (2 * fam.frequencies()[i - 1] > fam.size)
+
+
+def test_first_level_rows_match_spectrum():
+    rng = np.random.default_rng(9)
+    for n in range(1, 9):
+        tables = rng.integers(0, 2, size=(20, 1 << n)).astype(bool)
+        singletons = [1 << i for i in range(n)]
+        assert np.array_equal(first_level_rows(tables, n), spectrum_rows(tables)[:, singletons])
+    assert first_level_rows(np.zeros((0, 8), dtype=bool), 3).shape == (0, 3)
 
 
 def test_spectrum_coefficient_and_eq():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucx import familyfile, verify
+from ucx import familyfile, spectral, verify
 from ucx.core import SetFamily
 from ucx.families import (
     PreconditionError,
@@ -273,3 +273,26 @@ def test_report_canonical_shape():
     assert "elapsed" not in rep.canonical_json()
     assert "worker" not in rep.canonical_json()
     assert rep.elapsed_ms >= 0
+
+
+def test_rigid_class_sweeps_transform_once_per_chunk(monkeypatch):
+    calls = []
+    original = spectral.fwht_rows
+
+    def counting(mat):
+        calls.append(len(mat))
+        return original(mat)
+
+    monkeypatch.setattr(spectral, "fwht_rows", counting)
+    # fkn-zero reads the first level off the frequencies
+    report = run_sweep(SweepPlan("fkn-zero", 3, "exhaustive"))
+    assert report.passed and report.summary["num_qualifying"] == 6  # the signed dictators
+    assert calls == []
+    assert run_sweep(SweepPlan("fkn-zero", 6, "random", samples=500, seed=2)).passed
+    assert calls == []
+    # ks-zero transforms each chunk once
+    assert run_sweep(SweepPlan("ks-zero", 3, "exhaustive")).passed
+    assert calls == [256]
+    calls.clear()
+    assert run_sweep(SweepPlan("ks-zero", 5, "random", samples=2100, seed=2)).passed
+    assert calls == [2048, 52]
