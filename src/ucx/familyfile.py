@@ -40,10 +40,11 @@ def parse_family(text: str) -> SetFamily:
             match = _HEADER.match(line)
             if not match:
                 raise FamilyFileError("expected header 'n=<int>'", lineno)
-            n = int(match.group(1))
+            digits = match.group(1).lstrip("0") or "0"
             cap = max_dimension()
-            if not 1 <= n <= cap:
-                raise FamilyFileError(f"n={n} outside [1, {cap}]", lineno)
+            if len(digits) > len(str(cap)) or not 1 <= int(digits) <= cap:  # int() refuses over 4,300 digits
+                raise FamilyFileError(f"n={digits} outside [1, {cap}]", lineno)
+            n = int(digits)
             table = np.zeros(1 << n, dtype=bool)
             # looked up without leading zeros: no int() of an unbounded digit string
             labels = {str(e): e for e in range(1, n + 1)}

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import BooleanFunction, coordinate_pairs, frequency_rows
-from .spectral import Spectrum, degree_weight_rows, level_sum_rows, transform
+from .spectral import Spectrum, level_sum_rows, transform
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def influence_identity_check(f: BooleanFunction) -> tuple[Fraction, Fraction]:
 
     Returns (I(f), sum_k k W^k(f)); the two are always equal.
     """
-    weighted = degree_weight_rows(transform(f).s ** 2, f.n)
+    weighted = level_sum_rows(transform(f).s, f.n) @ np.arange(f.n + 1)
     return profile(f).influence(), Fraction(int(weighted), 1 << (2 * f.n))
 
 
@@ -105,7 +105,7 @@ def corollary_lower_bound(spec: Spectrum, k: int) -> Fraction:
     """The influence floor k - sum_{i<k} (k-i) W^i; I(f) is never below it."""
     if not 1 <= k <= spec.n:
         raise ValueError(f"k={k} outside [1, {spec.n}]")
-    floors = corollary_bound_rows(level_sum_rows(spec.s ** 2, spec.n), spec.n)
+    floors = corollary_bound_rows(level_sum_rows(spec.s, spec.n), spec.n)
     return Fraction(int(floors[k - 1]), 1 << (2 * spec.n))
 
 

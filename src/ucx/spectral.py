@@ -48,13 +48,15 @@ class Spectrum(CubeTable):
 
 
 def fwht_rows(mat: np.ndarray) -> None:
-    """In-place Walsh-Hadamard transform of each row of an int64 matrix."""
+    """In-place Walsh-Hadamard transform of each row of an int64 matrix, by the
+    copy-free butterfly (a, b) -> (a + b, a - b).  On +/-1 rows every
+    intermediate is at most 2^n in absolute value, so int64 stays exact."""
     _, cols = mat.shape
     for i in range(cols.bit_length() - 1):
         low, high = coordinate_pairs(mat, i)
-        keep = low.copy()
         low += high
-        high[...] = keep - high
+        high *= -2
+        high += low
 
 
 def spectrum_rows(tables: np.ndarray) -> np.ndarray:
@@ -100,25 +102,21 @@ def parseval_sum(spec: Spectrum) -> int:
     return int(np.dot(spec.s, spec.s))
 
 
-def level_sum_rows(squares: np.ndarray, n: int) -> np.ndarray:
-    """Per row of squared integer coefficients (..., 2^n): the sums over each
-    level |S| = k, as an int64 array (..., n+1)."""
+def level_sum_rows(spectra: np.ndarray, n: int) -> np.ndarray:
+    """Per row of integer spectra (..., 2^n): the sums of s(S)^2 over each level
+    |S| = k, as int64 (..., n+1), read with one gather and one dot product per
+    level: no table of squares is built and the input is only read."""
     pc = popcount_table(n)
-    out = np.zeros(squares.shape[:-1] + (n + 1,), dtype=np.int64)
+    out = np.empty(spectra.shape[:-1] + (n + 1,), dtype=np.int64)
     for k in range(n + 1):
-        out[..., k] = squares[..., np.nonzero(pc == k)[0]].sum(axis=-1)
+        level = np.take(spectra, np.flatnonzero(pc == k), axis=-1)
+        out[..., k] = np.einsum("...j,...j->...", level, level)
     return out
-
-
-def degree_weight_rows(squares: np.ndarray, n: int) -> np.ndarray:
-    """Per row of squared integer coefficients (..., 2^n): the sum of
-    |S| s(S)^2, which is 4^n times sum_k k W^k."""
-    return squares @ popcount_table(n).astype(np.int64)
 
 
 def level_sums(spec: Spectrum) -> tuple[int, ...]:
     """Sum of s(S)^2 over each level |S| = k; entry k is 4^n * W^k."""
-    return tuple(level_sum_rows(spec.s ** 2, spec.n).tolist())
+    return tuple(level_sum_rows(spec.s, spec.n).tolist())
 
 
 def level_weight(spec: Spectrum, k: int) -> Fraction:

@@ -58,7 +58,7 @@ from .families import (
     union_closed_rows,
 )
 from .influence import corollary_bound_rows, flip_count_rows, pair_count_rows
-from .spectral import degree_weight_rows, first_level_rows, level_sum_rows, spectrum_rows
+from .spectral import first_level_rows, level_sum_rows, spectrum_rows
 
 EXHAUSTIVE_MAX_N = 4
 
@@ -361,7 +361,7 @@ def _first_failure(fail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _parseval(t: np.ndarray, n: int) -> _Rows:
     four_n = 1 << (2 * n)
     spec = spectrum_rows(t)
-    sums = (spec * spec).sum(axis=1)
+    sums = np.einsum("ij,ij->i", spec, spec)
     return _Rows(_every(t), sums == four_n,
                  lambda r: {"coefficient_square_sum": int(sums[r]), "expected": four_n})
 
@@ -369,7 +369,7 @@ def _parseval(t: np.ndarray, n: int) -> _Rows:
 def _influence_identity(t: np.ndarray, n: int) -> _Rows:
     spec = spectrum_rows(t)
     pivotal = flip_count_rows(t, n).sum(axis=1)
-    weighted = degree_weight_rows(spec * spec, n)
+    weighted = level_sum_rows(spec, n) @ np.arange(n + 1)
     return _Rows(_every(t), weighted == pivotal << (n + 1),
                  lambda r: {"pivotal_pairs": int(pivotal[r]),
                             "weighted_square_sum": int(weighted[r])})
@@ -377,7 +377,7 @@ def _influence_identity(t: np.ndarray, n: int) -> _Rows:
 
 def _corollary_lb(t: np.ndarray, n: int) -> _Rows:
     spec = spectrum_rows(t)
-    bounds = corollary_bound_rows(level_sum_rows(spec * spec, n), n)
+    bounds = corollary_bound_rows(level_sum_rows(spec, n), n)
     lhs = flip_count_rows(t, n).sum(axis=1) << (n + 1)  # I(f) * 2 * 4^n / 2^n
     ok, first = _first_failure(lhs[:, None] < bounds)
     return _Rows(_every(t), ok,
@@ -410,7 +410,7 @@ def _fkn_zero(t: np.ndarray, n: int) -> _Rows:
 
 def _ks_zero(t: np.ndarray, n: int) -> _Rows:
     spec = spectrum_rows(t)
-    qualifying = level_sum_rows(spec * spec, n)[:, 2] == 1 << (2 * n)
+    qualifying = level_sum_rows(spec, n)[:, 2] == 1 << (2 * n)
     ok = ~qualifying
     best = nearest_signed_rows(ks_correlation_rows(spec[qualifying], n))[2]
     ok[qualifying] = best == 1 << (n + 1)  # correlation 1 with a member

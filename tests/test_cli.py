@@ -55,6 +55,11 @@ def test_parse_errors_carry_position():
     with pytest.raises(familyfile.FamilyFileError):
         familyfile.parse_family("n=99\n")  # over the cap
 
+    # past Python's 4,300-digit int() limit, still positioned at the header
+    with pytest.raises(familyfile.FamilyFileError) as err:
+        familyfile.parse_family("# big\nn=" + "9" * 5000 + "\n")
+    assert err.value.line == 2 and err.value.column == 1
+
     # labels and the header take ASCII digits only
     for word in ("1_0", "+2", "\u0663"):
         with pytest.raises(familyfile.FamilyFileError) as err:

@@ -16,10 +16,12 @@ from ucx.core import (
     family_to_function,
     popcount_table,
 )
+from ucx.influence import influence_identity_check
 from ucx.spectral import (
     Spectrum,
     first_level_identity,
     first_level_rows,
+    level_sum_rows,
     level_sums,
     level_weight,
     level_weights,
@@ -96,6 +98,35 @@ def test_parseval_random_large():
         for _ in range(50):
             f = random_function(rng, n)
             assert parseval_sum(transform(f)) == 1 << (2 * n)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_butterfly_exact_at_the_extremes(n):
+    four_n = 1 << (2 * n)
+    for value in (1, -1):
+        spec = transform(BooleanFunction.constant(n, value))
+        assert int(spec.s[0]) == value << n and not spec.s[1:].any()
+        assert level_sums(spec) == (four_n,) + (0,) * n
+    f = random_function(np.random.default_rng(n), n)
+    spec = transform(f)
+    assert parseval_sum(spec) == sum(level_sums(spec)) == four_n
+    influence, weighted = influence_identity_check(f)
+    assert influence == weighted
+
+
+def test_level_sum_rows_by_definition():
+    rng = np.random.default_rng(4)
+    for n in range(1, 9):
+        spectra = rng.integers(-(1 << 20), 1 << 20, size=(6, 1 << n))
+        before = spectra.copy()
+        spectra.setflags(write=False)
+        expected = [[sum(v * v for mask, v in enumerate(row) if mask.bit_count() == k)
+                     for k in range(n + 1)] for row in spectra.tolist()]
+        levels = level_sum_rows(spectra, n)
+        assert levels.dtype == np.int64 and levels.tolist() == expected
+        assert level_sum_rows(spectra[2], n).tolist() == expected[2]
+        assert level_sum_rows(spectra[:0], n).shape == (0, n + 1)
+        assert np.array_equal(spectra, before)
 
 
 def test_spectrum_structural_invariants():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,3 +297,19 @@ def test_rigid_class_sweeps_transform_once_per_chunk(monkeypatch):
     calls.clear()
     assert run_sweep(SweepPlan("ks-zero", 5, "random", samples=2100, seed=2)).passed
     assert calls == [2048, 52]
+
+
+def test_function_sweeps_build_no_second_table():
+    """A random function sweep holds its int64 spectra once: no table of
+    squares and no butterfly copy on top."""
+    n, samples = 12, 256
+    table_bytes = samples * (1 << n) * 8
+    for prop in ("parseval", "influence-identity", "corollary-lb", "ks-zero"):
+        tracemalloc.start()
+        try:
+            report = run_sweep(SweepPlan(prop, n, "random", samples=samples, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 1.75 * table_bytes, (prop, peak / table_bytes)
