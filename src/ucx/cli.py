@@ -35,6 +35,7 @@ from .verify import (
     PROPERTY_NAMES,
     SweepPlan,
     conjecture2_margin_rows,
+    jsonable,
     random_union_closed,
     run_sweep,
     scan,
@@ -44,20 +45,15 @@ from .verify import (
 USAGE_ERROR = 2
 
 
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _cap_fields(n: int, k: int, margin_scaled: int) -> dict:
-    """The positive-influence cap (k+1) 2^{-k} and its margin, as strings."""
-    return {"bound": _frac(Fraction(k + 1, 1 << k)),
-            "margin": _frac(Fraction(margin_scaled, 1 << (n - 1)))}
+    """The positive-influence cap (k+1) 2^{-k} and its margin."""
+    return {"bound": Fraction(k + 1, 1 << k), "margin": Fraction(margin_scaled, 1 << (n - 1))}
 
 
 def analysis_report(family: SetFamily) -> dict:
-    """The full exact report for one family, with a fixed key order.  Each
-    pass runs once; the root masks give simple-rootedness and the unique-root
-    count."""
+    """The full exact report for one family, with a fixed key order and every
+    rational as a ``p/q`` string.  Each pass runs once; the root masks give
+    simple-rootedness and the unique-root count."""
     n = family.n
     table = family.to_bool()
     func = family_to_function(family)
@@ -75,28 +71,28 @@ def analysis_report(family: SetFamily) -> dict:
         "size": st.size,
         "is_union_closed": union_closed,
         "is_simply_rooted": simply_rooted,
-        "frequencies": list(st.frequencies),
-        "abundant": list(st.abundant),
-        "rare": list(st.rare),
-        "delta": _frac(st.delta),
-        "mean_coefficient": _frac(spec.coefficient(0)),
-        "level_weights": [_frac(w) for w in level_weights(spec)],
+        "frequencies": st.frequencies,
+        "abundant": st.abundant,
+        "rare": st.rare,
+        "delta": st.delta,
+        "mean_coefficient": spec.coefficient(0),
+        "level_weights": level_weights(spec),
         "influence": {
-            "total": _frac(prof.influence()),
-            "positive": _frac(prof.positive_influence()),
-            "negative": _frac(prof.negative_influence()),
-            "per_coordinate": [_frac(prof.influence(i)) for i in range(1, n + 1)],
+            "total": prof.influence(),
+            "positive": prof.positive_influence(),
+            "negative": prof.negative_influence(),
+            "per_coordinate": [prof.influence(i) for i in range(1, n + 1)],
         },
-        "unique_root_count": int(unique_root_counts(found)),
+        "unique_root_count": unique_root_counts(found),
     }
     if union_closed:
-        report["upper_shadow_deficiency"] = int(upper_shadow_deficiency(table, n))
-    report["nearest_dictator"] = {"i": dict_i, "sign": dict_sign, "dist": _frac(dict_dist)}
+        report["upper_shadow_deficiency"] = upper_shadow_deficiency(table, n)
+    report["nearest_dictator"] = {"i": dict_i, "sign": dict_sign, "dist": dict_dist}
     if simply_rooted and st.size > 0:
         k, margin = (int(v) for v in conjecture2_margin_rows(st.size, sum(prof.enter), n))
         report["conjecture2"] = ({"k": k, **_cap_fields(n, k, margin)} if k >= 0
                                  else {"k": None, "bound": None, "margin": None})
-    return report
+    return jsonable(report)
 
 
 def _print_report(report: dict) -> None:
@@ -171,26 +167,22 @@ def cmd_closure(args) -> int:
 _SCAN_PROPERTY = {"conjecture2": "conjecture2", "theorem2-deficiency": "theorem2"}
 
 
-def _scan_csv_row(target: str, n: int, index: int, q: dict) -> tuple[dict, bool]:
-    """One CSV row of ``ucx scan`` from an instance's quantities, and whether
-    its margin is non-negative."""
+def _scan_csv_row(target: str, n: int, index: int, q: dict) -> dict:
+    """One CSV row of ``ucx scan`` from an instance's quantities."""
     size_cube = 1 << n
     half = size_cube >> 1
     row = {
         "instance_index": index,
         "size": q["size"],
-        "mean_coefficient": _frac(Fraction(size_cube - 2 * q["size"], size_cube)),
+        "mean_coefficient": Fraction(size_cube - 2 * q["size"], size_cube),
     }  # DictWriter writes the missing columns empty
     if target == "theorem2-deficiency":
         row.update(quantity=q["deficiency"], bound=half, margin=half - q["deficiency"])
-        return row, half >= q["deficiency"]
-    if q["size"] == 0:
-        return row, True
-    row["quantity"] = _frac(Fraction(q["enter_pairs"], half))
-    if q["k"] < 0:
-        return row, True
-    row.update(_cap_fields(n, q["k"], q["margin_scaled"]))
-    return row, q["margin_scaled"] >= 0
+    elif q["size"] > 0:
+        row["quantity"] = Fraction(q["enter_pairs"], half)
+        if q["k"] >= 0:
+            row.update(_cap_fields(n, q["k"], q["margin_scaled"]))
+    return jsonable(row)
 
 
 def cmd_scan(args) -> int:
@@ -203,10 +195,10 @@ def cmd_scan(args) -> int:
     writer.writeheader()
     failed = None
     try:
-        for index, members, quantities in instances:
-            row, ok = _scan_csv_row(args.target, args.n, index, quantities)
+        for index, members, quantities, violation in instances:
+            row = _scan_csv_row(args.target, args.n, index, quantities)
             writer.writerow(row)
-            if not ok and failed is None:
+            if violation and failed is None:
                 failed = (row, members)
     finally:
         if args.csv:

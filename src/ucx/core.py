@@ -148,7 +148,8 @@ class CubeTable:
     @classmethod
     def _of(cls, n: int, table: np.ndarray):
         """An instance over a table that needs no validation or copy: another
-        instance's read-only table, or an unpickled one."""
+        instance's read-only table, an unpickled one, or a fresh one that
+        nothing else holds."""
         made = cls.__new__(cls)
         CubeTable.__init__(made, n, table)
         return made

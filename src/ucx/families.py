@@ -299,6 +299,8 @@ def lower_shadow(family: SetFamily) -> SetFamily:
 
 def missing_lower_covers(family: SetFamily, member: int) -> int:
     """Mask of elements i in the member with member - i outside the family."""
+    if not 0 <= member < 1 << family.n:
+        raise ValueError(f"subset mask {member} outside [0, 2^{family.n})")
     return int(missing_lower_rows(family.to_bool(), family.n)[member])
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DimensionError, SetFamily, elements_from_mask, max_dimension
+from .core import SetFamily, elements_from_mask, max_dimension
 
 _HEADER = re.compile(r"^n=([0-9]+)$")
 _TOKEN = re.compile(r"\S+")
@@ -87,11 +87,7 @@ def format_family(family: SetFamily) -> str:
 
 
 def load(path) -> SetFamily:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return parse_family(text)
-    except DimensionError as exc:
-        raise FamilyFileError(str(exc), 1) from exc
+    return parse_family(Path(path).read_text(encoding="utf-8"))
 
 
 def save(family: SetFamily, path) -> None:

@@ -37,21 +37,22 @@ class InfluenceProfile:
     def pivotal(self) -> tuple[int, ...]:
         return tuple(a + b for a, b in zip(self.enter, self.exit))
 
-    def _ratio(self, count: int) -> Fraction:
-        return Fraction(count, 1 << (self.n - 1))
+    def _ratio(self, counts: tuple[int, ...], i: int | None) -> Fraction:
+        if i is None:
+            return Fraction(sum(counts), 1 << (self.n - 1))
+        if not 1 <= i <= self.n:
+            raise ValueError(f"coordinate {i} outside [1, {self.n}]")
+        return Fraction(counts[i - 1], 1 << (self.n - 1))
 
     def positive_influence(self, i: int | None = None) -> Fraction:
         """I_i^+ for a 1-based coordinate, or the total I^+ when i is None."""
-        count = sum(self.enter) if i is None else self.enter[i - 1]
-        return self._ratio(count)
+        return self._ratio(self.enter, i)
 
     def negative_influence(self, i: int | None = None) -> Fraction:
-        count = sum(self.exit) if i is None else self.exit[i - 1]
-        return self._ratio(count)
+        return self._ratio(self.exit, i)
 
     def influence(self, i: int | None = None) -> Fraction:
-        count = sum(self.pivotal) if i is None else self.pivotal[i - 1]
-        return self._ratio(count)
+        return self._ratio(self.pivotal, i)
 
 
 def flip_count_rows(tables: np.ndarray, n: int) -> np.ndarray:

@@ -79,7 +79,7 @@ def first_level_rows(tables: np.ndarray, n: int) -> np.ndarray:
 
 def transform(f: BooleanFunction) -> Spectrum:
     """Full spectrum in O(n 2^n) integer butterfly passes."""
-    return Spectrum(f.n, spectrum_rows(f.to_bool()[None])[0])
+    return Spectrum._of(f.n, spectrum_rows(f.to_bool()[None])[0])
 
 
 def naive_transform(f: BooleanFunction) -> Spectrum:

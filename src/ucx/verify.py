@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -209,34 +209,25 @@ class VerificationReport:
     elapsed_ms: float
 
     def canonical_dict(self) -> dict:
-        """Report content that must be identical across worker counts."""
-        return _jsonable(
-            {
-                "property": self.property,
-                "n": self.n,
-                "mode": self.mode,
-                "samples": self.samples,
-                "seed": self.seed,
-                "enumerated": self.enumerated,
-                "checked": self.checked,
-                "violation_count": self.violation_count,
-                "passed": self.passed,
-                "violations": list(self.violations),
-                "summary": self.summary,
-            }
-        )
+        """Report content that must be identical across worker counts: every
+        field but the worker count and the wall-clock time."""
+        return jsonable({f.name: getattr(self, f.name) for f in fields(self)
+                         if f.name not in ("worker_count", "elapsed_ms")})
 
     def canonical_json(self) -> str:
         return json.dumps(self.canonical_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _jsonable(value):
+def jsonable(value):
+    """A copy of a report value fit for JSON: every ``Fraction`` becomes its
+    reduced ``"p/q"`` string, tuples become lists and numpy scalars Python
+    ones.  The only place a rational is turned into text."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.bool_,)):
@@ -253,7 +244,7 @@ def _witness(kind: str, index: int, n: int, row: np.ndarray, detail: dict) -> di
         body = familyfile.format_family(SetFamily.from_bool(n, row))
     else:
         body = "".join("-" if member else "+" for member in row)
-    return {"index": index, "kind": kind, "n": n, kind: body, "detail": _jsonable(detail)}
+    return {"index": index, "kind": kind, "n": n, kind: body, "detail": jsonable(detail)}
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +321,11 @@ class _Rows:
     detail: Callable[[int], dict]
     summary: dict = field(default_factory=dict)
     quantities: dict = field(default_factory=dict)
+
+    @property
+    def failed(self) -> np.ndarray:
+        """The violations: rows the property applies to but does not hold on."""
+        return self.applicable & ~self.ok
 
 
 def _every(rows: np.ndarray) -> np.ndarray:
@@ -550,43 +546,40 @@ def _merge_summary(acc: dict, upd: dict) -> None:
             acc[key] = acc.get(key, 0) + value
 
 
-def _sweep_block(plan: SweepPlan, lo: int, hi: int) -> dict:
+def _sweep_block(plan: SweepPlan, lo: int, hi: int) -> tuple[int, int, list[dict], dict]:
+    """The applicable count, the violation count, the first witnesses and the
+    summary of the index range [lo, hi)."""
     prop = _PROPERTIES[plan.property]
-    violations: list[dict] = []
-    violation_count = 0
+    witnesses: list[dict] = []
+    violation_count = checked = 0
     summary: dict = {}
-    checked = 0
     for start, rows in prop.chunks(plan, lo, hi):
         found = prop.evaluate(rows, plan.n)
         checked += int(np.count_nonzero(found.applicable))
         _merge_summary(summary, found.summary)
-        for r in np.flatnonzero(found.applicable & ~found.ok).tolist():
-            violation_count += 1
-            if len(violations) < plan.witness_cap:
-                violations.append(
-                    _witness(prop.kind, start + r, plan.n, rows[r], found.detail(r)))
-    return {
-        "enumerated": hi - lo,
-        "checked": checked,
-        "violation_count": violation_count,
-        "violations": violations,
-        "summary": summary,
-    }
+        failing = np.flatnonzero(found.failed)
+        violation_count += len(failing)
+        for r in failing[: plan.witness_cap - len(witnesses)].tolist():
+            witnesses.append(_witness(prop.kind, start + r, plan.n, rows[r], found.detail(r)))
+    return checked, violation_count, witnesses, summary
 
 
-def scan(prop: str, n: int, samples: int, seed: int) -> Iterator[tuple[int, np.ndarray, dict]]:
+def scan(prop: str, n: int, samples: int, seed: int) -> Iterator[tuple[int, np.ndarray, dict, bool]]:
     """Per-row output mode of a random sweep of a family property: for each
-    instance in index order, its index, membership row and integer quantities.
-    The arguments are validated before the first row is drawn."""
+    instance in index order, its index, membership row, integer quantities and
+    whether it is a violation.  The arguments are validated before the first
+    row is drawn."""
     plan = SweepPlan(prop, n, "random", samples=samples, seed=seed)
     plan.validate()
     spec = _PROPERTIES[prop]
 
     def instances():
         for start, rows in spec.chunks(plan, 0, samples):
-            quantities = spec.evaluate(rows, n).quantities
+            found = spec.evaluate(rows, n)
+            failed = found.failed.tolist()
             for r, row in enumerate(rows):
-                yield start + r, row, {key: int(v[r]) for key, v in quantities.items()}
+                yield (start + r, row, {key: int(v[r]) for key, v in found.quantities.items()},
+                       failed[r])
 
     return instances()
 
@@ -611,14 +604,14 @@ def run_sweep(plan: SweepPlan) -> VerificationReport:
             futures = [pool.submit(_sweep_block, plan, lo, hi) for lo, hi in blocks]
             partials = [f.result() for f in futures]
 
-    enumerated = sum(p["enumerated"] for p in partials)
-    checked = sum(p["checked"] for p in partials)
-    violation_count = sum(p["violation_count"] for p in partials)
+    checked = violation_count = 0
     violations: list[dict] = []
     summary: dict = {}
-    for p in partials:
-        violations.extend(p["violations"])
-        _merge_summary(summary, p["summary"])
+    for block_checked, block_violations, witnesses, block_summary in partials:
+        checked += block_checked
+        violation_count += block_violations
+        violations.extend(witnesses)
+        _merge_summary(summary, block_summary)
     violations = violations[: plan.witness_cap]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
@@ -629,11 +622,11 @@ def run_sweep(plan: SweepPlan) -> VerificationReport:
         samples=plan.samples,
         seed=plan.seed,
         worker_count=plan.worker_count,
-        enumerated=enumerated,
+        enumerated=total,
         checked=checked,
         violation_count=violation_count,
         violations=tuple(violations),
-        summary=_jsonable(summary),
+        summary=jsonable(summary),
         passed=violation_count == 0,
         elapsed_ms=elapsed_ms,
     )

@@ -1,13 +1,16 @@
 """File format, analysis reports, and command-line contracts."""
 
+import csv
+import dataclasses
 import hashlib
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ucx import cli, families, familyfile, spectral
+from ucx import cli, families, familyfile, spectral, verify
 from ucx.core import SetFamily, family_to_function, frequency_rows
 from ucx.extremal import nearest_dictator
 from ucx.verify import union_closure
@@ -161,14 +164,14 @@ def test_analysis_report_runs_each_pass_once(monkeypatch):
 
 def test_analysis_report_counts_frequencies_twice(monkeypatch):
     fam = union_closure(SetFamily.from_members(6, [0, 3, 12, 48, 5])).complement()
-    i, sign, dist = nearest_dictator(family_to_function(fam))
+    assert nearest_dictator(family_to_function(fam)) == (1, -1, Fraction(13, 32))
     bindings = [module for name, module in sys.modules.items()
                 if name.partition(".")[0] == "ucx"
                 and getattr(module, "frequency_rows", None) is frequency_rows]
     assert len(bindings) >= 3  # core and the modules that import it
     counts = [_counting(monkeypatch, module, "frequency_rows") for module in bindings]
     report = cli.analysis_report(fam)
-    assert report["nearest_dictator"] == {"i": i, "sign": sign, "dist": cli._frac(dist)}
+    assert report["nearest_dictator"] == {"i": 1, "sign": -1, "dist": "13/32"}
     assert sum(map(len, counts)) == 2  # stats and profile; the dictator reads the profile
 
 
@@ -296,6 +299,45 @@ def test_file_errors_exit_2(tmp_path, capsys):
     ):
         assert cli.main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("target, prop", [("theorem2-deficiency", "theorem2"),
+                                          ("conjecture2", "conjecture2")])
+def test_cmd_scan_reports_the_first_violation(target, prop, tmp_path, monkeypatch, capsys):
+    original = verify._PROPERTIES[prop]
+
+    def fail_every_row(rows, n):
+        return dataclasses.replace(original.evaluate(rows, n), ok=np.zeros(len(rows), dtype=bool))
+
+    monkeypatch.setitem(verify._PROPERTIES, prop,
+                        dataclasses.replace(original, evaluate=fail_every_row))
+    out = tmp_path / "scan.csv"
+    # seed 26 draws an empty complement first, to which conjecture2 does not apply
+    argv = ["scan", target, "--n", "3", "--samples", "12", "--seed", "26", "--csv", str(out)]
+    assert cli.main(argv) == 1
+    with open(out, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 12  # written in full despite the violation
+    first = next(row for row in rows if row["size"] != "0")
+    assert first["instance_index"] == ("0" if prop == "theorem2" else "1")
+
+    err = capsys.readouterr().err
+    assert err.startswith("violation: ") and err.count("\n") == 1
+    payload = json.loads(err.removeprefix("violation: "))
+    assert {key: str(value) for key, value in payload["row"].items()} == \
+        {key: value for key, value in first.items() if value}
+    members = {index: row for index, row, _, _ in verify.scan(prop, 3, 12, 26)}
+    expected = SetFamily.from_bool(3, members[int(first["instance_index"])])
+    assert payload["family"] == familyfile.format_family(expected)
+
+
+def test_bad_dimension_cap_is_not_blamed_on_the_file(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "f3.family"
+    path.write_text(F3_TEXT)
+    monkeypatch.setenv("UCX_MAX_N", "abc")
+    assert cli.main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: UCX_MAX_N must be an integer, got 'abc'\n"
 
 
 def test_cmd_scan_rejects_zero_samples():

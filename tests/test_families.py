@@ -199,6 +199,13 @@ def test_shadow_lemma_examples():
         shadow_lemma_check(SetFamily.from_bits(2, 1))
 
 
+def test_missing_lower_covers_rejects_masks_outside_the_cube():
+    assert missing_lower_covers(DICTATOR_FAMILY_3, 0b111) == 0b001  # {1,2,3} - 1 is missing
+    for mask in (-1, 8, 1 << 200):  # -1 would index mask 7 from the end
+        with pytest.raises(ValueError, match=f"subset mask {mask} outside \\[0, 2\\^3\\)"):
+            missing_lower_covers(DICTATOR_FAMILY_3, mask)
+
+
 def test_shadow_lemma_exhaustive():
     for n in (1, 2, 3):
         for fam in all_families(n):

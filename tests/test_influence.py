@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ucx.core import BooleanFunction, CharacterSpec, SetFamily, dist, family_to_function
+from ucx.extremal import dictator
 from ucx.influence import (
     InfluenceProfile,
     balanced_distance_floor,
@@ -61,6 +62,15 @@ def test_profile_examples():
     prof3 = profile(f3)
     assert prof3.enter == (1, 1) and prof3.exit == (0, 0)
     assert prof3.positive_influence() == 1 and prof3.influence() == 1
+
+
+def test_profile_rejects_coordinates_outside_the_cube():
+    prof = profile(dictator(3, 3).function)
+    assert prof.influence(3) == 1 and prof.influence(1) == prof.influence(2) == 0
+    for read in (prof.influence, prof.positive_influence, prof.negative_influence):
+        for i in (0, -1, -3, 4):  # 0 and -3 would index coordinate 3 from the end
+            with pytest.raises(ValueError, match=f"coordinate {i} outside \\[1, 3\\]"):
+                read(i)
 
 
 def test_profile_matches_naive_exhaustive():

@@ -1,6 +1,7 @@
 """Spectra: butterfly vs definition oracles, Parseval, level identities."""
 
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,20 @@ def test_butterfly_exact_at_the_extremes(n):
     assert parseval_sum(spec) == sum(level_sums(spec)) == four_n
     influence, weighted = influence_identity_check(f)
     assert influence == weighted
+
+
+def test_transform_keeps_the_computed_spectrum():
+    """The spectrum wraps the butterfly's output: no copy of the int64 table."""
+    n = 16
+    f = random_function(np.random.default_rng(5), n)
+    tracemalloc.start()
+    try:
+        spec = transform(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parseval_sum(spec) == 1 << (2 * n) and not spec.s.flags.writeable
+    assert peak <= 1.6 * spec.s.nbytes, peak / spec.s.nbytes
 
 
 def test_level_sum_rows_by_definition():
