@@ -4,7 +4,8 @@ Subcommands: ``analyze`` (full report for a family file), ``verify``
 (property sweeps with exit code 0 = pass, 1 = violation, 2 = usage error),
 ``gen`` and ``closure`` (family generation), and ``scan`` (CSV margin /
 deficiency scans over random instances).  Every subcommand exits 2 on a
-usage error, an unreadable input or an unwritable output.  All rationals in
+usage error, an unreadable input or an unwritable output; the parser reads
+integers, and the library checks their values.  All rationals in
 machine-readable output are reduced ``p/q`` strings; no floating point
 appears anywhere.
 """
@@ -212,20 +213,6 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ucx",
@@ -240,21 +227,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property sweep")
     p_verify.add_argument("property", choices=PROPERTY_NAMES)
-    p_verify.add_argument("--n", type=_positive_int, required=True)
+    p_verify.add_argument("--n", type=int, required=True)
     mode = p_verify.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--random", action="store_true")
-    p_verify.add_argument("--samples", type=_positive_int, default=1000)
-    p_verify.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_verify.add_argument("--workers", type=_positive_int, default=1)
+    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--witness-dir", metavar="D")
-    p_verify.add_argument("--witness-cap", type=_nonnegative_int, default=10)
+    p_verify.add_argument("--witness-cap", type=int, default=10)
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a random union-closed family")
-    p_gen.add_argument("--n", type=_positive_int, required=True)
-    p_gen.add_argument("--generators", type=_nonnegative_int, required=True)
-    p_gen.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--generators", type=int, required=True)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", metavar="PATH")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -265,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="CSV scan over random instances")
     p_scan.add_argument("target", choices=["conjecture2", "theorem2-deficiency"])
-    p_scan.add_argument("--n", type=_positive_int, required=True)
-    p_scan.add_argument("--samples", type=_positive_int, required=True)
-    p_scan.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_scan.add_argument("--n", type=int, required=True)
+    p_scan.add_argument("--samples", type=int, required=True)
+    p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--csv", metavar="OUT")
     p_scan.set_defaults(func=cmd_scan)
 

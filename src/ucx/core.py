@@ -49,7 +49,7 @@ def max_dimension() -> int:
 
 
 def check_dimension(n: int) -> int:
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise DimensionError(f"dimension must be an integer, got {type(n).__name__}")
     cap = max_dimension()
     if not 1 <= n <= cap:

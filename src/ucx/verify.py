@@ -41,14 +41,13 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import familyfile
-from .core import SetFamily, bits_to_bool, check_dimension, frequency_rows
+from .core import SetFamily, check_dimension, frequency_rows
 from .extremal import ks_correlation_rows, nearest_signed_rows
 from .families import (
     PreconditionError,
     closure_rows,
     component_directions,
     duality_rows,
-    is_simply_rooted,
     positive_cap_rows,
     root_masks,
     shadow_dichotomy_rows,
@@ -92,8 +91,8 @@ def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
 def random_union_closed(n: int, generator_count: int, seed: int) -> SetFamily:
     """Union closure of ``generator_count`` uniform subsets; deterministic."""
     check_dimension(n)
-    if generator_count < 0:
-        raise ValueError("generator_count must be non-negative")
+    _check_count("generator_count", generator_count, 0)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     table = np.zeros(1 << n, dtype=bool)
     table[rng.integers(0, 1 << n, size=generator_count, dtype=np.int64)] = True
@@ -104,14 +103,20 @@ def random_union_closed(n: int, generator_count: int, seed: int) -> SetFamily:
 # single-instance checks exposed as API
 
 
+def _cap_ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The OR-family ladder for k = 0..n-1: the mean-coefficient thresholds
+    -(1 - 2^{-k}) scaled by 2^n, which are 2^{n-k} - 2^n, and the influence
+    caps (k+1) 2^{-k} scaled by 2^{n-1}, which are (k+1) 2^{n-1-k}."""
+    k = np.arange(n, dtype=np.int64)
+    return (1 << (n - k)) - (1 << n), (k + 1) << (n - 1 - k)
+
+
 def _threshold_k(n: int, sizes):
     """Per family size: the largest k in [0, n-1] with mean coefficient
-    <= -(1 - 2^{-k}), or -1 when even k = 0 fails."""
-    doubled = 2 * np.asarray(sizes, dtype=np.int64)
-    k = np.full(doubled.shape, -1, dtype=np.int64)
-    for j in range(n):
-        k = np.where(doubled >= (1 << (n + 1)) - (1 << (n - j)), j, k)
-    return k
+    <= -(1 - 2^{-k}), or -1 when even k = 0 fails.  The thresholds fall as k
+    grows, so the thresholds met are k = 0..K and K + 1 is their number."""
+    s0 = (1 << n) - 2 * np.asarray(sizes, dtype=np.int64)  # s(empty) = 2^n - 2|F|
+    return np.count_nonzero(s0[..., None] <= _cap_ladder(n)[0], axis=-1) - 1
 
 
 def largest_threshold_k(n: int, size: int) -> int | None:
@@ -124,40 +129,42 @@ def largest_threshold_k(n: int, size: int) -> int | None:
 def conjecture2_margin_rows(sizes, enter, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per family size and total enter-pair count: the threshold k (-1 for
     none) and the margin (k+1) 2^{-k} - I^+ of the positive-influence cap,
-    scaled by 2^{n-1}."""
+    scaled by 2^{n-1}; the cap is 0 at k = -1."""
     k = _threshold_k(n, sizes)
-    return k, ((k + 1) << (n - 1 - k)) - enter
+    return k, np.where(k < 0, 0, _cap_ladder(n)[1][k]) - enter
 
 
 def conjecture2_margin(family: SetFamily) -> tuple[int | None, Fraction | None]:
     """Slack of the positive-influence cap (k+1) 2^{-k} at the largest
     applicable threshold k.  A negative margin would be a counterexample.
     """
-    if family.size == 0:
-        raise PreconditionError("margin requires a nonempty family")
-    if not is_simply_rooted(family):
-        raise PreconditionError("margin requires a simply-rooted family")
-    enter = pair_count_rows(family.to_bool(), family.n)[0].sum()
-    k, margin = conjecture2_margin_rows(family.size, enter, family.n)
-    if k < 0:
-        return None, None
-    return int(k), Fraction(int(margin), 1 << (family.n - 1))
-
-
-def _spans_all_directions(tables: np.ndarray, n: int) -> np.ndarray:
-    return np.any(component_directions(tables, n) == (1 << n) - 1, axis=-1)
+    found = _conjecture2(family.to_bool()[None], family.n)  # the sweep's evaluator, one row
+    if not found.applicable[0]:
+        raise PreconditionError("margin requires a nonempty simply-rooted family")
+    k, margin = (int(found.quantities[key][0]) for key in ("k", "margin_scaled"))
+    return (None, None) if k < 0 else (k, Fraction(margin, 1 << (family.n - 1)))
 
 
 def kotlov_check(vertices: SetFamily) -> bool:
     """For a vertex set larger than half the cube: some connected component
     of the induced subgraph uses edges in all n directions."""
-    if vertices.size <= 1 << (vertices.n - 1):
+    found = _kotlov(vertices.to_bool()[None], vertices.n)  # the sweep's evaluator, one row
+    if not found.applicable[0]:
         raise PreconditionError("vertex set must exceed half the cube")
-    return bool(_spans_all_directions(vertices.to_bool(), vertices.n))
+    return bool(found.ok[0])
 
 
 # ---------------------------------------------------------------------------
 # sweep plan and report
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """``TypeError`` unless ``value`` is an ``int`` (a bool is not), and
+    ``ValueError`` unless it is at least ``low``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -171,23 +178,24 @@ class SweepPlan:
     witness_cap: int = 10
 
     def validate(self) -> None:
+        """The one check of a sweep's or scan's arguments, before any row is
+        drawn; ``samples`` is read in random mode only."""
         if self.property not in PROPERTY_NAMES:
             raise ValueError(f"unknown property {self.property!r}")
         check_dimension(self.n)
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"mode must be exhaustive or random, got {self.mode!r}")
-        if self.mode == "exhaustive":
-            if self.n > EXHAUSTIVE_MAX_N:
-                raise ValueError(f"exhaustive sweeps capped at n = {EXHAUSTIVE_MAX_N}")
-        else:
-            if self.samples is None or self.samples < 1:
+        if self.mode == "exhaustive" and self.n > EXHAUSTIVE_MAX_N:
+            raise ValueError(f"exhaustive sweeps capped at n = {EXHAUSTIVE_MAX_N}")
+        if self.mode == "random":
+            if self.samples is None:
                 raise ValueError("random mode needs samples >= 1")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
-        if self.witness_cap < 0:
-            raise ValueError("witness_cap must be >= 0")
+            _check_count("samples", self.samples, 1)
+        _check_count("seed", self.seed, 0)
+        if self.seed >= 1 << 64:
+            raise ValueError("seed must be < 2^64")
+        _check_count("worker_count", self.worker_count, 1)
+        _check_count("witness_cap", self.witness_cap, 0)
         if self.property == "ks-zero" and self.n < 2:
             raise ValueError("ks-zero needs n >= 2")
 
@@ -271,12 +279,12 @@ def _draw_signs(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
 
 
 def _draw_uniform(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
-    """A uniformly random family."""
+    """A uniformly random family: the drawn bits, lowest point first."""
     if n >= 3:
-        bits = int.from_bytes(rng.bytes(1 << (n - 3)), "little")
+        raw = np.frombuffer(rng.bytes(1 << (n - 3)), dtype=np.uint8)
     else:
-        bits = int(rng.integers(0, 1 << (1 << n)))
-    row[:] = bits_to_bool(bits, n)
+        raw = np.array([rng.integers(0, 1 << (1 << n))], dtype=np.uint8)
+    row[:] = np.unpackbits(raw, bitorder="little")[: 1 << n]
 
 
 def _draw_generators(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
@@ -382,15 +390,11 @@ def _corollary_lb(t: np.ndarray, n: int) -> _Rows:
 
 
 def _edge_iso(t: np.ndarray, n: int) -> _Rows:
-    half = 1 << (n - 1)
+    thresholds, caps = _cap_ladder(n)
     s0 = (1 << n) - 2 * np.count_nonzero(t, axis=1)  # s(empty) = 2^n - 2|F|
-    pivotal = flip_count_rows(t, n).sum(axis=1)
-    fail = np.stack(
-        [(s0 >= (1 << (n - k)) - (1 << n)) & (s0 <= 0) & ((pivotal << k) < (k + 1) * half)
-         for k in range(n)],
-        axis=1,
-    )
-    ok, first = _first_failure(fail)
+    pivotal = flip_count_rows(t, n).sum(axis=1)  # I = pivotal / 2^{n-1}
+    ok, first = _first_failure((s0[:, None] >= thresholds) & (s0[:, None] <= 0)
+                               & (pivotal[:, None] < caps))
     return _Rows(_every(t), ok,
                  lambda r: {"k": int(first[r]), "pivotal_pairs": int(pivotal[r]),
                             "mean_scaled": int(s0[r])})
@@ -484,20 +488,23 @@ def _conjecture2(t: np.ndarray, n: int) -> _Rows:
 
 def _kotlov(t: np.ndarray, n: int) -> _Rows:
     applicable = np.count_nonzero(t, axis=1) > 1 << (n - 1)
-    return _Rows(applicable, _spans_all_directions(t, n),
-                 _reason("no component spans all directions"))
+    spans = np.any(component_directions(t, n) == (1 << n) - 1, axis=1)
+    return _Rows(applicable, spans, _reason("no component spans all directions"))
 
 
 @dataclass(frozen=True)
 class _Property:
-    """A property's evaluator, how random mode draws one instance and maps a
-    chunk of draws onto the domain, and whether a witness is a function or a
-    family."""
+    """A property's evaluator, and how random mode draws one instance and
+    maps a chunk of draws onto the domain."""
 
     evaluate: Callable[[np.ndarray, int], _Rows]
     draw: Callable[[np.random.Generator, int, np.ndarray], None]
     domain: Callable[[np.ndarray, int], np.ndarray] = _as_drawn
-    kind: str = "family"
+
+    @property
+    def kind(self) -> str:
+        """What a witness is: the properties that draw functions read functions."""
+        return "function" if self.draw is _draw_signs else "family"
 
     def chunks(self, plan: SweepPlan, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
         """(first index, boolean rows) per chunk of the index range [lo, hi)."""
@@ -515,17 +522,17 @@ class _Property:
 _PROPERTIES = {
     "duality": _Property(_duality, _draw_uniform),
     "shadow-lemma": _Property(_shadow_lemma, _draw_generators, _simply_rooted_complement),
-    "parseval": _Property(_parseval, _draw_signs, kind="function"),
-    "influence-identity": _Property(_influence_identity, _draw_signs, kind="function"),
-    "corollary-lb": _Property(_corollary_lb, _draw_signs, kind="function"),
+    "parseval": _Property(_parseval, _draw_signs),
+    "influence-identity": _Property(_influence_identity, _draw_signs),
+    "corollary-lb": _Property(_corollary_lb, _draw_signs),
     "theorem2": _Property(_theorem2, _draw_generators, _closure_with_empty_set),
     "frankl": _Property(_frankl, _draw_generators, closure_rows),
     "conjecture2": _Property(_conjecture2, _draw_generators, _simply_rooted_complement),
     "partial-claim": _Property(_partial_claim, _draw_generators, _simply_rooted_complement),
-    "edge-iso": _Property(_edge_iso, _draw_signs, kind="function"),
+    "edge-iso": _Property(_edge_iso, _draw_signs),
     "kotlov": _Property(_kotlov, _draw_vertices),
-    "fkn-zero": _Property(_fkn_zero, _draw_signs, kind="function"),
-    "ks-zero": _Property(_ks_zero, _draw_signs, kind="function"),
+    "fkn-zero": _Property(_fkn_zero, _draw_signs),
+    "ks-zero": _Property(_ks_zero, _draw_signs),
     "positive-cap": _Property(_positive_cap, _draw_generators, _simply_rooted_complement),
     "thin-boundary": _Property(_thin_boundary, _draw_generators, _simply_rooted_complement),
 }

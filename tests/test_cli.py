@@ -344,5 +344,39 @@ def test_cmd_scan_rejects_zero_samples():
     assert cli.main(["scan", "conjecture2", "--n", "3", "--samples", "0", "--seed", "1"]) == 2
 
 
+_BASE_ARGV = {
+    "verify": ["verify", "duality", "--n", "3", "--random"],
+    "gen": ["gen", "--n", "3", "--generators", "2"],
+    "scan": ["scan", "conjecture2", "--n", "3", "--samples", "5"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value, named", [
+    ("verify", "--n", "0", "n=0"),
+    ("verify", "--samples", "0", "samples"),
+    ("verify", "--workers", "0", "worker_count"),
+    ("verify", "--witness-cap", "-1", "witness_cap"),
+    ("verify", "--seed", "-1", "seed"),
+    ("gen", "--n", "0", "n=0"),
+    ("gen", "--seed", "-1", "seed"),
+    ("gen", "--generators", "-1", "generator_count"),
+    ("scan", "--n", "0", "n=0"),
+    ("scan", "--samples", "0", "samples"),
+    ("scan", "--seed", "-1", "seed"),
+])
+def test_bad_values_exit_2_with_the_library_error(command, flag, value, named, capsys):
+    """The library checks every value; its message is the one error line."""
+    assert cli.main(_BASE_ARGV[command] + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert named in captured.err
+
+
+def test_samples_are_ignored_with_exhaustive(capsys):
+    assert cli.main(["verify", "duality", "--n", "2", "--exhaustive", "--samples", "0"]) == 0
+    assert "checked=16 violations=0" in capsys.readouterr().out
+
+
 if __name__ == "__main__":
     print(_analysis_digest())

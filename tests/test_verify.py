@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucx import familyfile, spectral, verify
-from ucx.core import SetFamily
+from ucx.core import DimensionError, SetFamily, bits_to_bool, check_dimension
 from ucx.families import (
     PreconditionError,
     component_directions,
@@ -120,6 +121,17 @@ def test_random_union_closed():
         assert is_union_closed(fam)
         assert fam == random_union_closed(4, 5, seed)
     assert random_union_closed(4, 5, 1) != random_union_closed(4, 5, 2)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        random_union_closed(4, 5, -1)
+    with pytest.raises(ValueError, match="generator_count must be >= 0"):
+        random_union_closed(4, -1, 1)
+
+
+def oracle_threshold_k(n: int, size: int) -> int | None:
+    """The largest k in [0, n-1] with mean coefficient <= -(1 - 2^{-k})."""
+    mean = Fraction((1 << n) - 2 * size, 1 << n)
+    met = [k for k in range(n) if mean <= -(1 - Fraction(1, 1 << k))]
+    return max(met, default=None)
 
 
 def test_largest_threshold_k():
@@ -128,6 +140,50 @@ def test_largest_threshold_k():
     assert largest_threshold_k(3, 6) == 1
     assert largest_threshold_k(3, 7) == 2
     assert largest_threshold_k(3, 3) is None
+    for n in range(1, 11):
+        for size in range((1 << n) + 1):
+            assert largest_threshold_k(n, size) == oracle_threshold_k(n, size), (n, size)
+
+
+def test_conjecture2_margin_rows_match_fractions():
+    for n in range(1, 11):
+        sizes = np.repeat(np.arange((1 << n) + 1), 3)
+        enter = np.tile([0, 1 << (n - 1), n << (n - 1)], (1 << n) + 1)
+        k, margin = verify.conjecture2_margin_rows(sizes, enter, n)
+        for size, e, got_k, got in zip(sizes.tolist(), enter.tolist(), k.tolist(), margin.tolist()):
+            want_k = oracle_threshold_k(n, size)
+            assert got_k == (-1 if want_k is None else want_k), (n, size)
+            cap = 0 if want_k is None else Fraction(want_k + 1, 1 << want_k)
+            assert Fraction(got, 1 << (n - 1)) == cap - Fraction(e, 1 << (n - 1)), (n, size, e)
+
+
+def test_edge_iso_ladder_on_every_small_row(monkeypatch):
+    """No sweep reaches a failing edge-iso row, so the flip counts are
+    replaced by values that walk through every influence below n: each row
+    is checked against the inequality for each k on its own."""
+
+    def walking_flips(t, n):
+        flips = np.zeros((len(t), n), dtype=np.int64)
+        flips[:, 0] = np.arange(len(t)) % ((n << (n - 1)) + 1)
+        return flips
+
+    monkeypatch.setattr(verify, "flip_count_rows", walking_flips)
+    failures = 0
+    for n in range(1, 5):
+        rows = verify._index_bits(0, 1 << (1 << n), n)
+        found = verify._edge_iso(rows, n)
+        pivotal = walking_flips(rows, n)[:, 0].tolist()
+        for r, size in enumerate(np.count_nonzero(rows, axis=1).tolist()):
+            mean = Fraction((1 << n) - 2 * size, 1 << n)
+            influence = Fraction(pivotal[r], 1 << (n - 1))
+            failing = [k for k in range(n)
+                       if -(1 - Fraction(1, 1 << k)) <= mean <= 0
+                       and influence < Fraction(k + 1, 1 << k)]
+            assert bool(found.ok[r]) == (not failing), (n, r)
+            if failing:
+                failures += 1
+                assert found.detail(r)["k"] == failing[0], (n, r)
+    assert failures > 0
 
 
 def test_conjecture2_margin_examples():
@@ -201,6 +257,36 @@ def test_plan_validation():
         run_sweep(SweepPlan("frankl", 3, "walk"))
     with pytest.raises(ValueError):
         run_sweep(SweepPlan("frankl", 3, "random", samples=10, seed=-1))
+    with pytest.raises(ValueError):
+        run_sweep(SweepPlan("frankl", 3, "random", samples=10, seed=1 << 64))
+
+
+@pytest.mark.parametrize("value", [2.5, True, 1.5])
+@pytest.mark.parametrize("name", ["samples", "seed", "worker_count", "witness_cap"])
+def test_plan_rejects_counts_that_are_not_ints(name, value, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(verify._Property, "chunks", no_rows)
+    plan = SweepPlan("parseval", 3, "random", **{"samples": 2, name: value})
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        run_sweep(plan)
+    if name in ("samples", "seed"):
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            verify.scan("conjecture2", 3, plan.samples, plan.seed)
+
+
+def test_dimension_rejects_bools():
+    for flag in (True, False):
+        with pytest.raises(DimensionError, match="got bool"):
+            check_dimension(flag)
+        with pytest.raises(DimensionError):
+            run_sweep(SweepPlan("parseval", flag, "random", samples=2))
+
+
+def test_samples_are_ignored_in_exhaustive_mode():
+    for samples in (None, 0):
+        assert run_sweep(SweepPlan("parseval", 2, "exhaustive", samples=samples)).checked == 16
 
 
 def test_sweep_examples():
@@ -265,6 +351,26 @@ def test_witness_serialization(monkeypatch):
                 assert witness["function"] == "".join("-" if x in family else "+" for x in range(4))
             else:
                 assert witness["family"] == familyfile.format_family(family)
+
+
+def test_witness_kind_follows_the_draw():
+    functions = {name for name, prop in verify._PROPERTIES.items() if prop.kind == "function"}
+    assert functions == {"parseval", "influence-identity", "corollary-lb", "edge-iso",
+                         "fkn-zero", "ks-zero"}
+    assert {prop.kind for name, prop in verify._PROPERTIES.items()
+            if name not in functions} == {"family"}
+
+
+def test_uniform_draw_unpacks_the_drawn_bits():
+    for n in range(1, 8):
+        row = np.zeros(1 << n, dtype=bool)
+        verify._draw_uniform(np.random.default_rng((5, n)), n, row)
+        rng = np.random.default_rng((5, n))
+        if n >= 3:
+            bits = int.from_bytes(rng.bytes(1 << (n - 3)), "little")
+        else:
+            bits = int(rng.integers(0, 1 << (1 << n)))
+        assert row.tolist() == bits_to_bool(bits, n).tolist(), n
 
 
 def test_report_canonical_shape():
