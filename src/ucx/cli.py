@@ -24,8 +24,7 @@ from .core import DimensionError, SetFamily, family_to_function
 from .extremal import dictator_from_first_level
 from .families import (
     is_union_closed,
-    root_masks,
-    simply_rooted_rows,
+    rooted_rows,
     stats,
     unique_root_counts,
     upper_shadow_deficiency,
@@ -62,8 +61,7 @@ def analysis_report(family: SetFamily) -> dict:
     prof = profile(func)
     st = stats(family)
     union_closed = is_union_closed(family)
-    found = root_masks(table, n)
-    simply_rooted = bool(simply_rooted_rows(table, found))
+    found, simply_rooted = rooted_rows(table, n)
     first_level = [2 * (a - b) for a, b in zip(prof.enter, prof.exit)]  # s({i}), no transform
     dict_i, dict_sign, dict_dist = dictator_from_first_level(first_level, n)
 
@@ -71,7 +69,7 @@ def analysis_report(family: SetFamily) -> dict:
         "n": n,
         "size": st.size,
         "is_union_closed": union_closed,
-        "is_simply_rooted": simply_rooted,
+        "is_simply_rooted": bool(simply_rooted),
         "frequencies": st.frequencies,
         "abundant": st.abundant,
         "rare": st.rare,

@@ -85,6 +85,13 @@ def mask_from_elements(elements: Iterable[int], n: int) -> int:
     return mask
 
 
+def _mask_index(mask):
+    """The mask itself; ``TypeError`` for a bool, which numpy reads as a boolean index."""
+    if isinstance(mask, (bool, np.bool_)):
+        raise TypeError(f"a subset mask must be an integer, got {type(mask).__name__}")
+    return mask
+
+
 def elements_from_mask(mask: int) -> tuple[int, ...]:
     """1-based element labels of a subset mask, ascending."""
     return tuple(i + 1 for i in iter_bits(mask))
@@ -195,7 +202,7 @@ class BooleanFunction(CubeTable):
         return self._table
 
     def __call__(self, x: int) -> int:
-        return -1 if self._table[x] else 1
+        return -1 if self._table[_mask_index(x)] else 1
 
     def minus_count(self) -> int:
         """Number of points where the function is -1."""
@@ -245,7 +252,7 @@ class SetFamily(CubeTable):
     def from_members(cls, n: int, masks: Iterable[int]) -> "SetFamily":
         table = np.zeros(1 << check_dimension(n), dtype=bool)
         for m in masks:
-            if not 0 <= m < table.size:
+            if not 0 <= _mask_index(m) < table.size:
                 raise ValueError(f"subset mask {m} outside [0, 2^{n})")
             table[m] = True
         return cls(n, table)
@@ -272,7 +279,7 @@ class SetFamily(CubeTable):
         return int(np.count_nonzero(self._table))
 
     def __contains__(self, mask: int) -> bool:
-        return 0 <= mask < self._table.size and bool(self._table[mask])
+        return 0 <= _mask_index(mask) < self._table.size and bool(self._table[mask])
 
     def __len__(self) -> int:
         return self.size

@@ -120,9 +120,10 @@ def root_masks(tables: np.ndarray, n: int) -> np.ndarray:
     return np.where(tables, _masks(n) & ~cover_table(~tables, n), np.uint32(0))
 
 
-def simply_rooted_rows(tables: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Per row, given its ``root_masks``: whether every member has a root."""
-    return np.all(~tables | (roots != 0), axis=-1)
+def rooted_rows(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the root masks, and whether every member has a root (simply-rooted)."""
+    roots = root_masks(tables, n)
+    return roots, np.all(~tables | (roots != 0), axis=-1)
 
 
 def _uniquely_rooted(roots: np.ndarray) -> np.ndarray:
@@ -180,9 +181,8 @@ def component_directions(tables: np.ndarray, n: int) -> np.ndarray:
 
 def duality_rows(tables: np.ndarray, n: int) -> np.ndarray:
     """Per row: (union-closed AND holds the empty set) == complement simply-rooted."""
-    complement = ~tables
     lhs = union_closed_rows(tables, n) & tables[..., 0]
-    return lhs == simply_rooted_rows(complement, root_masks(complement, n))
+    return lhs == rooted_rows(~tables, n)[1]
 
 
 def shadow_dichotomy_rows(tables: np.ndarray, roots: np.ndarray, n: int) -> np.ndarray:
@@ -263,16 +263,14 @@ def roots(family: SetFamily) -> RootReport:
 
 def is_simply_rooted(family: SetFamily) -> bool:
     """True when every member has a root; the empty set member never does."""
-    table = family.to_bool()
-    return bool(simply_rooted_rows(table, root_masks(table, family.n)))
+    return bool(rooted_rows(family.to_bool(), family.n)[1])
 
 
-def _simply_rooted_roots(family: SetFamily, what: str) -> tuple[np.ndarray, np.ndarray]:
-    table = family.to_bool()
-    found = root_masks(table, family.n)
-    if not simply_rooted_rows(table, found):
+def _simply_rooted_roots(family: SetFamily, what: str) -> np.ndarray:
+    found, simply_rooted = rooted_rows(family.to_bool(), family.n)
+    if not simply_rooted:
         raise PreconditionError(f"{what} requires a simply-rooted family")
-    return table, found
+    return found
 
 
 def duality_check(family: SetFamily) -> bool:
@@ -309,8 +307,8 @@ def shadow_lemma_check(family: SetFamily) -> bool:
     in exactly one set (the unique root removed) when the member has a single
     root, and in no set otherwise.  Always true on the stated domain.
     """
-    table, found = _simply_rooted_roots(family, "shadow dichotomy")
-    return bool(shadow_dichotomy_rows(table, found, family.n))
+    found = _simply_rooted_roots(family, "shadow dichotomy")
+    return bool(shadow_dichotomy_rows(family.to_bool(), found, family.n))
 
 
 def thin_boundary_check(family: SetFamily) -> bool:
@@ -336,8 +334,8 @@ def positive_influence_cap_check(family: SetFamily) -> bool:
     """For a simply-rooted family: I^+ = unique_root_count / 2^{n-1} and
     I^+ <= min(1, |F| / 2^{n-1}).
     """
-    table, found = _simply_rooted_roots(family, "positive-influence cap")
-    return bool(positive_cap_rows(table, found, family.n)[2])
+    found = _simply_rooted_roots(family, "positive-influence cap")
+    return bool(positive_cap_rows(family.to_bool(), found, family.n)[2])
 
 
 def stats(family: SetFamily) -> FamilyStats:

@@ -3,6 +3,7 @@
 Grammar: a header line ``n=<int>``, then one set per line as strictly
 ascending space-separated 1-based element labels, with ``-`` standing for
 the empty set.  ``n`` and the labels are ASCII digits only.  Lines starting with ``#`` and blank lines are ignored.
+A line ends at LF, CR LF or CR, as ``open()`` reads it; other whitespace separates labels.
 Canonical output orders sets by (cardinality, numeric mask), so writing a
 parsed canonical file reproduces it byte for byte.
 """
@@ -32,7 +33,7 @@ class FamilyFileError(ValueError):
 def parse_family(text: str) -> SetFamily:
     n: int | None = None
     table = labels = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

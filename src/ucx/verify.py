@@ -49,9 +49,8 @@ from .families import (
     component_directions,
     duality_rows,
     positive_cap_rows,
-    root_masks,
+    rooted_rows,
     shadow_dichotomy_rows,
-    simply_rooted_rows,
     theorem2_rows,
     thin_boundary_rows,
     union_closed_rows,
@@ -83,7 +82,7 @@ def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
         if which == "union_closed":
             rows = rows[union_closed_rows(rows, n)]
         elif which == "simply_rooted":
-            rows = rows[simply_rooted_rows(rows, root_masks(rows, n))]
+            rows = rows[rooted_rows(rows, n)[1]]
         for row in rows:
             yield SetFamily(n, row)
 
@@ -441,31 +440,25 @@ def _theorem2(t: np.ndarray, n: int) -> _Rows:
                  {"size": np.count_nonzero(t, axis=1), "deficiency": deficiency})
 
 
-def _simply_rooted(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows' root masks, and which rows are simply-rooted."""
-    found = root_masks(t, n)
-    return found, simply_rooted_rows(t, found)
-
-
 def _shadow_lemma(t: np.ndarray, n: int) -> _Rows:
-    found, applicable = _simply_rooted(t, n)
+    found, applicable = rooted_rows(t, n)
     return _Rows(applicable, shadow_dichotomy_rows(t, found, n), _reason("shadow dichotomy failed"))
 
 
 def _thin_boundary(t: np.ndarray, n: int) -> _Rows:
-    applicable = _simply_rooted(t, n)[1]
+    applicable = rooted_rows(t, n)[1]
     return _Rows(applicable, thin_boundary_rows(t, n), _reason("member covers two missing sets"))
 
 
 def _positive_cap(t: np.ndarray, n: int) -> _Rows:
-    found, applicable = _simply_rooted(t, n)
+    found, applicable = rooted_rows(t, n)
     enter, unique, ok = positive_cap_rows(t, found, n)
     return _Rows(applicable, ok,
                  lambda r: {"enter_pairs": int(enter[r]), "unique_root_count": int(unique[r])})
 
 
 def _partial_claim(t: np.ndarray, n: int) -> _Rows:
-    applicable = _simply_rooted(t, n)[1] & (4 * np.count_nonzero(t, axis=1) > 3 << n)
+    applicable = rooted_rows(t, n)[1] & (4 * np.count_nonzero(t, axis=1) > 3 << n)
     enter = pair_count_rows(t, n)[0].sum(axis=1)
     return _Rows(applicable, enter < 1 << (n - 1), lambda r: {"enter_pairs": int(enter[r])},
                  _count("num_applicable", applicable))
@@ -476,7 +469,7 @@ def _conjecture2(t: np.ndarray, n: int) -> _Rows:
     sizes = np.count_nonzero(t, axis=1)
     enter = pair_count_rows(t, n)[0].sum(axis=1)
     k, margin = conjecture2_margin_rows(sizes, enter, n)
-    applicable = _simply_rooted(t, n)[1] & (sizes > 0)
+    applicable = rooted_rows(t, n)[1] & (sizes > 0)
     capped = applicable & (k >= 0)
     summary = _count("num_applicable", capped)
     if summary:
@@ -488,7 +481,9 @@ def _conjecture2(t: np.ndarray, n: int) -> _Rows:
 
 def _kotlov(t: np.ndarray, n: int) -> _Rows:
     applicable = np.count_nonzero(t, axis=1) > 1 << (n - 1)
-    spans = np.any(component_directions(t, n) == (1 << n) - 1, axis=1)
+    spans = np.zeros(len(t), dtype=bool)
+    if applicable.any():  # a refused kotlov_check labels nothing
+        spans[applicable] = np.any(component_directions(t[applicable], n) == (1 << n) - 1, axis=1)
     return _Rows(applicable, spans, _reason("no component spans all directions"))
 
 

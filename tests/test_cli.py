@@ -74,6 +74,18 @@ def test_parse_errors_carry_position():
     assert err.value.line == 2 and err.value.column == 1
 
 
+def test_lines_end_only_at_line_breaks():
+    # vertical tab, form feed, the separators \x1c-\x1e, NEL and U+2028/9
+    # are whitespace inside a line, as open() reads it
+    for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        assert familyfile.parse_family(f"n=2\n1{sep}2\n").members() == (3,)
+    for end in ("\n", "\r\n", "\r"):
+        assert familyfile.parse_family(end.join(["n=2", "-", "1 2", ""])).members() == (0, 3)
+    with pytest.raises(familyfile.FamilyFileError) as err:
+        familyfile.parse_family("n=2\n1\x85x\n")
+    assert err.value.line == 2 and err.value.column == 3
+
+
 def test_analysis_report_fields():
     report = cli.analysis_report(SetFamily.from_sets(2, [[1], [2], [1, 2]]))
     assert report["mean_coefficient"] == "-1/2"

@@ -224,6 +224,21 @@ def test_dimension_cap_env(monkeypatch):
         max_dimension()
 
 
+def test_bool_masks_are_refused():
+    # numpy reads a bool index as a mask over the whole table
+    for masks in ([True], [1, False], np.array([False, True, False, False])):
+        with pytest.raises(TypeError):
+            SetFamily.from_members(2, masks)
+    fam = SetFamily.from_members(2, [1])
+    f = BooleanFunction.constant(2, -1)
+    for mask in (True, False, np.bool_(True)):
+        with pytest.raises(TypeError):
+            mask in fam
+        with pytest.raises(TypeError):
+            f(mask)
+    assert np.int64(1) in fam and f(np.int64(3)) == -1
+
+
 def test_boolean_function_validation():
     with pytest.raises(ValueError):
         BooleanFunction(2, [1, 1, 0, 1])

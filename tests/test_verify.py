@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucx import familyfile, spectral, verify
+from ucx import families, familyfile, spectral, verify
 from ucx.core import DimensionError, SetFamily, bits_to_bool, check_dimension
 from ucx.families import (
     PreconditionError,
@@ -205,6 +205,19 @@ def test_kotlov_check():
         assert kotlov_check(SetFamily.from_members(2, members))
     with pytest.raises(PreconditionError):
         kotlov_check(SetFamily.from_members(2, [0, 1]))
+
+
+def test_kotlov_check_refuses_before_labelling(monkeypatch):
+    def fail(tables, n):
+        raise AssertionError("components labelled on a vertex set the check refuses")
+
+    for module in (families, verify):
+        monkeypatch.setattr(module, "component_directions", fail)
+    rng = np.random.default_rng(11)
+    for n in (3, 10):
+        half = SetFamily.from_members(n, rng.choice(1 << n, size=1 << (n - 1), replace=False).tolist())
+        with pytest.raises(PreconditionError):
+            kotlov_check(half)
 
 
 def bfs_component_directions(n: int, vertices: set[int]) -> dict[int, int]:
