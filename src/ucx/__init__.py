@@ -30,13 +30,10 @@ from .families import (
     FamilyStats,
     PreconditionError,
     RootReport,
-    duality_check,
     is_simply_rooted,
     is_union_closed,
     lower_shadow,
-    positive_influence_cap_check,
     roots,
-    shadow_lemma_check,
     stats,
     theorem2_quantities,
     thin_boundary_check,
@@ -62,10 +59,13 @@ from .verify import (
     SweepPlan,
     VerificationReport,
     conjecture2_margin,
+    duality_check,
     enumerate_families,
     kotlov_check,
+    positive_influence_cap_check,
     random_union_closed,
     run_sweep,
+    shadow_lemma_check,
     union_closure,
 )
 

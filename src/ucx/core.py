@@ -85,11 +85,16 @@ def mask_from_elements(elements: Iterable[int], n: int) -> int:
     return mask
 
 
-def _mask_index(mask):
-    """The mask itself; ``TypeError`` for a bool, which numpy reads as a boolean index."""
-    if isinstance(mask, (bool, np.bool_)):
+def check_mask(mask, n: int) -> int:
+    """The subset mask as an ``int``: ``TypeError`` unless it is a Python or
+    numpy integer (a bool, which numpy reads as a boolean index, is not), and
+    ``ValueError`` unless it lies in [0, 2^n), since numpy reads -1 as the
+    last point."""
+    if isinstance(mask, (bool, np.bool_)) or not isinstance(mask, (int, np.integer)):
         raise TypeError(f"a subset mask must be an integer, got {type(mask).__name__}")
-    return mask
+    if not 0 <= mask < 1 << n:
+        raise ValueError(f"subset mask {mask} outside [0, 2^{n})")
+    return int(mask)
 
 
 def elements_from_mask(mask: int) -> tuple[int, ...]:
@@ -202,7 +207,7 @@ class BooleanFunction(CubeTable):
         return self._table
 
     def __call__(self, x: int) -> int:
-        return -1 if self._table[_mask_index(x)] else 1
+        return -1 if self._table[check_mask(x, self.n)] else 1
 
     def minus_count(self) -> int:
         """Number of points where the function is -1."""
@@ -252,9 +257,7 @@ class SetFamily(CubeTable):
     def from_members(cls, n: int, masks: Iterable[int]) -> "SetFamily":
         table = np.zeros(1 << check_dimension(n), dtype=bool)
         for m in masks:
-            if not 0 <= _mask_index(m) < table.size:
-                raise ValueError(f"subset mask {m} outside [0, 2^{n})")
-            table[m] = True
+            table[check_mask(m, n)] = True
         return cls(n, table)
 
     @classmethod
@@ -279,7 +282,10 @@ class SetFamily(CubeTable):
         return int(np.count_nonzero(self._table))
 
     def __contains__(self, mask: int) -> bool:
-        return 0 <= _mask_index(mask) < self._table.size and bool(self._table[mask])
+        try:
+            return bool(self._table[check_mask(mask, self.n)])
+        except ValueError:  # an integer outside the cube is no member
+            return False
 
     def __len__(self) -> int:
         return self.size

@@ -10,8 +10,8 @@ Complementation inside 2^[n] exchanges the two notions, with one subtlety
 the bare definitions hide: a family F is simply-rooted if and only if its
 complement G is union-closed AND contains the empty set.  (For union-closed
 G without the empty set, the empty set lands in F rootless; every nonempty
-member of F still has a root.)  ``duality_check`` verifies exactly this
-corrected equivalence, which holds for every family without exception.
+member of F still has a root.)  ``verify.duality_check`` verifies exactly
+this corrected equivalence, which holds for every family without exception.
 
 Every operation is a batched kernel over boolean membership tables of shape
 (..., 2^n), one family per row, and the functions taking a ``SetFamily`` are
@@ -29,8 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SetFamily, coordinate_pairs, iter_bits
-from .influence import pair_count_rows
+from .core import SetFamily, check_mask, coordinate_pairs, iter_bits
 
 
 class PreconditionError(ValueError):
@@ -48,14 +47,17 @@ class RootReport:
 
     @property
     def uniquely_rooted(self) -> np.ndarray:
-        return self.members[_uniquely_rooted(self.root_sets)]
+        return self.members[uniquely_rooted(self.root_sets)]
 
     @property
     def unique_root_count(self) -> int:
         return int(unique_root_counts(self.root_sets))
 
     def roots_of(self, member: int) -> int:
-        at = int(np.searchsorted(self.members, member))
+        try:
+            at = int(np.searchsorted(self.members, check_mask(member, self.n)))
+        except ValueError:  # an integer outside the cube is no member
+            at = self.members.size
         if at == self.members.size or self.members[at] != member:
             raise KeyError(f"mask {member} is not a member")
         return int(self.root_sets[at])
@@ -126,13 +128,14 @@ def rooted_rows(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return roots, np.all(~tables | (roots != 0), axis=-1)
 
 
-def _uniquely_rooted(roots: np.ndarray) -> np.ndarray:
+def uniquely_rooted(roots: np.ndarray) -> np.ndarray:
+    """Per mask, given ``root_masks``: whether it is a member with exactly one root."""
     return (roots != 0) & _at_most_one_bit(roots)
 
 
 def unique_root_counts(roots: np.ndarray) -> np.ndarray:
     """Per row, given its ``root_masks``: the number of uniquely rooted members."""
-    return np.count_nonzero(_uniquely_rooted(roots), axis=-1)
+    return np.count_nonzero(uniquely_rooted(roots), axis=-1)
 
 
 def upper_shadow_rows(tables: np.ndarray, n: int) -> np.ndarray:
@@ -179,21 +182,6 @@ def component_directions(tables: np.ndarray, n: int) -> np.ndarray:
             return labels
 
 
-def duality_rows(tables: np.ndarray, n: int) -> np.ndarray:
-    """Per row: (union-closed AND holds the empty set) == complement simply-rooted."""
-    lhs = union_closed_rows(tables, n) & tables[..., 0]
-    return lhs == rooted_rows(~tables, n)[1]
-
-
-def shadow_dichotomy_rows(tables: np.ndarray, roots: np.ndarray, n: int) -> np.ndarray:
-    """Per simply-rooted row, given its ``root_masks``: whether every uniquely
-    rooted member misses exactly its root removed from the family, and every
-    other member misses nothing."""
-    missing = missing_lower_rows(tables, n)
-    unique = _uniquely_rooted(roots)
-    return np.all(~tables | np.where(unique, missing == roots, missing == 0), axis=-1)
-
-
 def thin_boundary_rows(tables: np.ndarray, n: int) -> np.ndarray:
     """Per row: whether every member covers at most one set outside the family."""
     return np.all(~tables | _at_most_one_bit(missing_lower_rows(tables, n)), axis=-1)
@@ -202,16 +190,6 @@ def thin_boundary_rows(tables: np.ndarray, n: int) -> np.ndarray:
 def theorem2_rows(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row: the upper-shadow deficiency and the complement's unique-root count."""
     return upper_shadow_deficiency(tables, n), unique_root_counts(root_masks(~tables, n))
-
-
-def positive_cap_rows(tables: np.ndarray, roots: np.ndarray, n: int):
-    """Per simply-rooted row, given its ``root_masks``: the enter-pair count,
-    the unique-root count, and whether I^+ = unique_root_count / 2^{n-1} and
-    I^+ <= min(1, |F| / 2^{n-1})."""
-    enter = pair_count_rows(tables, n)[0].sum(axis=-1)
-    unique = unique_root_counts(roots)
-    cap = np.minimum(1 << (n - 1), np.count_nonzero(tables, axis=-1))
-    return enter, unique, (enter == unique) & (enter <= cap)
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +244,6 @@ def is_simply_rooted(family: SetFamily) -> bool:
     return bool(rooted_rows(family.to_bool(), family.n)[1])
 
 
-def _simply_rooted_roots(family: SetFamily, what: str) -> np.ndarray:
-    found, simply_rooted = rooted_rows(family.to_bool(), family.n)
-    if not simply_rooted:
-        raise PreconditionError(f"{what} requires a simply-rooted family")
-    return found
-
-
-def duality_check(family: SetFamily) -> bool:
-    """Verify the complement duality on one family; true for every family.
-
-    The exact equivalence is: family union-closed AND containing the empty
-    set <=> complement simply-rooted.  The left side is read off the family's
-    subset-union cover and the right side off the complement's root masks.
-    """
-    return bool(duality_rows(family.to_bool(), family.n))
-
-
 def upper_shadow(family: SetFamily) -> SetFamily:
     """All sets obtained by adding one element to some member."""
     return SetFamily.from_bool(family.n, upper_shadow_rows(family.to_bool(), family.n))
@@ -297,18 +258,8 @@ def lower_shadow(family: SetFamily) -> SetFamily:
 
 def missing_lower_covers(family: SetFamily, member: int) -> int:
     """Mask of elements i in the member with member - i outside the family."""
-    if not 0 <= member < 1 << family.n:
-        raise ValueError(f"subset mask {member} outside [0, 2^{family.n})")
+    member = check_mask(member, family.n)
     return int(missing_lower_rows(family.to_bool(), family.n)[member])
-
-
-def shadow_lemma_check(family: SetFamily) -> bool:
-    """For a simply-rooted family: each member's lower shadow misses the family
-    in exactly one set (the unique root removed) when the member has a single
-    root, and in no set otherwise.  Always true on the stated domain.
-    """
-    found = _simply_rooted_roots(family, "shadow dichotomy")
-    return bool(shadow_dichotomy_rows(family.to_bool(), found, family.n))
 
 
 def thin_boundary_check(family: SetFamily) -> bool:
@@ -328,14 +279,6 @@ def theorem2_quantities(family: SetFamily) -> tuple[int, int]:
         raise PreconditionError("upper-shadow deficiency requires a union-closed family")
     deficiency, unique_count = theorem2_rows(family.to_bool(), family.n)
     return int(deficiency), int(unique_count)
-
-
-def positive_influence_cap_check(family: SetFamily) -> bool:
-    """For a simply-rooted family: I^+ = unique_root_count / 2^{n-1} and
-    I^+ <= min(1, |F| / 2^{n-1}).
-    """
-    found = _simply_rooted_roots(family, "positive-influence cap")
-    return bool(positive_cap_rows(family.to_bool(), found, family.n)[2])
 
 
 def stats(family: SetFamily) -> FamilyStats:

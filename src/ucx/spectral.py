@@ -16,6 +16,7 @@ from .core import (
     BooleanFunction,
     CubeTable,
     SetFamily,
+    check_mask,
     coordinate_pairs,
     family_to_function,
     frequency_rows,
@@ -41,7 +42,7 @@ class Spectrum(CubeTable):
 
     def coefficient(self, mask: int) -> Fraction:
         """Normalized coefficient s(S)/2^n."""
-        return Fraction(int(self.s[mask]), 1 << self.n)
+        return Fraction(int(self.s[check_mask(mask, self.n)]), 1 << self.n)
 
     def __repr__(self) -> str:
         return f"Spectrum(n={self.n}, s={self.s.tolist() if self.n <= 3 else '...'})"

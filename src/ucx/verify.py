@@ -47,13 +47,13 @@ from .families import (
     PreconditionError,
     closure_rows,
     component_directions,
-    duality_rows,
-    positive_cap_rows,
+    missing_lower_rows,
     rooted_rows,
-    shadow_dichotomy_rows,
     theorem2_rows,
     thin_boundary_rows,
     union_closed_rows,
+    unique_root_counts,
+    uniquely_rooted,
 )
 from .influence import corollary_bound_rows, flip_count_rows, pair_count_rows
 from .spectral import first_level_rows, level_sum_rows, spectrum_rows
@@ -133,13 +133,47 @@ def conjecture2_margin_rows(sizes, enter, n: int) -> tuple[np.ndarray, np.ndarra
     return k, np.where(k < 0, 0, _cap_ladder(n)[1][k]) - enter
 
 
+def _one_row(prop: str, family: SetFamily, refusal: str | None = None) -> _Rows:
+    """The sweep evaluator of ``prop`` on one instance; with a ``refusal``,
+    ``PreconditionError`` where the sweep would skip the row."""
+    found = _PROPERTIES[prop].evaluate(family.to_bool()[None], family.n)
+    if refusal is not None and not found.applicable[0]:
+        raise PreconditionError(refusal)
+    return found
+
+
+def duality_check(family: SetFamily) -> bool:
+    """Verify the complement duality on one family; true for every family.
+
+    The exact equivalence is: family union-closed AND containing the empty
+    set <=> complement simply-rooted.  The left side is read off the family's
+    subset-union cover and the right side off the complement's root masks.
+    """
+    return bool(_one_row("duality", family).ok[0])
+
+
+def shadow_lemma_check(family: SetFamily) -> bool:
+    """For a simply-rooted family: each member's lower shadow misses the family
+    in exactly one set (the unique root removed) when the member has a single
+    root, and in no set otherwise.  Always true on the stated domain.
+    """
+    return bool(_one_row("shadow-lemma", family,
+                         "shadow dichotomy requires a simply-rooted family").ok[0])
+
+
+def positive_influence_cap_check(family: SetFamily) -> bool:
+    """For a simply-rooted family: I^+ = unique_root_count / 2^{n-1} and
+    I^+ <= min(1, |F| / 2^{n-1}).
+    """
+    return bool(_one_row("positive-cap", family,
+                         "positive-influence cap requires a simply-rooted family").ok[0])
+
+
 def conjecture2_margin(family: SetFamily) -> tuple[int | None, Fraction | None]:
     """Slack of the positive-influence cap (k+1) 2^{-k} at the largest
     applicable threshold k.  A negative margin would be a counterexample.
     """
-    found = _conjecture2(family.to_bool()[None], family.n)  # the sweep's evaluator, one row
-    if not found.applicable[0]:
-        raise PreconditionError("margin requires a nonempty simply-rooted family")
+    found = _one_row("conjecture2", family, "margin requires a nonempty simply-rooted family")
     k, margin = (int(found.quantities[key][0]) for key in ("k", "margin_scaled"))
     return (None, None) if k < 0 else (k, Fraction(margin, 1 << (family.n - 1)))
 
@@ -147,10 +181,7 @@ def conjecture2_margin(family: SetFamily) -> tuple[int | None, Fraction | None]:
 def kotlov_check(vertices: SetFamily) -> bool:
     """For a vertex set larger than half the cube: some connected component
     of the induced subgraph uses edges in all n directions."""
-    found = _kotlov(vertices.to_bool()[None], vertices.n)  # the sweep's evaluator, one row
-    if not found.applicable[0]:
-        raise PreconditionError("vertex set must exceed half the cube")
-    return bool(found.ok[0])
+    return bool(_one_row("kotlov", vertices, "vertex set must exceed half the cube").ok[0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +449,8 @@ def _ks_zero(t: np.ndarray, n: int) -> _Rows:
 
 
 def _duality(t: np.ndarray, n: int) -> _Rows:
-    return _Rows(_every(t), duality_rows(t, n), _reason("duality mismatch"))
+    lhs = union_closed_rows(t, n) & t[:, 0]  # union-closed and holding the empty set
+    return _Rows(_every(t), lhs == rooted_rows(~t, n)[1], _reason("duality mismatch"))
 
 
 def _frankl(t: np.ndarray, n: int) -> _Rows:
@@ -442,7 +474,9 @@ def _theorem2(t: np.ndarray, n: int) -> _Rows:
 
 def _shadow_lemma(t: np.ndarray, n: int) -> _Rows:
     found, applicable = rooted_rows(t, n)
-    return _Rows(applicable, shadow_dichotomy_rows(t, found, n), _reason("shadow dichotomy failed"))
+    missing = missing_lower_rows(t, n)
+    ok = np.all(~t | np.where(uniquely_rooted(found), missing == found, missing == 0), axis=1)
+    return _Rows(applicable, ok, _reason("shadow dichotomy failed"))
 
 
 def _thin_boundary(t: np.ndarray, n: int) -> _Rows:
@@ -452,7 +486,9 @@ def _thin_boundary(t: np.ndarray, n: int) -> _Rows:
 
 def _positive_cap(t: np.ndarray, n: int) -> _Rows:
     found, applicable = rooted_rows(t, n)
-    enter, unique, ok = positive_cap_rows(t, found, n)
+    enter = pair_count_rows(t, n)[0].sum(axis=1)
+    unique = unique_root_counts(found)
+    ok = (enter == unique) & (enter <= np.minimum(1 << (n - 1), np.count_nonzero(t, axis=1)))
     return _Rows(applicable, ok,
                  lambda r: {"enter_pairs": int(enter[r]), "unique_root_count": int(unique[r])})
 

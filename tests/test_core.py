@@ -27,6 +27,8 @@ from ucx.core import (
     max_dimension,
     popcount_table,
 )
+from ucx.families import missing_lower_covers, roots
+from ucx.spectral import transform
 
 
 def brute_distance(f: BooleanFunction, g_values) -> Fraction:
@@ -225,18 +227,37 @@ def test_dimension_cap_env(monkeypatch):
 
 
 def test_bool_masks_are_refused():
-    # numpy reads a bool index as a mask over the whole table
-    for masks in ([True], [1, False], np.array([False, True, False, False])):
+    # numpy reads a bool index as a mask over the whole table, and a float not at all
+    for masks in ([True], [1, False], np.array([False, True, False, False]), [1.0]):
         with pytest.raises(TypeError):
             SetFamily.from_members(2, masks)
-    fam = SetFamily.from_members(2, [1])
+    fam = SetFamily.from_members(2, [1, 3])
     f = BooleanFunction.constant(2, -1)
-    for mask in (True, False, np.bool_(True)):
-        with pytest.raises(TypeError):
-            mask in fam
-        with pytest.raises(TypeError):
-            f(mask)
+    spec = transform(f)
+    report = roots(fam)
+    for mask in (True, False, np.bool_(True), 1.0, np.float64(1), "1"):
+        for call in (lambda: mask in fam, lambda: f(mask), lambda: spec.coefficient(mask),
+                     lambda: report.roots_of(mask), lambda: missing_lower_covers(fam, mask)):
+            with pytest.raises(TypeError):
+                call()
     assert np.int64(1) in fam and f(np.int64(3)) == -1
+    assert spec.coefficient(np.uint8(0)) == -1 and report.roots_of(np.int32(3)) == 0b01
+    assert missing_lower_covers(fam, np.int64(3)) == 0b01
+
+
+def test_masks_outside_the_cube():
+    # numpy reads -1 as the last point
+    fam = SetFamily.from_members(2, [1, 3])
+    f = BooleanFunction.constant(2, -1)
+    spec = transform(f)
+    for mask in (-1, 4, 1 << 200, np.int64(-1)):
+        for call in (lambda: SetFamily.from_members(2, [mask]), lambda: f(mask),
+                     lambda: spec.coefficient(mask)):
+            with pytest.raises(ValueError, match=f"subset mask {mask} outside \\[0, 2\\^2\\)"):
+                call()
+        assert mask not in fam
+        with pytest.raises(KeyError):
+            roots(fam).roots_of(mask)
 
 
 def test_boolean_function_validation():

@@ -17,20 +17,22 @@ from ucx.core import SetFamily, iter_bits
 from ucx.families import (
     PreconditionError,
     _roots_naive,
-    duality_check,
     is_simply_rooted,
     is_union_closed,
     lower_shadow,
     missing_lower_covers,
-    positive_influence_cap_check,
     roots,
-    shadow_lemma_check,
     stats,
     theorem2_quantities,
     thin_boundary_check,
     upper_shadow,
 )
-from ucx.verify import union_closure
+from ucx.verify import (
+    duality_check,
+    positive_influence_cap_check,
+    shadow_lemma_check,
+    union_closure,
+)
 
 
 def oracle_root_set(family: SetFamily, member: int) -> int:

@@ -1,10 +1,12 @@
-"""No module of the package imports another module's private names, and no
-module keeps an import it does not use."""
+"""No module of the package imports another module's private names, no
+module keeps an import it does not use, and the modules import each other
+in one layer order only."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ucx"
+LAYERS = ("core", "spectral", "influence", "families", "extremal", "familyfile", "verify", "cli")
 
 
 def test_no_cross_module_private_imports():
@@ -43,4 +45,21 @@ def test_no_unused_imports():
                     bound = alias.asname or alias.name.partition(".")[0]
                     if bound not in used:
                         offenders.append(f"{path.name}:{node.lineno}: {bound}")
+    assert offenders == []
+
+
+def test_modules_import_only_earlier_layers():
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # the package re-exports every layer
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        earlier = LAYERS[: LAYERS.index(path.stem)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported = [node.module] if node.module else [a.name for a in node.names]
+                offenders += [f"{path.name}:{node.lineno}: {name}" for name in imported
+                              if name not in earlier]
     assert offenders == []

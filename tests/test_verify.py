@@ -21,11 +21,14 @@ from ucx.families import (
 from ucx.verify import (
     SweepPlan,
     conjecture2_margin,
+    duality_check,
     enumerate_families,
     kotlov_check,
     largest_threshold_k,
+    positive_influence_cap_check,
     random_union_closed,
     run_sweep,
+    shadow_lemma_check,
     union_closure,
 )
 from ucx.extremal import or_family
@@ -364,6 +367,33 @@ def test_witness_serialization(monkeypatch):
                 assert witness["function"] == "".join("-" if x in family else "+" for x in range(4))
             else:
                 assert witness["family"] == familyfile.format_family(family)
+
+
+def test_single_family_checks_read_their_sweep_evaluators(monkeypatch):
+    fam = SetFamily.from_members(2, [1, 2, 3])  # simply-rooted, over half the cube
+    checks = {"duality": duality_check, "shadow-lemma": shadow_lemma_check,
+              "positive-cap": positive_influence_cap_check, "kotlov": kotlov_check}
+    assert [check(fam) for check in checks.values()] == [True] * 4
+    assert conjecture2_margin(fam) == (1, 0)
+    for applicable in (True, False):
+        def forced(rows, n):
+            return verify._Rows(np.full(len(rows), applicable), np.zeros(len(rows), dtype=bool),
+                                lambda r: {"reason": "forced"},
+                                quantities={"k": np.full(len(rows), 0),
+                                            "margin_scaled": np.full(len(rows), -3)})
+
+        for prop in (*checks, "conjecture2"):
+            monkeypatch.setitem(verify._PROPERTIES, prop,
+                                dataclasses.replace(verify._PROPERTIES[prop], evaluate=forced))
+        if applicable:
+            assert [check(fam) for check in checks.values()] == [False] * 4
+            assert conjecture2_margin(fam) == (0, Fraction(-3, 2))
+            continue
+        assert duality_check(fam) is False  # defined on every family: never refused
+        for check in (shadow_lemma_check, positive_influence_cap_check, kotlov_check,
+                      conjecture2_margin):
+            with pytest.raises(PreconditionError):
+                check(fam)
 
 
 def test_witness_kind_follows_the_draw():
