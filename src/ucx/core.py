@@ -75,26 +75,41 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """The one gate of an integer argument: ``value`` as an ``int``.
+    ``TypeError`` unless it is a Python or numpy integer (a bool is not: numpy
+    reads it as a boolean index and Python as 0 or 1), and ``ValueError``
+    unless ``low <= value``, and ``value <= high`` when ``high`` is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    value = int(value)
+    if high is None:
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}")
+    elif not low <= value <= high:
+        raise ValueError(f"{name} {value} outside [{low}, {high}]")
+    return value
+
+
+def check_sign(sign) -> int:
+    """The sign of a signed function, +1 or -1, as an ``int``."""
+    if check_int(sign, "sign", -1, 1) == 0:
+        raise ValueError("sign must be +1 or -1")
+    return int(sign)
+
+
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
     """Mask for a set given by 1-based element labels in [1, n]."""
     mask = 0
     for e in elements:
-        if not 1 <= e <= n:
-            raise ValueError(f"element {e} outside [1, {n}]")
-        mask |= 1 << (e - 1)
+        mask |= 1 << (check_int(e, "element", 1, n) - 1)
     return mask
 
 
 def check_mask(mask, n: int) -> int:
-    """The subset mask as an ``int``: ``TypeError`` unless it is a Python or
-    numpy integer (a bool, which numpy reads as a boolean index, is not), and
-    ``ValueError`` unless it lies in [0, 2^n), since numpy reads -1 as the
-    last point."""
-    if isinstance(mask, (bool, np.bool_)) or not isinstance(mask, (int, np.integer)):
-        raise TypeError(f"a subset mask must be an integer, got {type(mask).__name__}")
-    if not 0 <= mask < 1 << n:
-        raise ValueError(f"subset mask {mask} outside [0, 2^{n})")
-    return int(mask)
+    """The subset mask as an ``int`` in [0, 2^n): numpy would read -1 as the
+    last point and a bool as a boolean index."""
+    return check_int(mask, "subset mask", 0, (1 << n) - 1)
 
 
 def elements_from_mask(mask: int) -> tuple[int, ...]:
@@ -191,9 +206,7 @@ class BooleanFunction(CubeTable):
 
     @classmethod
     def constant(cls, n: int, sign: int = 1) -> "BooleanFunction":
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return cls(n, np.full(1 << n, sign, dtype=np.int8))
+        return cls(n, np.full(1 << n, check_sign(sign), dtype=np.int8))
 
     @property
     def values(self) -> np.ndarray:
@@ -249,7 +262,8 @@ class SetFamily(CubeTable):
     def from_bits(cls, n: int, bits: int) -> "SetFamily":
         """Build from a bitset integer whose bit ``mask`` marks a member."""
         check_dimension(n)
-        if bits < 0 or bits.bit_length() > 1 << n:
+        bits = check_int(bits, "bitset", 0)
+        if bits.bit_length() > 1 << n:  # its own range test: 2^(2^n) is never printed
             raise ValueError(f"bitset does not fit in 2^{n} bits")
         return cls(n, bits_to_bool(bits, n))
 
@@ -316,10 +330,8 @@ class CharacterSpec:
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.support < 0:
-            raise ValueError("support mask must be non-negative")
+        object.__setattr__(self, "support", check_int(self.support, "support mask", 0))
+        object.__setattr__(self, "sign", check_sign(self.sign))
 
     def eval(self, x: int) -> int:
         return self.sign * (1 - 2 * ((x & self.support).bit_count() & 1))

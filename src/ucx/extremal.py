@@ -34,6 +34,8 @@ from .core import (
     CharacterSpec,
     SetFamily,
     check_dimension,
+    check_int,
+    check_sign,
     family_to_function,
     function_to_family,
     mask_from_elements,
@@ -52,9 +54,7 @@ class NamedConstruction:
 
 def or_family(m: int, n: int) -> NamedConstruction:
     """Family of all subsets of [n] that meet {1, ..., m}."""
-    check_dimension(n)
-    if not 1 <= m <= n:
-        raise ValueError(f"disjunct count m={m} outside [1, {n}]")
+    m = check_int(m, "disjunct count", 1, check_dimension(n))
     low = (1 << m) - 1
     table = (np.arange(1 << n, dtype=np.uint32) & low) != 0
     family = SetFamily(n, table)
@@ -63,9 +63,7 @@ def or_family(m: int, n: int) -> NamedConstruction:
 
 def half_cube_missing(i: int, n: int) -> NamedConstruction:
     """Family of all subsets of [n] avoiding element i; union-closed, size 2^{n-1}."""
-    check_dimension(n)
-    if not 1 <= i <= n:
-        raise ValueError(f"element i={i} outside [1, {n}]")
+    i = check_int(i, "element", 1, check_dimension(n))
     table = (np.arange(1 << n, dtype=np.uint32) >> (i - 1)) & 1 == 0
     family = SetFamily(n, table)
     return NamedConstruction("half_cube_missing", n, i, family, family_to_function(family))
@@ -79,8 +77,9 @@ def dictator(i: int, n: int) -> NamedConstruction:
 
 def parity(elements: tuple[int, ...], n: int) -> NamedConstruction:
     """Parity of the given 1-based coordinates."""
-    check_dimension(n)
-    mask = mask_from_elements(elements, n)
+    mask = mask_from_elements(elements, check_dimension(n))
+    if mask.bit_count() != len(elements):  # x_i XOR x_i is constant, not a parity
+        raise ValueError(f"parity coordinates {elements} must be distinct")
     func = BooleanFunction(n, CharacterSpec(mask).values(n))
     return NamedConstruction("parity", n, tuple(sorted(elements)), function_to_family(func), func)
 
@@ -112,8 +111,7 @@ def build(kind: str, n: int, **params) -> NamedConstruction:
 
 def or_family_stats(m: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
     """Closed-form (mean coefficient, I^+, I) of the m-disjunct OR-family."""
-    if not 1 <= m <= n:
-        raise ValueError(f"disjunct count m={m} outside [1, {n}]")
+    m = check_int(m, "disjunct count", 1, n)
     mean = Fraction(2, 1 << m) - 1
     influence = Fraction(2 * m, 1 << m)
     return mean, influence, influence
@@ -150,8 +148,8 @@ class KSClassMember:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        object.__setattr__(self, "sign", check_sign(self.sign))
+        object.__setattr__(self, "indices", tuple(check_int(i, "index", 1) for i in self.indices))
         if len(self.indices) not in (2, 4) or len(set(self.indices)) != len(self.indices):
             raise ValueError("indices must be 2 or 4 distinct 1-based coordinates")
 
@@ -186,7 +184,7 @@ def ks_enumerate(n: int) -> "Iterator[KSClassMember]":
     tuple and its reversal, which give the same function, only the one with
     the smaller first index is listed.
     """
-    cycles = _ks_cycles(n).tolist()
+    cycles = _ks_cycles(check_dimension(n)).tolist()
     return (KSClassMember._of_cycle(sign, cycle) for cycle in cycles for sign in (1, -1))
 
 

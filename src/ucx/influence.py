@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BooleanFunction, coordinate_pairs, frequency_rows
+from .core import BooleanFunction, check_int, coordinate_pairs, frequency_rows
 from .spectral import Spectrum, level_sum_rows, transform
 
 
@@ -40,9 +40,7 @@ class InfluenceProfile:
     def _ratio(self, counts: tuple[int, ...], i: int | None) -> Fraction:
         if i is None:
             return Fraction(sum(counts), 1 << (self.n - 1))
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} outside [1, {self.n}]")
-        return Fraction(counts[i - 1], 1 << (self.n - 1))
+        return Fraction(counts[check_int(i, "coordinate", 1, self.n) - 1], 1 << (self.n - 1))
 
     def positive_influence(self, i: int | None = None) -> Fraction:
         """I_i^+ for a 1-based coordinate, or the total I^+ when i is None."""
@@ -104,8 +102,7 @@ def corollary_bound_rows(levels: np.ndarray, n: int) -> np.ndarray:
 
 def corollary_lower_bound(spec: Spectrum, k: int) -> Fraction:
     """The influence floor k - sum_{i<k} (k-i) W^i; I(f) is never below it."""
-    if not 1 <= k <= spec.n:
-        raise ValueError(f"k={k} outside [1, {spec.n}]")
+    k = check_int(k, "k", 1, spec.n)
     floors = corollary_bound_rows(level_sum_rows(spec.s, spec.n), spec.n)
     return Fraction(int(floors[k - 1]), 1 << (2 * spec.n))
 

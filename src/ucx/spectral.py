@@ -16,6 +16,7 @@ from .core import (
     BooleanFunction,
     CubeTable,
     SetFamily,
+    check_int,
     check_mask,
     coordinate_pairs,
     family_to_function,
@@ -122,9 +123,7 @@ def level_sums(spec: Spectrum) -> tuple[int, ...]:
 
 def level_weight(spec: Spectrum, k: int) -> Fraction:
     """Total squared coefficient mass on level k, exact."""
-    if not 0 <= k <= spec.n:
-        raise ValueError(f"level {k} outside [0, {spec.n}]")
-    return Fraction(level_sums(spec)[k], 1 << (2 * spec.n))
+    return Fraction(level_sums(spec)[check_int(k, "level", 0, spec.n)], 1 << (2 * spec.n))
 
 
 def level_weights(spec: Spectrum) -> tuple[Fraction, ...]:
@@ -149,8 +148,7 @@ def first_level_identity(family: SetFamily, i: int) -> tuple[Fraction, Fraction]
     2^{1-n} (2|F_i| - |F|)); always equal, and positive exactly when element
     i appears in more than half the members.
     """
-    if not 1 <= i <= family.n:
-        raise ValueError(f"element {i} outside [1, {family.n}]")
+    i = check_int(i, "element", 1, family.n)
     spec = transform(family_to_function(family))
     frequency_form = first_level_rows(family.to_bool(), family.n)[i - 1]
     return spec.coefficient(1 << (i - 1)), Fraction(int(frequency_form), 1 << family.n)

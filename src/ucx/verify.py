@@ -41,7 +41,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import familyfile
-from .core import SetFamily, check_dimension, frequency_rows
+from .core import SetFamily, check_dimension, check_int, frequency_rows
 from .extremal import ks_correlation_rows, nearest_signed_rows
 from .families import (
     PreconditionError,
@@ -73,7 +73,7 @@ def union_closure(generators: SetFamily) -> SetFamily:
 
 def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
     """Every family on [n] exactly once, optionally filtered; n <= 4 only."""
-    if not 1 <= n <= EXHAUSTIVE_MAX_N:
+    if check_dimension(n) > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}")
     if which not in ("all", "union_closed", "simply_rooted"):
         raise ValueError(f"unknown filter {which!r}")
@@ -90,9 +90,8 @@ def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
 def random_union_closed(n: int, generator_count: int, seed: int) -> SetFamily:
     """Union closure of ``generator_count`` uniform subsets; deterministic."""
     check_dimension(n)
-    _check_count("generator_count", generator_count, 0)
-    _check_count("seed", seed, 0)
-    rng = np.random.default_rng(seed)
+    generator_count = check_int(generator_count, "generator_count", 0)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     table = np.zeros(1 << n, dtype=bool)
     table[rng.integers(0, 1 << n, size=generator_count, dtype=np.int64)] = True
     return SetFamily.from_bool(n, closure_rows(table, n))
@@ -121,7 +120,7 @@ def _threshold_k(n: int, sizes):
 def largest_threshold_k(n: int, size: int) -> int | None:
     """Largest k in [0, n-1] with mean coefficient <= -(1 - 2^{-k}),
     in terms of the family size; None when even k = 0 fails."""
-    k = int(_threshold_k(n, size))
+    k = int(_threshold_k(n, check_int(size, "size", 0, 1 << check_dimension(n))))
     return None if k < 0 else k
 
 
@@ -188,15 +187,6 @@ def kotlov_check(vertices: SetFamily) -> bool:
 # sweep plan and report
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """``TypeError`` unless ``value`` is an ``int`` (a bool is not), and
-    ``ValueError`` unless it is at least ``low``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
-
-
 @dataclass(frozen=True)
 class SweepPlan:
     property: str
@@ -220,12 +210,10 @@ class SweepPlan:
         if self.mode == "random":
             if self.samples is None:
                 raise ValueError("random mode needs samples >= 1")
-            _check_count("samples", self.samples, 1)
-        _check_count("seed", self.seed, 0)
-        if self.seed >= 1 << 64:
-            raise ValueError("seed must be < 2^64")
-        _check_count("worker_count", self.worker_count, 1)
-        _check_count("witness_cap", self.witness_cap, 0)
+            check_int(self.samples, "samples", 1)
+        check_int(self.seed, "seed", 0, (1 << 64) - 1)
+        check_int(self.worker_count, "worker_count", 1)
+        check_int(self.witness_cap, "witness_cap", 0)
         if self.property == "ks-zero" and self.n < 2:
             raise ValueError("ks-zero needs n >= 2")
 

@@ -253,7 +253,7 @@ def test_masks_outside_the_cube():
     for mask in (-1, 4, 1 << 200, np.int64(-1)):
         for call in (lambda: SetFamily.from_members(2, [mask]), lambda: f(mask),
                      lambda: spec.coefficient(mask)):
-            with pytest.raises(ValueError, match=f"subset mask {mask} outside \\[0, 2\\^2\\)"):
+            with pytest.raises(ValueError, match=f"subset mask {mask} outside \\[0, 3\\]"):
                 call()
         assert mask not in fam
         with pytest.raises(KeyError):

@@ -40,6 +40,16 @@ def test_or_family_examples():
     assert hc.family.members() == tuple(m for m in range(8) if not m & 1)
 
 
+
+def test_parity_refuses_repeated_coordinates():
+    # x_1 XOR x_1 is the constant 0, not the parity of coordinate 1
+    for elements in ((1, 1), (2, 1, 2)):
+        with pytest.raises(ValueError, match="must be distinct"):
+            parity(elements, 3)
+        with pytest.raises(ValueError, match="must be distinct"):
+            build("parity", 3, elements=list(elements))
+    assert parity((2, 1), 3) == parity((1, 2), 3)
+
 def test_build_dispatch():
     assert build("or_family", 3, m=2).family == or_family(2, 3).family
     assert build("half_cube_missing", 3, i=2).family == half_cube_missing(2, 3).family

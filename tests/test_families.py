@@ -204,7 +204,7 @@ def test_shadow_lemma_examples():
 def test_missing_lower_covers_rejects_masks_outside_the_cube():
     assert missing_lower_covers(DICTATOR_FAMILY_3, 0b111) == 0b001  # {1,2,3} - 1 is missing
     for mask in (-1, 8, 1 << 200):  # -1 would index mask 7 from the end
-        with pytest.raises(ValueError, match=f"subset mask {mask} outside \\[0, 2\\^3\\)"):
+        with pytest.raises(ValueError, match=f"subset mask {mask} outside \\[0, 7\\]"):
             missing_lower_covers(DICTATOR_FAMILY_3, mask)
 
 

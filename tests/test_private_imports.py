@@ -1,6 +1,6 @@
 """No module of the package imports another module's private names, no
-module keeps an import it does not use, and the modules import each other
-in one layer order only."""
+module keeps an import it does not use, the modules import each other in
+one layer order only, and one gate checks integer arguments."""
 
 import ast
 from pathlib import Path
@@ -62,4 +62,24 @@ def test_modules_import_only_earlier_layers():
                 imported = [node.module] if node.module else [a.name for a in node.names]
                 offenders += [f"{path.name}:{node.lineno}: {name}" for name in imported
                               if name not in earlier]
+    assert offenders == []
+
+
+def test_one_integer_gate():
+    # core holds check_int and the dimension cap; familyfile words its own
+    # line and column errors on outside input
+    own_wording = ("core.py", "familyfile.py")
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_check_count":
+                offenders.append(f"{path.name}:{node.lineno}: defines _check_count")
+            if isinstance(node, ast.JoinedStr) and path.name not in own_wording:
+                text = "".join(part.value for part in node.values if isinstance(part, ast.Constant))
+                if "outside [" in text:
+                    offenders.append(f"{path.name}:{node.lineno}: restates a range check")
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "must be an int" in node.value and path.name != "core.py"):
+                offenders.append(f"{path.name}:{node.lineno}: restates the type check")
     assert offenders == []

@@ -148,6 +148,18 @@ def test_largest_threshold_k():
             assert largest_threshold_k(n, size) == oracle_threshold_k(n, size), (n, size)
 
 
+def test_largest_threshold_k_checks_its_arguments():
+    for size in (-1, 9, 100):  # no family of [3] has more than 8 members
+        with pytest.raises(ValueError, match=f"size {size} outside \\[0, 8\\]"):
+            largest_threshold_k(3, size)
+    for size in (True, 1.0):
+        with pytest.raises(TypeError, match="size must be an int"):
+            largest_threshold_k(3, size)
+    for n in (0, 30, True):
+        with pytest.raises(DimensionError):
+            largest_threshold_k(n, 1)
+
+
 def test_conjecture2_margin_rows_match_fractions():
     for n in range(1, 11):
         sizes = np.repeat(np.arange((1 << n) + 1), 3)
