@@ -12,7 +12,11 @@ family (bit ``mask`` set for each member) are only input and output formats
 of this module, and ``coordinate_pairs`` is the one place that splits a
 table into the pairs (x, x + e_i).  All derived quantities are exact: integers,
 or dyadic rationals represented as ``fractions.Fraction``.  Numpy arrays
-serve as containers for speed, but only ever hold integers or booleans.
+serve as containers for speed and hold integers or booleans, with one
+exception: ``spectral.fwht_rows`` multiplies float32 copies of its rows by
++/-1 matrices.  Every value formed there, partial sums included, is an
+integer of magnitude at most 2^n <= 2^24, and float32 holds every such
+integer exactly, so no operation rounds.
 """
 
 from __future__ import annotations
@@ -48,9 +52,12 @@ def max_dimension() -> int:
     return cap
 
 
-def check_dimension(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
+def check_dimension(n) -> int:
+    """The dimension as an ``int`` in [1, cap]: a Python or numpy integer, but
+    not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DimensionError(f"dimension must be an integer, got {type(n).__name__}")
+    n = int(n)
     cap = max_dimension()
     if not 1 <= n <= cap:
         raise DimensionError(f"dimension n={n} outside [1, {cap}] (raise via {ENV_MAX_N})")
@@ -159,7 +166,7 @@ class CubeTable:
     __slots__ = ("n", "_table")
 
     def __init__(self, n: int, table: np.ndarray) -> None:
-        check_dimension(n)
+        n = check_dimension(n)
         if table.shape != (1 << n,):
             raise DimensionError(f"expected a table of 2^{n} entries, got shape {table.shape}")
         table.setflags(write=False)
@@ -206,6 +213,7 @@ class BooleanFunction(CubeTable):
 
     @classmethod
     def constant(cls, n: int, sign: int = 1) -> "BooleanFunction":
+        n = check_dimension(n)
         return cls(n, np.full(1 << n, check_sign(sign), dtype=np.int8))
 
     @property
@@ -252,16 +260,18 @@ class SetFamily(CubeTable):
 
     @classmethod
     def empty(cls, n: int) -> "SetFamily":
-        return cls(n, np.zeros(1 << check_dimension(n), dtype=bool))
+        n = check_dimension(n)
+        return cls(n, np.zeros(1 << n, dtype=bool))
 
     @classmethod
     def full(cls, n: int) -> "SetFamily":
-        return cls(n, np.ones(1 << check_dimension(n), dtype=bool))
+        n = check_dimension(n)
+        return cls(n, np.ones(1 << n, dtype=bool))
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> "SetFamily":
         """Build from a bitset integer whose bit ``mask`` marks a member."""
-        check_dimension(n)
+        n = check_dimension(n)
         bits = check_int(bits, "bitset", 0)
         if bits.bit_length() > 1 << n:  # its own range test: 2^(2^n) is never printed
             raise ValueError(f"bitset does not fit in 2^{n} bits")
@@ -269,7 +279,8 @@ class SetFamily(CubeTable):
 
     @classmethod
     def from_members(cls, n: int, masks: Iterable[int]) -> "SetFamily":
-        table = np.zeros(1 << check_dimension(n), dtype=bool)
+        n = check_dimension(n)
+        table = np.zeros(1 << n, dtype=bool)
         for m in masks:
             table[check_mask(m, n)] = True
         return cls(n, table)
@@ -338,6 +349,7 @@ class CharacterSpec:
 
     def values(self, n: int) -> np.ndarray:
         """Value table over the whole n-cube."""
+        n = check_dimension(n)
         if self.support.bit_length() > n:
             raise DimensionError(f"support mask {self.support} does not fit in dimension {n}")
         parity = (popcount_table(n)[np.arange(1 << n) & self.support] & 1).astype(np.int8)

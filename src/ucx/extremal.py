@@ -54,7 +54,8 @@ class NamedConstruction:
 
 def or_family(m: int, n: int) -> NamedConstruction:
     """Family of all subsets of [n] that meet {1, ..., m}."""
-    m = check_int(m, "disjunct count", 1, check_dimension(n))
+    n = check_dimension(n)
+    m = check_int(m, "disjunct count", 1, n)
     low = (1 << m) - 1
     table = (np.arange(1 << n, dtype=np.uint32) & low) != 0
     family = SetFamily(n, table)
@@ -63,7 +64,8 @@ def or_family(m: int, n: int) -> NamedConstruction:
 
 def half_cube_missing(i: int, n: int) -> NamedConstruction:
     """Family of all subsets of [n] avoiding element i; union-closed, size 2^{n-1}."""
-    i = check_int(i, "element", 1, check_dimension(n))
+    n = check_dimension(n)
+    i = check_int(i, "element", 1, n)
     table = (np.arange(1 << n, dtype=np.uint32) >> (i - 1)) & 1 == 0
     family = SetFamily(n, table)
     return NamedConstruction("half_cube_missing", n, i, family, family_to_function(family))
@@ -77,7 +79,8 @@ def dictator(i: int, n: int) -> NamedConstruction:
 
 def parity(elements: tuple[int, ...], n: int) -> NamedConstruction:
     """Parity of the given 1-based coordinates."""
-    mask = mask_from_elements(elements, check_dimension(n))
+    n = check_dimension(n)
+    mask = mask_from_elements(elements, n)
     if mask.bit_count() != len(elements):  # x_i XOR x_i is constant, not a parity
         raise ValueError(f"parity coordinates {elements} must be distinct")
     func = BooleanFunction(n, CharacterSpec(mask).values(n))

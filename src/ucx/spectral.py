@@ -4,21 +4,26 @@ The spectrum is kept integer-scaled: ``s(S) = sum_x f(x) * chi_S(x)``, which
 is 2^n times the usual normalized coefficient.  Every identity used by the
 rest of the package (Parseval, level weights, the mean and first-level
 closed forms) is then an exact integer statement with zero tolerance.
+
+The transform runs as float32 matrix products (``fwht_rows``), and is still
+exact: each value it forms is an integer of magnitude at most 2^n <= 2^24,
+and float32 represents every integer up to 2^24, so no addition rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (
+    HARD_MAX_N,
     BooleanFunction,
     CubeTable,
     SetFamily,
     check_int,
     check_mask,
-    coordinate_pairs,
     family_to_function,
     frequency_rows,
     popcount_table,
@@ -49,16 +54,64 @@ class Spectrum(CubeTable):
         return f"Spectrum(n={self.n}, s={self.s.tolist() if self.n <= 3 else '...'})"
 
 
+# H_{2^n} = H_{2^{f_k}} x ... x H_{2^{f_1}}, each f <= _FACTOR_BITS.  Each
+# product multiplies 2^{-f} _GEMM_VOLUME entries by H_{2^f}, so it does at most
+# 2^18 = 64^3 multiply-adds: OpenBLAS runs a GEMM that small on the calling
+# thread alone, and forked pool workers do not oversubscribe the cores.
+_FACTOR_BITS = 6
+_GEMM_VOLUME = 1 << 18
+
+
+@lru_cache(maxsize=None)
+def _hadamard32(bits: int) -> np.ndarray:
+    """Read-only float32 Sylvester matrix H[a, b] = (-1)^{|a AND b|} of order 2^bits."""
+    masks = np.arange(1 << bits)
+    h = 1 - 2 * (popcount_table(bits)[masks[:, None] & masks] & 1).astype(np.float32)
+    h.setflags(write=False)
+    return h
+
+
+def _factor_bits(n: int) -> list[int]:
+    """n split into ceil(n / _FACTOR_BITS) near-equal parts."""
+    k = -(-n // _FACTOR_BITS)
+    return [n // k + (j < n % k) for j in range(k)]
+
+
 def fwht_rows(mat: np.ndarray) -> None:
-    """In-place Walsh-Hadamard transform of each row of an int64 matrix, by the
-    copy-free butterfly (a, b) -> (a + b, a - b).  On +/-1 rows every
-    intermediate is at most 2^n in absolute value, so int64 stays exact."""
-    _, cols = mat.shape
-    for i in range(cols.bit_length() - 1):
-        low, high = coordinate_pairs(mat, i)
-        low += high
-        high *= -2
-        high += low
+    """In-place Walsh-Hadamard transform of each row of an int64 matrix whose
+    entries lie in [-1, 1] and whose row length is 2^n with n <= 24;
+    ``ValueError`` before any write otherwise.
+
+    Each Kronecker factor H_{2^f}, acting on bits [s, s + f) of the column
+    index, is applied by multiplying float32 copies of at most
+    ``_GEMM_VOLUME >> f`` entries by ``_hadamard32(f)``.  This is exact: every
+    output and every partial sum, in whatever order BLAS adds, is a signed
+    subset sum of one row, so its magnitude is at most 2^n <= 2^24, and
+    float32 holds every integer up to 2^24."""
+    rows, cols = mat.shape
+    if cols & (cols - 1) or not 1 <= cols <= 1 << HARD_MAX_N:
+        raise ValueError(f"fwht_rows needs rows of 2^n entries, n <= {HARD_MAX_N}; got {cols}")
+    if mat.size == 0:
+        return
+    if mat.max() > 1 or mat.min() < -1:
+        raise ValueError("fwht_rows needs entries in [-1, 1]")
+    s = 0
+    for f in _factor_bits(cols.bit_length() - 1):
+        h = _hadamard32(f)
+        budget = _GEMM_VOLUME >> f
+        # split only the last axis, so this is a view for any memory layout
+        view = mat.reshape(rows, cols >> (f + s), 1 << f, 1 << s)
+        row_step = max(1, budget // cols)
+        block_step = max(1, budget >> (f + s))
+        col_step = min(1 << s, budget >> f)
+        for r in range(0, rows, row_step):
+            for b in range(0, view.shape[1], block_step):
+                for c in range(0, 1 << s, col_step):
+                    chunk = view[r:r + row_step, b:b + block_step, :, c:c + col_step]
+                    x = chunk.astype(np.float32).reshape(-1, 1 << f, chunk.shape[-1])
+                    y = x[..., 0] @ h if s == 0 else np.matmul(h, x)
+                    chunk[...] = y.reshape(chunk.shape)
+        s += f
 
 
 def spectrum_rows(tables: np.ndarray) -> np.ndarray:
@@ -80,7 +133,7 @@ def first_level_rows(tables: np.ndarray, n: int) -> np.ndarray:
 
 
 def transform(f: BooleanFunction) -> Spectrum:
-    """Full spectrum in O(n 2^n) integer butterfly passes."""
+    """Full spectrum by ``fwht_rows``: O(n 2^n) work in ceil(n/6) passes."""
     return Spectrum._of(f.n, spectrum_rows(f.to_bool()[None])[0])
 
 
@@ -104,14 +157,30 @@ def parseval_sum(spec: Spectrum) -> int:
     return int(np.dot(spec.s, spec.s))
 
 
+@lru_cache(maxsize=None)
+def _level_order(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The masks below 2^n sorted by (popcount, mask), as a read-only int32
+    array, and the bounds of each level in it.  Built by doubling: the level-k
+    masks below 2^{i+1} are those below 2^i, then the level-(k-1) ones below
+    2^i with bit i set."""
+    levels = [np.zeros(1, dtype=np.int32)] + [np.zeros(0, dtype=np.int32)] * n
+    for i in range(n):
+        levels[1:] = [np.concatenate((levels[k], levels[k - 1] | (1 << i)))
+                      for k in range(1, n + 1)]
+    order = np.concatenate(levels)
+    order.setflags(write=False)
+    return order, tuple(np.cumsum([0] + [len(level) for level in levels]).tolist())
+
+
 def level_sum_rows(spectra: np.ndarray, n: int) -> np.ndarray:
     """Per row of integer spectra (..., 2^n): the sums of s(S)^2 over each level
-    |S| = k, as int64 (..., n+1), read with one gather and one dot product per
-    level: no table of squares is built and the input is only read."""
-    pc = popcount_table(n)
+    |S| = k, as int64 (..., n+1), read with one gather of a slice of the cached
+    level order and one dot product per level: no table of squares is built
+    and the input is only read."""
+    order, bounds = _level_order(n)
     out = np.empty(spectra.shape[:-1] + (n + 1,), dtype=np.int64)
     for k in range(n + 1):
-        level = np.take(spectra, np.flatnonzero(pc == k), axis=-1)
+        level = np.take(spectra, order[bounds[k]:bounds[k + 1]], axis=-1)
         out[..., k] = np.einsum("...j,...j->...", level, level)
     return out
 

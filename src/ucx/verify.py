@@ -73,7 +73,8 @@ def union_closure(generators: SetFamily) -> SetFamily:
 
 def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
     """Every family on [n] exactly once, optionally filtered; n <= 4 only."""
-    if check_dimension(n) > EXHAUSTIVE_MAX_N:
+    n = check_dimension(n)
+    if n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_MAX_N}")
     if which not in ("all", "union_closed", "simply_rooted"):
         raise ValueError(f"unknown filter {which!r}")
@@ -89,7 +90,7 @@ def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
 
 def random_union_closed(n: int, generator_count: int, seed: int) -> SetFamily:
     """Union closure of ``generator_count`` uniform subsets; deterministic."""
-    check_dimension(n)
+    n = check_dimension(n)
     generator_count = check_int(generator_count, "generator_count", 0)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     table = np.zeros(1 << n, dtype=bool)
@@ -120,7 +121,8 @@ def _threshold_k(n: int, sizes):
 def largest_threshold_k(n: int, size: int) -> int | None:
     """Largest k in [0, n-1] with mean coefficient <= -(1 - 2^{-k}),
     in terms of the family size; None when even k = 0 fails."""
-    k = int(_threshold_k(n, check_int(size, "size", 0, 1 << check_dimension(n))))
+    n = check_dimension(n)
+    k = int(_threshold_k(n, check_int(size, "size", 0, 1 << n)))
     return None if k < 0 else k
 
 
@@ -199,23 +201,27 @@ class SweepPlan:
 
     def validate(self) -> None:
         """The one check of a sweep's or scan's arguments, before any row is
-        drawn; ``samples`` is read in random mode only."""
+        drawn; ``samples`` is read in random mode only.  Each integer field is
+        stored back as the ``int`` its gate returns, so a numpy scalar never
+        reaches a shift (where numpy would wrap ``1 << n`` to 0)."""
         if self.property not in PROPERTY_NAMES:
             raise ValueError(f"unknown property {self.property!r}")
-        check_dimension(self.n)
+        gated = {"n": check_dimension(self.n)}
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"mode must be exhaustive or random, got {self.mode!r}")
-        if self.mode == "exhaustive" and self.n > EXHAUSTIVE_MAX_N:
+        if self.mode == "exhaustive" and gated["n"] > EXHAUSTIVE_MAX_N:
             raise ValueError(f"exhaustive sweeps capped at n = {EXHAUSTIVE_MAX_N}")
         if self.mode == "random":
             if self.samples is None:
                 raise ValueError("random mode needs samples >= 1")
-            check_int(self.samples, "samples", 1)
-        check_int(self.seed, "seed", 0, (1 << 64) - 1)
-        check_int(self.worker_count, "worker_count", 1)
-        check_int(self.witness_cap, "witness_cap", 0)
-        if self.property == "ks-zero" and self.n < 2:
+            gated["samples"] = check_int(self.samples, "samples", 1)
+        gated["seed"] = check_int(self.seed, "seed", 0, (1 << 64) - 1)
+        gated["worker_count"] = check_int(self.worker_count, "worker_count", 1)
+        gated["witness_cap"] = check_int(self.witness_cap, "witness_cap", 0)
+        if self.property == "ks-zero" and gated["n"] < 2:
             raise ValueError("ks-zero needs n >= 2")
+        for name, value in gated.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -597,6 +603,7 @@ def scan(prop: str, n: int, samples: int, seed: int) -> Iterator[tuple[int, np.n
     row is drawn."""
     plan = SweepPlan(prop, n, "random", samples=samples, seed=seed)
     plan.validate()
+    n, samples = plan.n, plan.samples
     spec = _PROPERTIES[prop]
 
     def instances():

@@ -34,6 +34,7 @@ from ucx.verify import (
     largest_threshold_k,
     random_union_closed,
     run_sweep,
+    scan,
 )
 
 FAMILY = SetFamily.from_sets(3, [[1], [1, 2], [1, 2, 3]])
@@ -141,3 +142,46 @@ def test_enumerations_gate_their_dimension(enumerate_):
     for n in (True, 2.0, 0, 40):
         with pytest.raises(DimensionError):
             next(enumerate_(n))
+
+
+def test_dimensions_accept_numpy_integers():
+    """The plan stores each gated field as an ``int``: ``1 << (1 << np.int16(4))``
+    and ``1 << (2 * np.int32(16))`` wrap to 0 in numpy, which would make the
+    exhaustive sweep vacuous and fail every parseval instance."""
+    family = SetFamily.empty(np.int64(3))
+    assert type(family.n) is int and family == SetFamily.empty(3)
+    plan = SweepPlan("parseval", np.int64(3), "random", samples=np.int8(2), seed=np.uint64(7))
+    plan.validate()
+    assert all(type(v) is int for v in (plan.n, plan.samples, plan.seed, plan.worker_count))
+    as_numpy = SweepPlan("influence-identity", np.int32(4), "random", samples=20, seed=1)
+    as_int = SweepPlan("influence-identity", 4, "random", samples=20, seed=1)
+    assert run_sweep(as_numpy).canonical_json() == run_sweep(as_int).canonical_json()
+    as_numpy = run_sweep(SweepPlan("duality", np.int16(4), "exhaustive"))
+    assert as_numpy.enumerated == 65536
+    assert as_numpy.canonical_json() == run_sweep(SweepPlan("duality", 4, "exhaustive")).canonical_json()
+    assert run_sweep(SweepPlan("parseval", np.int32(16), "random", samples=1)).passed
+    rows = list(scan("shadow-lemma", np.int16(8), np.int8(3), np.uint8(1)))
+    assert [r[2] for r in rows] == [r[2] for r in scan("shadow-lemma", 8, 3, 1)]
+
+
+# entry point -> a call on a dimension; at n = 8, ``1 << np.int8(8)`` wraps to
+# 0 in numpy, so each one must shift by the ``int`` its gate returns
+NARROW_DIMENSION_CALLS = {
+    "SetFamily.full": lambda n: SetFamily.full(n),
+    "SetFamily.from_bits": lambda n: SetFamily.from_bits(n, (1 << 256) - 1),
+    "SetFamily.from_members": lambda n: SetFamily.from_members(n, [0, 255]),
+    "BooleanFunction.constant": lambda n: BooleanFunction.constant(n, -1),
+    "CharacterSpec.values": lambda n: CharacterSpec(129, -1).values(n).tolist(),
+    "or_family": lambda n: or_family(3, n).family,
+    "half_cube_missing": lambda n: half_cube_missing(8, n).family,
+    "parity": lambda n: parity((1, 8), n).function,
+    "random_union_closed": lambda n: random_union_closed(n, 5, 1),
+    "largest_threshold_k": lambda n: largest_threshold_k(n, 200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NARROW_DIMENSION_CALLS))
+def test_narrow_numpy_dimensions_shift_as_ints(name):
+    call = NARROW_DIMENSION_CALLS[name]
+    assert call(np.int8(8)) == call(8)
+

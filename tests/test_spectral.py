@@ -1,4 +1,5 @@
-"""Spectra: butterfly vs definition oracles, Parseval, level identities."""
+"""Spectra: the GEMM transform vs a butterfly and definition oracles, Parseval,
+level identities."""
 
 import pickle
 import tracemalloc
@@ -14,6 +15,7 @@ from ucx.core import (
     CharacterSpec,
     DimensionError,
     SetFamily,
+    coordinate_pairs,
     family_to_function,
     popcount_table,
 )
@@ -22,6 +24,7 @@ from ucx.spectral import (
     Spectrum,
     first_level_identity,
     first_level_rows,
+    fwht_rows,
     level_sum_rows,
     level_sums,
     level_weight,
@@ -101,13 +104,88 @@ def test_parseval_random_large():
             assert parseval_sum(transform(f)) == 1 << (2 * n)
 
 
-@pytest.mark.parametrize("n", [16, 20])
-def test_butterfly_exact_at_the_extremes(n):
+def reference_butterfly(mat: np.ndarray) -> None:
+    """The in-place butterfly (a, b) -> (a + b, a - b), one bit at a time."""
+    for i in range(mat.shape[-1].bit_length() - 1):
+        low, high = coordinate_pairs(mat, i)
+        low += high
+        high *= -2
+        high += low
+
+
+def test_fwht_rows_matches_naive_transform_exhaustive_small():
+    for n in (1, 2, 3):
+        functions = list(all_functions(n))
+        mat = np.array([f.values for f in functions], dtype=np.int64)
+        fwht_rows(mat)
+        assert mat.tolist() == [naive_transform(f).s.tolist() for f in functions]
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_fwht_rows_matches_the_butterfly(n):
+    """Every factor split (n < 6, n not a multiple of 6) and every chunk
+    tail, on +/-1 rows and on rows with zeros, in any memory layout."""
+    rng = np.random.default_rng(100 + n)
+    for rows in (0, 1, 2049 if n <= 11 else 5):
+        for low in (-1, 0):
+            mat = rng.integers(0, 2, size=(rows, 1 << n), dtype=np.int64)
+            mat[mat == 0] = low  # entries in {-1, 1}, then in {0, 1}
+            expected = mat.copy()
+            reference_butterfly(expected)
+            fwht_rows(mat)
+            assert np.array_equal(mat, expected)
+    mat = 1 - 2 * rng.integers(0, 2, size=(3, 1 << n), dtype=np.int64)
+    expected = mat.copy()
+    reference_butterfly(expected)
+    column_major = np.asfortranarray(mat)
+    fwht_rows(column_major)
+    assert np.array_equal(column_major, expected)
+    wide = np.zeros((3, 2 << n), dtype=np.int64)
+    wide[:, 1::2] = mat
+    fwht_rows(wide[:, 1::2])
+    assert np.array_equal(wide[:, 1::2], expected) and not wide[:, ::2].any()
+
+
+def test_fwht_rows_reaches_the_float32_integer_limit(monkeypatch):
+    """At n = 24 one coefficient is +/-2^24, exactly float32's integer limit."""
+    monkeypatch.setenv("UCX_MAX_N", "24")
+    n = 24
+    full = (1 << n) - 1
+    for support in (0, full):  # the constants and the full-support parity
+        for sign in (1, -1):
+            s = transform(BooleanFunction(n, CharacterSpec(support, sign).values(n))).s
+            assert int(s[support]) == sign << n and np.count_nonzero(s) == 1
+            del s
+
+
+@pytest.mark.parametrize("cols", [0, 3, 12, 1 << 25])
+def test_fwht_rows_refuses_rows_that_are_not_a_cube(cols):
+    """Only rows of 2^n entries with n <= 24 stay within float32's integers."""
+    mat = np.zeros((0, cols), dtype=np.int64)
+    with pytest.raises(ValueError, match="2\\^n entries"):
+        fwht_rows(mat)
+
+
+def test_fwht_rows_refuses_entries_outside_the_unit_range():
+    rng = np.random.default_rng(2)
+    for bad in (2, -2):
+        mat = 1 - 2 * rng.integers(0, 2, size=(3, 64), dtype=np.int64)
+        mat[1, 37] = bad
+        before = mat.copy()
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            fwht_rows(mat)
+        assert np.array_equal(mat, before)
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_butterfly_exact_at_the_extremes(n, monkeypatch):
+    monkeypatch.setenv("UCX_MAX_N", "24")
     four_n = 1 << (2 * n)
     for value in (1, -1):
         spec = transform(BooleanFunction.constant(n, value))
         assert int(spec.s[0]) == value << n and not spec.s[1:].any()
         assert level_sums(spec) == (four_n,) + (0,) * n
+        del spec
     f = random_function(np.random.default_rng(n), n)
     spec = transform(f)
     assert parseval_sum(spec) == sum(level_sums(spec)) == four_n

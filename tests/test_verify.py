@@ -361,6 +361,15 @@ def test_sweep_determinism_across_workers():
         assert len(blobs) == 1, prop
 
 
+def test_pool_forked_after_blas_gives_the_same_report():
+    """Pool workers are forked after the parent has run a BLAS product (and
+    OpenBLAS has started its threads); they neither hang nor change a byte."""
+    spectral.spectrum_rows(np.zeros((4, 1 << 12), dtype=bool))
+    plan = SweepPlan("parseval", 12, "random", samples=300, seed=5)
+    forked = run_sweep(dataclasses.replace(plan, worker_count=2))
+    assert forked.passed and forked.canonical_json() == run_sweep(plan).canonical_json()
+
+
 def test_witness_serialization(monkeypatch):
     def fail_every_row(rows, n):
         return verify._Rows(np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool),
