@@ -10,7 +10,8 @@ is the constant +1 function, and a family and its membership function share
 one table.  The +/-1 value table of a function and the bitset integer of a
 family (bit ``mask`` set for each member) are only input and output formats
 of this module, and ``coordinate_pairs`` is the one place that splits a
-table into the pairs (x, x + e_i).  All derived quantities are exact: integers,
+table into the pairs (x, x + e_i), with ``word_pairs`` its form on tables
+packed 64 points to a word.  All derived quantities are exact: integers,
 or dyadic rationals represented as ``fractions.Fraction``.  Numpy arrays
 serve as containers for speed and hold integers or booleans, with one
 exception: ``spectral.fwht_rows`` multiplies float32 copies of its rows by
@@ -147,12 +148,44 @@ def coordinate_pairs(tables: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray
     return view[..., 0, :], view[..., 1, :]
 
 
+# Per coordinate i < 6: the bits of a 64-bit word whose position has bit i clear.
+_LOW_BITS = tuple(np.uint64(sum(1 << p for p in range(64) if not p >> i & 1)) for i in range(6))
+
+
+def packed_words(tables: np.ndarray) -> np.ndarray:
+    """Boolean tables (..., 2^n) packed into uint64 words (..., max(1, 2^n / 64)):
+    bit p of word j holds point 64 j + p, and the bits past 2^n are 0.
+    ``TypeError`` unless the tables are boolean."""
+    if tables.dtype != np.bool_:
+        raise TypeError(f"expected boolean tables, got {tables.dtype}")
+    packed = np.packbits(tables, axis=-1, bitorder="little")
+    pad = -packed.shape[-1] % 8
+    if pad:
+        packed = np.concatenate([packed, np.zeros(packed.shape[:-1] + (pad,), np.uint8)], axis=-1)
+    return np.ascontiguousarray(packed).view("<u8")
+
+
+def word_pairs(words: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The packed form of ``coordinate_pairs``: arrays (low, high) of words
+    (..., blocks, width) from ``packed_words``, with bit p of ``high`` holding
+    x + e_{i+1} wherever bit p of ``low`` holds a point x without bit i, and
+    every other bit 0.  For i < 6 both pair points share a word; for i >= 6
+    they are words 2^{i-6} apart, and (low, high) are views."""
+    if i < 6:
+        low = _LOW_BITS[i]
+        return (words & low)[..., None, :], ((words >> np.uint64(1 << i)) & low)[..., None, :]
+    lead, size = words.shape[:-1], words.shape[-1]
+    view = words.reshape(*lead, size >> (i - 5), 2, 1 << (i - 6))
+    return view[..., 0, :], view[..., 1, :]
+
+
 def frequency_rows(tables: np.ndarray, n: int) -> np.ndarray:
-    """Per row of membership tables (..., 2^n): how many members contain each
-    element, as an int64 array (..., n)."""
+    """Per row of boolean membership tables (..., 2^n): how many members
+    contain each element, as an int64 array (..., n)."""
+    words = packed_words(tables)
     counts = np.empty(tables.shape[:-1] + (n,), dtype=np.int64)
     for i in range(n):
-        counts[..., i] = np.count_nonzero(coordinate_pairs(tables, i)[1], axis=(-2, -1))
+        counts[..., i] = np.bitwise_count(word_pairs(words, i)[1]).sum(axis=(-2, -1))
     return counts
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BooleanFunction, check_int, coordinate_pairs, frequency_rows
+from .core import BooleanFunction, check_int, frequency_rows, packed_words, word_pairs
 from .spectral import Spectrum, level_sum_rows, transform
 
 
@@ -54,12 +54,15 @@ class InfluenceProfile:
 
 
 def flip_count_rows(tables: np.ndarray, n: int) -> np.ndarray:
-    """Per row of tables (..., 2^n) of any dtype: for each coordinate i, the
-    number of pairs (x, x + e_i) whose two entries differ, as int64 (..., n)."""
+    """Per row of boolean tables (..., 2^n): for each coordinate i, the number
+    of pairs (x, x + e_i) whose two entries differ, as int64 (..., n).  The
+    pairs are compared 64 at a time on packed words; ``TypeError`` unless the
+    tables are boolean."""
+    words = packed_words(tables)
     flips = np.empty(tables.shape[:-1] + (n,), dtype=np.int64)
     for i in range(n):
-        low, high = coordinate_pairs(tables, i)
-        flips[..., i] = np.count_nonzero(low != high, axis=(-2, -1))
+        low, high = word_pairs(words, i)
+        flips[..., i] = np.bitwise_count(low ^ high).sum(axis=(-2, -1))
     return flips
 
 

@@ -1,10 +1,13 @@
 """Property sweeps: one batched engine with deterministic reports.
 
 A sweep reads its instances as rows of a (rows, 2^n) table, one chunk at a
-time, and hands each chunk to the property's vectorized evaluator.  Per row
-the evaluator returns whether the property applies, whether it holds and the
-integer quantities behind the violation details, the summaries and the
-columns of ``ucx scan``.  Every row is a boolean membership row: a family
+time, and hands each chunk to the property's vectorized evaluator.  Chunks
+are sized for the cache: at most 2^20 table entries and 2048 rows each.
+Witnesses are taken in index order and summaries merge associatively, so a
+report does not depend on the chunking.  Per row the evaluator returns
+whether the property applies, whether it holds and the integer quantities
+behind the violation details, the summaries and the columns of
+``ucx scan``.  Every row is a boolean membership row: a family
 property reads the family, a function property the membership function of
 the row, which is -1 exactly on its members.  The two modes differ only in
 where the rows come from:
@@ -59,6 +62,9 @@ from .influence import corollary_bound_rows, flip_count_rows, pair_count_rows
 from .spectral import first_level_rows, level_sum_rows, spectrum_rows
 
 EXHAUSTIVE_MAX_N = 4
+# Table entries per chunk of a sweep: 2^20 booleans, and the int64 spectra
+# of a function chunk (8 MB), stay near the cache.
+_CHUNK_ENTRIES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +290,8 @@ def _witness(kind: str, index: int, n: int, row: np.ndarray, detail: dict) -> di
 
 
 def _chunks(n: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """Index ranges of at most min(2048, 2^24 / 2^n) rows each."""
-    step = min(2048, (1 << 24) >> n)
+    """Index ranges of at most max(1, min(2048, _CHUNK_ENTRIES / 2^n)) rows each."""
+    step = max(1, min(2048, _CHUNK_ENTRIES >> n))
     for start in range(lo, hi, step):
         yield start, min(start + step, hi)
 
@@ -298,8 +304,15 @@ def _index_bits(start: int, stop: int, n: int) -> np.ndarray:
 
 
 def _draw_signs(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
-    """A uniformly random function: a member wherever the drawn bit is 0."""
-    row[:] = rng.integers(0, 2, size=1 << n, dtype=np.int8) == 0
+    """A uniformly random function: a member wherever the drawn bit is 0.
+
+    The bits are those of ``rng.integers(0, 2, size=2^n, dtype=np.int8)``,
+    read straight off the raw stream.  numpy draws each int8 from one byte of
+    the stream, taken in little-endian order, and Lemire's bounded draw maps a
+    byte b to (2 b) >> 8 = b >> 7, never rejecting for a range of 2.  So a
+    point is a member where b >> 7 == 0, that is b < 128."""
+    raw = rng.bit_generator.random_raw(((1 << n) + 7) >> 3).astype("<u8", copy=False)
+    row[:] = raw.view(np.uint8)[: 1 << n] < 128
 
 
 def _draw_uniform(rng: np.random.Generator, n: int, row: np.ndarray) -> None:

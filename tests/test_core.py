@@ -20,11 +20,13 @@ from ucx.core import (
     elements_from_mask,
     eval_character,
     family_to_function,
+    frequency_rows,
     function_to_family,
     inner_product,
     iter_bits,
     mask_from_elements,
     max_dimension,
+    packed_words,
     popcount_table,
 )
 from ucx.families import missing_lower_covers, roots
@@ -140,6 +142,28 @@ def test_coordinate_pairs_match_index_arithmetic():
             high += 1000
             assert np.array_equal(tables[:, high_points], before[:, high_points] + 1000)
             assert np.array_equal(tables[:, low_points], before[:, low_points])
+
+
+def test_packed_words_hold_the_bitset():
+    rng = np.random.default_rng(6)
+    for n in range(1, 9):
+        tables = rng.integers(0, 2, size=(3, 1 << n)).astype(bool)
+        words = packed_words(np.asfortranarray(tables))  # any memory layout
+        assert words.shape == (3, max(1, (1 << n) >> 6)) and words.dtype == np.uint64
+        for table, row in zip(tables, words):
+            assert int.from_bytes(row.astype("<u8").tobytes(), "little") == bool_to_bits(table)
+    with pytest.raises(TypeError, match="boolean"):
+        packed_words(np.ones(8, dtype=np.int8))
+
+
+def test_frequency_rows_match_the_definition():
+    rng = np.random.default_rng(8)
+    for n in range(1, 14):
+        for shape in ((0,), (1,), (5,), (2, 3)):
+            tables = rng.integers(0, 2, size=shape + (1 << n,)).astype(bool)
+            direct = np.stack([np.count_nonzero(coordinate_pairs(tables, i)[1], axis=(-2, -1))
+                               for i in range(n)], axis=-1)
+            assert np.array_equal(frequency_rows(tables, n), direct.reshape(shape + (n,))), n
 
 
 def test_function_to_family_dictator():

@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ucx.core import BooleanFunction, CharacterSpec, SetFamily, dist, family_to_function
+from ucx.core import (
+    BooleanFunction,
+    CharacterSpec,
+    SetFamily,
+    coordinate_pairs,
+    dist,
+    family_to_function,
+)
 from ucx.extremal import dictator
 from ucx.influence import (
     InfluenceProfile,
@@ -99,8 +106,34 @@ def test_pair_count_rows_match_direct_counts():
             assert leave[:, i].tolist() == np.count_nonzero(low & ~high, axis=(1, 2)).tolist()
         signs = np.where(tables, np.int8(-1), np.int8(1))
         flips = flip_count_rows(tables, n)
-        assert np.array_equal(flip_count_rows(signs, n), flips)
+        assert np.array_equal(flip_count_rows(signs < 0, n), flips)
         assert np.array_equal(flips, enter + leave)
+
+
+def direct_flip_counts(tables: np.ndarray, n: int) -> np.ndarray:
+    """The definition: per coordinate, the pairs whose entries differ."""
+    flips = np.empty(tables.shape[:-1] + (n,), dtype=np.int64)
+    for i in range(n):
+        low, high = coordinate_pairs(tables, i)
+        flips[..., i] = np.count_nonzero(low != high, axis=(-2, -1))
+    return flips
+
+
+def test_packed_flip_counts_match_the_definition():
+    rng = np.random.default_rng(43)
+    for n in range(1, 14):
+        for rows in (0, 1, 2049 if n <= 9 else 3):
+            tables = rng.integers(0, 2, size=(rows, 1 << n)).astype(bool)
+            flips = flip_count_rows(tables, n)
+            assert flips.shape == (rows, n) and flips.dtype == np.int64
+            assert np.array_equal(flips, direct_flip_counts(tables, n)), (n, rows)
+        deep = rng.integers(0, 2, size=(2, 3, 1 << n)).astype(bool)
+        assert np.array_equal(flip_count_rows(deep, n), direct_flip_counts(deep, n)), n
+        wide = rng.integers(0, 2, size=(4, 2 << n)).astype(bool)
+        for table in (np.asfortranarray(tables), wide[:, 1::2]):
+            assert np.array_equal(flip_count_rows(table, n), direct_flip_counts(table, n)), n
+    with pytest.raises(TypeError, match="boolean"):  # a +/-1 table is no membership table
+        flip_count_rows(np.where(tables, np.int8(-1), np.int8(1)), 13)
 
 
 def test_corollary_bound_rows_match_corollary_lower_bound():

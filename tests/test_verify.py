@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -435,6 +436,60 @@ def test_uniform_draw_unpacks_the_drawn_bits():
         else:
             bits = int(rng.integers(0, 1 << (1 << n)))
         assert row.tolist() == bits_to_bool(bits, n).tolist(), n
+
+
+def test_function_draw_reads_the_raw_stream():
+    """The byte >> 7 reading of the raw stream is numpy's bounded int8 draw:
+    if a numpy release changes that draw, this test and the sweep digests
+    fail together."""
+    for n in range(1, 15):
+        for k in range(40):
+            key = (1000 * n + k, 7 * k + n)
+            row = np.zeros(1 << n, dtype=bool)
+            verify._draw_signs(np.random.default_rng(key), n, row)
+            drawn = np.random.default_rng(key).integers(0, 2, size=1 << n, dtype=np.int8)
+            assert np.array_equal(row, drawn == 0), (n, key)
+
+
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    """Rows whose member count is a multiple of 3 are made to fail, about
+    every third row, so the witnesses and the witness cap fall across chunk
+    boundaries: a chunk holds 1, 16 or every row of the sweep."""
+
+    def failing_thirds(prop):
+        evaluate = verify._PROPERTIES[prop].evaluate
+
+        def forced(rows, n):
+            found = evaluate(rows, n)
+            return dataclasses.replace(found, ok=found.ok & (np.count_nonzero(rows, axis=1) % 3 > 0))
+
+        return dataclasses.replace(verify._PROPERTIES[prop], evaluate=forced)
+
+    for prop in ("parseval", "conjecture2"):
+        monkeypatch.setitem(verify._PROPERTIES, prop, failing_thirds(prop))
+        plan = SweepPlan(prop, 8, "random", samples=300, seed=11, witness_cap=25)
+        reports = set()
+        for entries in (1 << 6, 1 << 12, 1 << 24):
+            monkeypatch.setattr(verify, "_CHUNK_ENTRIES", entries)
+            reports.add(run_sweep(plan).canonical_json())
+        assert len(reports) == 1, prop
+        report = json.loads(reports.pop())
+        assert report["violation_count"] > 25 and len(report["violations"]) == 25
+        assert report["violations"][-1]["index"] >= 32  # past the second 16-row chunk
+    assert "min_margin" in report["summary"]
+
+
+def test_function_sweep_chunks_stay_cache_sized():
+    """At n = 14 a chunk is 64 rows: 8 MB of int64 spectra, not the 32 MB of
+    the whole sweep."""
+    tracemalloc.start()
+    try:
+        report = run_sweep(SweepPlan("parseval", 14, "random", samples=256, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 16 << 20, peak / (1 << 20)
 
 
 def test_report_canonical_shape():
