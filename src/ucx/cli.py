@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import familyfile
 from .core import DimensionError, SetFamily, family_to_function
-from .extremal import dictator_from_first_level
+from .extremal import dictator_from_first_level, or_family_stats
 from .families import (
     is_union_closed,
     rooted_rows,
@@ -46,8 +46,8 @@ USAGE_ERROR = 2
 
 
 def _cap_fields(n: int, k: int, margin_scaled: int) -> dict:
-    """The positive-influence cap (k+1) 2^{-k} and its margin."""
-    return {"bound": Fraction(k + 1, 1 << k), "margin": Fraction(margin_scaled, 1 << (n - 1))}
+    """The cap (k+1) 2^{-k}, the (k+1)-disjunct OR-family's influence, and its margin."""
+    return {"bound": or_family_stats(k + 1, n)[2], "margin": Fraction(margin_scaled, 1 << (n - 1))}
 
 
 def analysis_report(family: SetFamily) -> dict:

@@ -75,6 +75,21 @@ def popcount_table(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def level_order(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The masks below 2^n sorted by (popcount, mask), as a read-only int32
+    array, and the bounds of each level in it.  Built by doubling: the level-k
+    masks below 2^{i+1} are those below 2^i, then the level-(k-1) ones below
+    2^i with bit i set."""
+    levels = [np.zeros(1, dtype=np.int32)] + [np.zeros(0, dtype=np.int32)] * n
+    for i in range(n):
+        levels[1:] = [np.concatenate((levels[k], levels[k - 1] | (1 << i)))
+                      for k in range(1, n + 1)]
+    order = np.concatenate(levels)
+    order.setflags(write=False)
+    return order, tuple(np.cumsum([0] + [len(level) for level in levels]).tolist())
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the 0-based positions of the set bits of ``mask``, ascending."""
     while mask:
@@ -174,9 +189,7 @@ def word_pairs(words: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     if i < 6:
         low = _LOW_BITS[i]
         return (words & low)[..., None, :], ((words >> np.uint64(1 << i)) & low)[..., None, :]
-    lead, size = words.shape[:-1], words.shape[-1]
-    view = words.reshape(*lead, size >> (i - 5), 2, 1 << (i - 6))
-    return view[..., 0, :], view[..., 1, :]
+    return coordinate_pairs(words, i - 6)
 
 
 def frequency_rows(tables: np.ndarray, n: int) -> np.ndarray:

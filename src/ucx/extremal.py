@@ -95,29 +95,41 @@ def example_f3(n: int = 2) -> NamedConstruction:
     return NamedConstruction("example_f3", n, None, built.family, built.function)
 
 
-_BUILDERS = {
-    "or_family": lambda n, **kw: or_family(kw["m"], n),
-    "half_cube_missing": lambda n, **kw: half_cube_missing(kw["i"], n),
-    "dictator": lambda n, **kw: dictator(kw["i"], n),
-    "parity": lambda n, **kw: parity(tuple(kw["elements"]), n),
-    "example_f3": lambda n, **kw: example_f3(n),
-}
+_BUILDERS = {builder.__name__: builder
+             for builder in (or_family, half_cube_missing, dictator, parity, example_f3)}
 
 
 def build(kind: str, n: int, **params) -> NamedConstruction:
+    """The construction ``kind`` on [n]; a missing or misspelled parameter
+    raises the builder's own ``TypeError``, which names it."""
     try:
         builder = _BUILDERS[kind]
     except KeyError:
         raise ValueError(f"unknown construction kind {kind!r}") from None
-    return builder(n, **params)
+    return builder(n=n, **params)
+
+
+@lru_cache(maxsize=None)
+def or_family_ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The OR-family ladder for k = 0..n-1, the thresholds and caps of the
+    positive-influence cap and the edge-isoperimetric bound, as read-only int64
+    arrays: the (k+1)-disjunct OR-family's mean coefficient -(1 - 2^{-k}) times
+    2^n, 2^{n-k} - 2^n, and its influence (k+1) 2^{-k} times 2^{n-1}, (k+1) 2^{n-1-k}."""
+    n = check_dimension(n)
+    k = np.arange(n, dtype=np.int64)
+    ladder = (1 << (n - k)) - (1 << n), (k + 1) << (n - 1 - k)
+    for column in ladder:
+        column.setflags(write=False)
+    return ladder
 
 
 def or_family_stats(m: int, n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Closed-form (mean coefficient, I^+, I) of the m-disjunct OR-family."""
+    """Closed-form (mean coefficient, I^+, I) of the m-disjunct OR-family: rung m - 1."""
+    n = check_dimension(n)
     m = check_int(m, "disjunct count", 1, n)
-    mean = Fraction(2, 1 << m) - 1
-    influence = Fraction(2 * m, 1 << m)
-    return mean, influence, influence
+    means, influences = or_family_ladder(n)
+    influence = Fraction(int(influences[m - 1]), 1 << (n - 1))
+    return Fraction(int(means[m - 1]), 1 << n), influence, influence
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,9 @@ one-row calls into them.  Most rest on one O(n 2^n) subset-union (zeta)
 sweep, ``cover_table``: cover[X] is the union of the members contained in X.
 A nonempty X is a union of members exactly when cover[X] = X, which gives
 the union closure and the union-closed test; the roots of a member A are the
-elements of A missing from the cover of the complement at A.
+elements of A missing from the cover of the complement at A.  The shadows
+and Theorem 2's upper-shadow deficiency read ``missing_lower_rows`` of the
+complement, which is nonzero exactly at the sets covering a member.
 """
 
 from __future__ import annotations
@@ -138,27 +140,20 @@ def unique_root_counts(roots: np.ndarray) -> np.ndarray:
     return np.count_nonzero(uniquely_rooted(roots), axis=-1)
 
 
-def upper_shadow_rows(tables: np.ndarray, n: int) -> np.ndarray:
-    """Per row: all sets obtained by adding one element to some member."""
-    out = np.zeros_like(tables)
+def missing_lower_rows(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row and mask A: the elements i of A with A - i outside the family;
+    of the complement, A's lower covers in the family (the upper shadow)."""
+    out = np.zeros(tables.shape, dtype=np.uint32)
     for i in range(n):
         high = coordinate_pairs(out, i)[1]
-        high |= coordinate_pairs(tables, i)[0]
+        high |= (~coordinate_pairs(tables, i)[0]).astype(np.uint32) << i
     return out
 
 
 def upper_shadow_deficiency(tables: np.ndarray, n: int) -> np.ndarray:
-    """Per row: |upper_shadow(G) - G|, the shadow sets outside the family."""
-    return np.count_nonzero(upper_shadow_rows(tables, n) & ~tables, axis=-1)
-
-
-def missing_lower_rows(tables: np.ndarray, n: int) -> np.ndarray:
-    """Per row and mask A: the elements i of A with A - i outside the family."""
-    out = np.zeros(tables.shape, dtype=np.uint32)
-    for i in range(n):
-        high = coordinate_pairs(out, i)[1]
-        high |= np.where(coordinate_pairs(tables, i)[0], np.uint32(0), np.uint32(1 << i))
-    return out
+    """Per row: |upper_shadow(G) - G|, the sets outside the family that cover
+    a member."""
+    return np.count_nonzero(~tables & (missing_lower_rows(~tables, n) != 0), axis=-1)
 
 
 def component_directions(tables: np.ndarray, n: int) -> np.ndarray:
@@ -245,15 +240,16 @@ def is_simply_rooted(family: SetFamily) -> bool:
 
 
 def upper_shadow(family: SetFamily) -> SetFamily:
-    """All sets obtained by adding one element to some member."""
-    return SetFamily.from_bool(family.n, upper_shadow_rows(family.to_bool(), family.n))
+    """All sets obtained by adding one element to some member (covering one)."""
+    return SetFamily.from_bool(family.n, missing_lower_rows(~family.to_bool(), family.n) != 0)
 
 
 def lower_shadow(family: SetFamily) -> SetFamily:
     """All sets obtained by removing one element from some member: the
     complements of the upper shadow of the members' complements.  X -> [n] - X
     reverses the mask order."""
-    return SetFamily.from_bool(family.n, upper_shadow_rows(family.to_bool()[::-1], family.n)[::-1])
+    flipped = ~family.to_bool()[::-1]
+    return SetFamily.from_bool(family.n, missing_lower_rows(flipped, family.n)[::-1] != 0)
 
 
 def missing_lower_covers(family: SetFamily, member: int) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SetFamily, elements_from_mask, max_dimension
+from .core import SetFamily, elements_from_mask, level_order, max_dimension
 
 _HEADER = re.compile(r"^n=([0-9]+)$")
 _TOKEN = re.compile(r"\S+")
@@ -78,8 +78,9 @@ def parse_family(text: str) -> SetFamily:
 
 
 def format_family(family: SetFamily) -> str:
+    order = level_order(family.n)[0]
     lines = [f"n={family.n}"]
-    for mask in sorted(family.members(), key=lambda m: (m.bit_count(), m)):
+    for mask in order[family.to_bool()[order]].tolist():
         if mask == 0:
             lines.append("-")
         else:

@@ -10,8 +10,8 @@ s({i}) = 2 (enter_i - exit_i) is an exact integer identity.
 
 Enter and exit counts come from two passes over a membership table: the
 flips per coordinate (pairs whose two points differ, enter_i + exit_i) and
-the frequencies |F_i|.  Pairs with both points in F cancel, so
-enter_i - exit_i = |F_i| - (|F| - |F_i|) = 2|F_i| - |F|.
+the first-level coefficients.  Pairs with both points in F cancel, so
+enter_i - exit_i = |F_i| - (|F| - |F_i|) = 2|F_i| - |F| = s({i}) / 2.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BooleanFunction, check_int, frequency_rows, packed_words, word_pairs
-from .spectral import Spectrum, level_sum_rows, transform
+from .core import BooleanFunction, check_int, packed_words, word_pairs
+from .spectral import Spectrum, first_level_rows, level_sum_rows, transform
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def pair_count_rows(member_tables: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     """Per row of membership tables (..., 2^n): enter and exit counts per
     coordinate, as two int64 arrays (..., n)."""
     flips = flip_count_rows(member_tables, n)
-    sizes = np.count_nonzero(member_tables, axis=-1, keepdims=True)
-    gain = 2 * frequency_rows(member_tables, n) - sizes  # enter_i - exit_i
+    gain = first_level_rows(member_tables, n) >> 1  # enter_i - exit_i
     return (flips + gain) >> 1, (flips - gain) >> 1
 
 

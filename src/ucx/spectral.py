@@ -26,6 +26,7 @@ from .core import (
     check_mask,
     family_to_function,
     frequency_rows,
+    level_order,
     popcount_table,
 )
 
@@ -157,27 +158,12 @@ def parseval_sum(spec: Spectrum) -> int:
     return int(np.dot(spec.s, spec.s))
 
 
-@lru_cache(maxsize=None)
-def _level_order(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The masks below 2^n sorted by (popcount, mask), as a read-only int32
-    array, and the bounds of each level in it.  Built by doubling: the level-k
-    masks below 2^{i+1} are those below 2^i, then the level-(k-1) ones below
-    2^i with bit i set."""
-    levels = [np.zeros(1, dtype=np.int32)] + [np.zeros(0, dtype=np.int32)] * n
-    for i in range(n):
-        levels[1:] = [np.concatenate((levels[k], levels[k - 1] | (1 << i)))
-                      for k in range(1, n + 1)]
-    order = np.concatenate(levels)
-    order.setflags(write=False)
-    return order, tuple(np.cumsum([0] + [len(level) for level in levels]).tolist())
-
-
 def level_sum_rows(spectra: np.ndarray, n: int) -> np.ndarray:
     """Per row of integer spectra (..., 2^n): the sums of s(S)^2 over each level
     |S| = k, as int64 (..., n+1), read with one gather of a slice of the cached
     level order and one dot product per level: no table of squares is built
     and the input is only read."""
-    order, bounds = _level_order(n)
+    order, bounds = level_order(n)
     out = np.empty(spectra.shape[:-1] + (n + 1,), dtype=np.int64)
     for k in range(n + 1):
         level = np.take(spectra, order[bounds[k]:bounds[k + 1]], axis=-1)

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -45,7 +44,7 @@ import numpy as np
 
 from . import familyfile
 from .core import SetFamily, check_dimension, check_int, frequency_rows
-from .extremal import ks_correlation_rows, nearest_signed_rows
+from .extremal import ks_correlation_rows, nearest_signed_rows, or_family_ladder
 from .families import (
     PreconditionError,
     closure_rows,
@@ -108,20 +107,12 @@ def random_union_closed(n: int, generator_count: int, seed: int) -> SetFamily:
 # single-instance checks exposed as API
 
 
-def _cap_ladder(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The OR-family ladder for k = 0..n-1: the mean-coefficient thresholds
-    -(1 - 2^{-k}) scaled by 2^n, which are 2^{n-k} - 2^n, and the influence
-    caps (k+1) 2^{-k} scaled by 2^{n-1}, which are (k+1) 2^{n-1-k}."""
-    k = np.arange(n, dtype=np.int64)
-    return (1 << (n - k)) - (1 << n), (k + 1) << (n - 1 - k)
-
-
 def _threshold_k(n: int, sizes):
     """Per family size: the largest k in [0, n-1] with mean coefficient
     <= -(1 - 2^{-k}), or -1 when even k = 0 fails.  The thresholds fall as k
     grows, so the thresholds met are k = 0..K and K + 1 is their number."""
     s0 = (1 << n) - 2 * np.asarray(sizes, dtype=np.int64)  # s(empty) = 2^n - 2|F|
-    return np.count_nonzero(s0[..., None] <= _cap_ladder(n)[0], axis=-1) - 1
+    return np.count_nonzero(s0[..., None] <= or_family_ladder(n)[0], axis=-1) - 1
 
 
 def largest_threshold_k(n: int, size: int) -> int | None:
@@ -137,7 +128,7 @@ def conjecture2_margin_rows(sizes, enter, n: int) -> tuple[np.ndarray, np.ndarra
     none) and the margin (k+1) 2^{-k} - I^+ of the positive-influence cap,
     scaled by 2^{n-1}; the cap is 0 at k = -1."""
     k = _threshold_k(n, sizes)
-    return k, np.where(k < 0, 0, _cap_ladder(n)[1][k]) - enter
+    return k, np.where(k < 0, 0, or_family_ladder(n)[1][k]) - enter
 
 
 def _one_row(prop: str, family: SetFamily, refusal: str | None = None) -> _Rows:
@@ -337,10 +328,6 @@ def _draw_vertices(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
     row[rng.choice(1 << n, size=size, replace=False)] = True
 
 
-def _as_drawn(rows: np.ndarray, n: int) -> np.ndarray:
-    return rows
-
-
 def _closure_with_empty_set(rows: np.ndarray, n: int) -> np.ndarray:
     closed = closure_rows(rows, n)
     closed[:, 0] = True
@@ -427,7 +414,7 @@ def _corollary_lb(t: np.ndarray, n: int) -> _Rows:
 
 
 def _edge_iso(t: np.ndarray, n: int) -> _Rows:
-    thresholds, caps = _cap_ladder(n)
+    thresholds, caps = or_family_ladder(n)
     s0 = (1 << n) - 2 * np.count_nonzero(t, axis=1)  # s(empty) = 2^n - 2|F|
     pivotal = flip_count_rows(t, n).sum(axis=1)  # I = pivotal / 2^{n-1}
     ok, first = _first_failure((s0[:, None] >= thresholds) & (s0[:, None] <= 0)
@@ -537,7 +524,7 @@ class _Property:
 
     evaluate: Callable[[np.ndarray, int], _Rows]
     draw: Callable[[np.random.Generator, int, np.ndarray], None]
-    domain: Callable[[np.ndarray, int], np.ndarray] = _as_drawn
+    domain: Callable[[np.ndarray, int], np.ndarray] | None = None  # None: the draws themselves
 
     @property
     def kind(self) -> str:
@@ -554,7 +541,7 @@ class _Property:
                 rows = np.zeros((stop - start, 1 << n), dtype=bool)
                 for r, index in enumerate(range(start, stop)):
                     self.draw(np.random.default_rng((plan.seed, index)), n, rows[r])
-                yield start, self.domain(rows, n)
+                yield start, rows if self.domain is None else self.domain(rows, n)
 
 
 _PROPERTIES = {
@@ -591,21 +578,27 @@ def _merge_summary(acc: dict, upd: dict) -> None:
             acc[key] = acc.get(key, 0) + value
 
 
+def _evaluated(plan: SweepPlan, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, _Rows]]:
+    """(first index, boolean rows, evaluation) per chunk of the index range [lo, hi)."""
+    prop = _PROPERTIES[plan.property]
+    for start, rows in prop.chunks(plan, lo, hi):
+        yield start, rows, prop.evaluate(rows, plan.n)
+
+
 def _sweep_block(plan: SweepPlan, lo: int, hi: int) -> tuple[int, int, list[dict], dict]:
     """The applicable count, the violation count, the first witnesses and the
     summary of the index range [lo, hi)."""
-    prop = _PROPERTIES[plan.property]
+    kind = _PROPERTIES[plan.property].kind
     witnesses: list[dict] = []
     violation_count = checked = 0
     summary: dict = {}
-    for start, rows in prop.chunks(plan, lo, hi):
-        found = prop.evaluate(rows, plan.n)
+    for start, rows, found in _evaluated(plan, lo, hi):
         checked += int(np.count_nonzero(found.applicable))
         _merge_summary(summary, found.summary)
         failing = np.flatnonzero(found.failed)
         violation_count += len(failing)
         for r in failing[: plan.witness_cap - len(witnesses)].tolist():
-            witnesses.append(_witness(prop.kind, start + r, plan.n, rows[r], found.detail(r)))
+            witnesses.append(_witness(kind, start + r, plan.n, rows[r], found.detail(r)))
     return checked, violation_count, witnesses, summary
 
 
@@ -616,12 +609,9 @@ def scan(prop: str, n: int, samples: int, seed: int) -> Iterator[tuple[int, np.n
     row is drawn."""
     plan = SweepPlan(prop, n, "random", samples=samples, seed=seed)
     plan.validate()
-    n, samples = plan.n, plan.samples
-    spec = _PROPERTIES[prop]
 
     def instances():
-        for start, rows in spec.chunks(plan, 0, samples):
-            found = spec.evaluate(rows, n)
+        for start, rows, found in _evaluated(plan, 0, plan.samples):
             failed = found.failed.tolist()
             for r, row in enumerate(rows):
                 yield (start + r, row, {key: int(v[r]) for key, v in found.quantities.items()},
@@ -646,6 +636,8 @@ def run_sweep(plan: SweepPlan) -> VerificationReport:
     if plan.worker_count <= 1 or len(blocks) <= 1:
         partials = [_sweep_block(plan, lo, hi) for lo, hi in blocks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=plan.worker_count) as pool:
             futures = [pool.submit(_sweep_block, plan, lo, hi) for lo, hi in blocks]
             partials = [f.result() for f in futures]

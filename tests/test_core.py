@@ -1,5 +1,6 @@
 """Encodings, characters, inner products, and the distance metric."""
 
+import math
 import pickle
 from fractions import Fraction
 
@@ -24,10 +25,12 @@ from ucx.core import (
     function_to_family,
     inner_product,
     iter_bits,
+    level_order,
     mask_from_elements,
     max_dimension,
     packed_words,
     popcount_table,
+    word_pairs,
 )
 from ucx.families import missing_lower_covers, roots
 from ucx.spectral import transform
@@ -164,6 +167,48 @@ def test_frequency_rows_match_the_definition():
             direct = np.stack([np.count_nonzero(coordinate_pairs(tables, i)[1], axis=(-2, -1))
                                for i in range(n)], axis=-1)
             assert np.array_equal(frequency_rows(tables, n), direct.reshape(shape + (n,))), n
+
+
+def unpacked_bits(words: np.ndarray) -> np.ndarray:
+    """The bits of word arrays (..., blocks, width) in order, as bool (..., 64 blocks width)."""
+    lead, (blocks, width) = words.shape[:-2], words.shape[-2:]
+    flat = np.ascontiguousarray(words.reshape(lead + (blocks * width,)), dtype="<u8")
+    return np.unpackbits(flat.view(np.uint8), axis=-1, bitorder="little").astype(bool)
+
+
+def test_word_pairs_match_coordinate_pairs():
+    # Bit p of (low, high), read in order, is the p-th entry of the
+    # coordinate_pairs views: for i >= 6 every bit, for i < 6 the bits at the
+    # points without bit i, all other bits 0.  2049 rows up to n = 9, 7 above.
+    rng = np.random.default_rng(15)
+    for n in range(1, 14):
+        size = 1 << n
+        wide = rng.integers(0, 2, size=(2049 if n <= 9 else 7, 2 * size)).astype(bool)
+        layouts = [wide[:0, :size], wide[:1, :size], wide[:, :size],
+                   np.asfortranarray(wide[:, :size]), wide[:, 1::2],
+                   wide[:6, size:].reshape(2, 3, size)]
+        for tables in layouts:
+            words = packed_words(tables)
+            for i in range(n):
+                got = [unpacked_bits(side) for side in word_pairs(words, i)]
+                if i < 6:
+                    points = np.arange(got[0].shape[-1])
+                    kept = ((points >> i) & 1 == 0) & (points < size)
+                    assert not any(side[..., ~kept].any() for side in got), (n, i)
+                    got = [side[..., kept] for side in got]
+                want = [side.reshape(tables.shape[:-1] + (size >> 1,))
+                        for side in coordinate_pairs(tables, i)]
+                assert all(map(np.array_equal, got, want)), (n, i, tables.shape)
+
+
+def test_level_order_sorts_by_popcount_then_mask():
+    for n in range(1, 17):
+        order, bounds = level_order(n)
+        assert not order.flags.writeable
+        pops = popcount_table(n)
+        assert np.array_equal(order, np.argsort(pops, kind="stable")), n
+        assert bounds == tuple(np.searchsorted(pops[order], np.arange(n + 2)).tolist())
+        assert [b - a for a, b in zip(bounds, bounds[1:])] == [math.comb(n, k) for k in range(n + 1)]
 
 
 def test_function_to_family_dictator():

@@ -58,6 +58,11 @@ def test_build_dispatch():
     assert build("example_f3", 2).function.values.tolist() == [1, -1, -1, -1]
     with pytest.raises(ValueError):
         build("nonesuch", 2)
+    # the builder's own TypeError names a missing or misspelled parameter
+    with pytest.raises(TypeError, match="'m'"):
+        build("or_family", 3)
+    with pytest.raises(TypeError, match="'elemnts'"):
+        build("parity", 3, elemnts=(1, 2))
     with pytest.raises(ValueError):
         or_family(4, 3)
     with pytest.raises(ValueError):

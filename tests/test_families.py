@@ -21,6 +21,7 @@ from ucx.families import (
     is_union_closed,
     lower_shadow,
     missing_lower_covers,
+    missing_lower_rows,
     roots,
     stats,
     theorem2_quantities,
@@ -68,6 +69,16 @@ def oracle_lower_shadow(family: SetFamily) -> SetFamily:
         for i in iter_bits(m):
             masks.add(m ^ (1 << i))
     return SetFamily.from_members(family.n, masks)
+
+
+def oracle_missing_lower(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row and mask A: the elements i of A with A - i outside the family,
+    read at the index A XOR e_i."""
+    masks = np.arange(1 << n)
+    out = np.zeros(tables.shape, dtype=np.int64)
+    for i in range(n):
+        out |= np.where((masks >> i) & 1 & ~tables[..., masks ^ (1 << i)], 1 << i, 0)
+    return out
 
 
 def all_families(n):
@@ -186,6 +197,18 @@ def test_shadows_match_oracle():
         for fam in all_families(n):
             assert upper_shadow(fam) == oracle_upper_shadow(fam)
             assert lower_shadow(fam) == oracle_lower_shadow(fam)
+        every = (np.arange(1 << (1 << n))[:, None] >> np.arange(1 << n)) & 1 == 1
+        assert np.array_equal(missing_lower_rows(every, n), oracle_missing_lower(every, n))
+    # seeded batches of sparse to dense rows
+    rng = np.random.default_rng(16)
+    density = np.array([[0.02], [0.1], [0.3], [0.5], [0.7], [0.95]])
+    for n in range(4, 13):
+        tables = rng.random((len(density), 1 << n)) < density
+        assert np.array_equal(missing_lower_rows(tables, n), oracle_missing_lower(tables, n)), n
+        for table in tables:
+            fam = SetFamily.from_bool(n, table)
+            assert upper_shadow(fam) == oracle_upper_shadow(fam), n
+            assert lower_shadow(fam) == oracle_lower_shadow(fam), n
 
 
 def test_shadow_lemma_examples():

@@ -136,12 +136,19 @@ def test_sweep_plan_of_numpy_integers_gives_the_same_report():
     assert run_sweep(as_numpy).canonical_json() == run_sweep(as_ints).canonical_json()
 
 
-@pytest.mark.parametrize("enumerate_", [enumerate_families, ks_enumerate])
-def test_enumerations_gate_their_dimension(enumerate_):
+DIMENSION_CALLS = {
+    "enumerate_families": lambda n: next(enumerate_families(n)),
+    "ks_enumerate": lambda n: next(ks_enumerate(n)),
+    "or_family_stats": lambda n: or_family_stats(1, n),
+}
+
+
+@pytest.mark.parametrize("name", DIMENSION_CALLS)
+def test_enumerations_gate_their_dimension(name):
     # n is a dimension: a bool, a float, 0 and n above the cap are refused as such
     for n in (True, 2.0, 0, 40):
         with pytest.raises(DimensionError):
-            next(enumerate_(n))
+            DIMENSION_CALLS[name](n)
 
 
 def test_dimensions_accept_numpy_integers():
@@ -173,6 +180,7 @@ NARROW_DIMENSION_CALLS = {
     "BooleanFunction.constant": lambda n: BooleanFunction.constant(n, -1),
     "CharacterSpec.values": lambda n: CharacterSpec(129, -1).values(n).tolist(),
     "or_family": lambda n: or_family(3, n).family,
+    "or_family_stats": lambda n: or_family_stats(3, n),
     "half_cube_missing": lambda n: half_cube_missing(8, n).family,
     "parity": lambda n: parity((1, 8), n).function,
     "random_union_closed": lambda n: random_union_closed(n, 5, 1),

@@ -257,13 +257,18 @@ def bfs_component_directions(n: int, vertices: set[int]) -> dict[int, int]:
 
 
 def test_component_directions_match_bfs():
-    # every vertex set, including those of at most half the cube, where no
-    # component need span all directions
-    for n in (1, 2, 3):
+    # every vertex set at n <= 3, including those of at most half the cube,
+    # where no component need span all directions; seeded sets of four
+    # densities at n = 4..10
+    cases = [(n, (np.arange(1 << (1 << n))[:, None] >> np.arange(1 << n)) & 1 == 1)
+             for n in (1, 2, 3)]
+    rng = np.random.default_rng(10)
+    density = np.array([[0.2], [0.45], [0.55], [0.8]])
+    cases += [(n, rng.random((len(density), 1 << n)) < density) for n in range(4, 11)]
+    for n, tables in cases:
         full = (1 << n) - 1
-        tables = (np.arange(1 << (1 << n))[:, None] >> np.arange(1 << n)) & 1 == 1
-        for bits, row in enumerate(component_directions(tables, n).tolist()):
-            vertices = {m for m in range(1 << n) if (bits >> m) & 1}
+        for table, row in zip(tables, component_directions(tables, n).tolist()):
+            vertices = set(np.flatnonzero(table).tolist())
             labels = bfs_component_directions(n, vertices)
             assert row == [labels.get(m, 0) for m in range(1 << n)]
             if len(vertices) > 1 << (n - 1):
