@@ -63,7 +63,7 @@ def analysis_report(family: SetFamily) -> dict:
     union_closed = is_union_closed(family)
     found, simply_rooted = rooted_rows(table, n)
     first_level = [2 * (a - b) for a, b in zip(prof.enter, prof.exit)]  # s({i}), no transform
-    dict_i, dict_sign, dict_dist = dictator_from_first_level(first_level, n)
+    dict_i, dict_sign, dict_dist = dictator_from_first_level(first_level)
 
     report = {
         "n": n,

@@ -92,6 +92,7 @@ def level_order(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the 0-based positions of the set bits of ``mask``, ascending."""
+    mask = check_int(mask, "subset mask", 0)
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -89,10 +89,8 @@ def parity(elements: tuple[int, ...], n: int) -> NamedConstruction:
 
 def example_f3(n: int = 2) -> NamedConstruction:
     """The two-disjunct OR construction; on n=2 the family {{1},{2},{1,2}}."""
-    if n < 2:
-        raise ValueError("the two-disjunct example needs n >= 2")
     built = or_family(2, n)
-    return NamedConstruction("example_f3", n, None, built.family, built.function)
+    return NamedConstruction("example_f3", built.n, None, built.family, built.function)
 
 
 _BUILDERS = {builder.__name__: builder
@@ -231,10 +229,11 @@ def ks_distance(f: BooleanFunction) -> tuple[KSClassMember, Fraction]:
     return member, Fraction((1 << (n + 1)) - best, 1 << (n + 2))
 
 
-def dictator_from_first_level(first_level, n: int) -> tuple[int, int, Fraction]:
+def dictator_from_first_level(first_level) -> tuple[int, int, Fraction]:
     """Closest signed single-coordinate parity (coordinate, sign, distance) to
-    a function with first-level coefficients s({i}); ties go to the smallest
-    coordinate, then to the positive sign."""
+    a function on [n] with first-level coefficients s({i}), i = 1..n; ties go
+    to the smallest coordinate, then to the positive sign."""
+    n = check_dimension(len(first_level))
     i, sign, best = (int(v[0]) for v in nearest_signed_rows(np.asarray(first_level)[None]))
     return i + 1, sign, Fraction((1 << n) - best, 1 << (n + 1))
 
@@ -242,4 +241,4 @@ def dictator_from_first_level(first_level, n: int) -> tuple[int, int, Fraction]:
 def nearest_dictator(f: BooleanFunction) -> tuple[int, int, Fraction]:
     """Closest signed single-coordinate parity, from the first-level
     coefficients read off the frequencies, with no transform."""
-    return dictator_from_first_level(first_level_rows(f.to_bool(), f.n), f.n)
+    return dictator_from_first_level(first_level_rows(f.to_bool(), f.n))

@@ -10,8 +10,8 @@ Complementation inside 2^[n] exchanges the two notions, with one subtlety
 the bare definitions hide: a family F is simply-rooted if and only if its
 complement G is union-closed AND contains the empty set.  (For union-closed
 G without the empty set, the empty set lands in F rootless; every nonempty
-member of F still has a root.)  ``verify.duality_check`` verifies exactly
-this corrected equivalence, which holds for every family without exception.
+member of F still has a root.)  ``verify.duality_check`` is the one check of
+this corrected equivalence, and Theorem 2's domain is read through it.
 
 Every operation is a batched kernel over boolean membership tables of shape
 (..., 2^n), one family per row, and the functions taking a ``SetFamily`` are
@@ -89,10 +89,6 @@ def _masks(n: int) -> np.ndarray:
     return np.arange(1 << n, dtype=np.uint32)
 
 
-def _at_most_one_bit(masks: np.ndarray) -> np.ndarray:
-    return masks & (masks - np.uint32(1)) == 0
-
-
 def cover_table(tables: np.ndarray, n: int) -> np.ndarray:
     """Per row and mask X: the union of the row's members contained in X."""
     cover = np.where(tables, _masks(n), np.uint32(0))
@@ -132,7 +128,7 @@ def rooted_rows(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def uniquely_rooted(roots: np.ndarray) -> np.ndarray:
     """Per mask, given ``root_masks``: whether it is a member with exactly one root."""
-    return (roots != 0) & _at_most_one_bit(roots)
+    return np.bitwise_count(roots) == 1
 
 
 def unique_root_counts(roots: np.ndarray) -> np.ndarray:
@@ -179,12 +175,7 @@ def component_directions(tables: np.ndarray, n: int) -> np.ndarray:
 
 def thin_boundary_rows(tables: np.ndarray, n: int) -> np.ndarray:
     """Per row: whether every member covers at most one set outside the family."""
-    return np.all(~tables | _at_most_one_bit(missing_lower_rows(tables, n)), axis=-1)
-
-
-def theorem2_rows(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: the upper-shadow deficiency and the complement's unique-root count."""
-    return upper_shadow_deficiency(tables, n), unique_root_counts(root_masks(~tables, n))
+    return np.all(~tables | (np.bitwise_count(missing_lower_rows(tables, n)) <= 1), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +261,16 @@ def theorem2_quantities(family: SetFamily) -> tuple[int, int]:
     exceeds 2^{n-1}; when the empty set is a member the two returned numbers
     are equal (each singleton missing from an empty-set-free G is uniquely
     rooted in the complement without being reachable by adding one element).
+    One cover sweep gives the domain and the roots: G is union-closed exactly
+    when its complement less the (rootless) empty set is simply-rooted.
     """
-    if not is_union_closed(family):
+    table = family.to_bool()
+    rest = ~table
+    rest[0] = False
+    found, closed = rooted_rows(rest, family.n)
+    if not closed:
         raise PreconditionError("upper-shadow deficiency requires a union-closed family")
-    deficiency, unique_count = theorem2_rows(family.to_bool(), family.n)
-    return int(deficiency), int(unique_count)
+    return int(upper_shadow_deficiency(table, family.n)), int(unique_root_counts(found))
 
 
 def stats(family: SetFamily) -> FamilyStats:

@@ -27,9 +27,10 @@ properties draw the union closure of uniformly drawn generator sets:
 set adjoined (the exact domain on which its deficiency equals the
 complement's unique-root count), and the properties quantified over
 simply-rooted families read the complement of that, which is simply-rooted
-by the complement duality.  ``duality`` reads uniformly random families and
-``kotlov`` random vertex sets larger than half the cube.  ``scan`` is the
-per-row output mode of the same engine.
+by the complement duality.  ``theorem2`` reads its domain through that
+duality too, off the complement's roots, which ``duality`` (on uniformly
+random families) checks; ``kotlov`` reads random vertex sets larger than
+half the cube.  ``scan`` is the per-row output mode of the same engine.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ from .families import (
     component_directions,
     missing_lower_rows,
     rooted_rows,
-    theorem2_rows,
     thin_boundary_rows,
     union_closed_rows,
     unique_root_counts,
     uniquely_rooted,
+    upper_shadow_deficiency,
 )
 from .influence import corollary_bound_rows, flip_count_rows, pair_count_rows
 from .spectral import first_level_rows, level_sum_rows, spectrum_rows
@@ -127,6 +128,7 @@ def conjecture2_margin_rows(sizes, enter, n: int) -> tuple[np.ndarray, np.ndarra
     """Per family size and total enter-pair count: the threshold k (-1 for
     none) and the margin (k+1) 2^{-k} - I^+ of the positive-influence cap,
     scaled by 2^{n-1}; the cap is 0 at k = -1."""
+    n = check_dimension(n)
     k = _threshold_k(n, sizes)
     return k, np.where(k < 0, 0, or_family_ladder(n)[1][k]) - enter
 
@@ -457,8 +459,8 @@ def _frankl(t: np.ndarray, n: int) -> _Rows:
 
 
 def _theorem2(t: np.ndarray, n: int) -> _Rows:
-    applicable = t[:, 0] & union_closed_rows(t, n)
-    deficiency, unique = theorem2_rows(t, n)
+    found, applicable = rooted_rows(~t, n)  # union-closed with the empty set, by the duality
+    deficiency, unique = upper_shadow_deficiency(t, n), unique_root_counts(found)
     ok = (deficiency == unique) & (deficiency <= 1 << (n - 1))
     return _Rows(applicable, ok,
                  lambda r: {"deficiency": int(deficiency[r]), "unique_root_count": int(unique[r])},

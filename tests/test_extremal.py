@@ -5,11 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ucx.core import BooleanFunction, CharacterSpec, SetFamily, dist, family_to_function
+from ucx.core import (
+    BooleanFunction,
+    CharacterSpec,
+    DimensionError,
+    SetFamily,
+    dist,
+    family_to_function,
+)
 from ucx.extremal import (
     KSClassMember,
     build,
     dictator,
+    dictator_from_first_level,
     example_f3,
     half_cube_missing,
     ks_correlation_rows,
@@ -152,6 +160,16 @@ def _nearest_dictator_by_definition(f: BooleanFunction):
     candidates = [(i, sign) for i in range(1, f.n + 1) for sign in (1, -1)]
     found = [(i, sign, dist(f, CharacterSpec(1 << (i - 1), sign))) for i, sign in candidates]
     return min(found, key=lambda c: c[2])  # min keeps the first of equal keys
+
+
+def test_dictator_from_first_level_reads_n_off_its_coefficients():
+    # all-zero coefficients on 16 coordinates: the first dictator, + sign, at 1/2
+    assert dictator_from_first_level([0] * 16) == (1, 1, Fraction(1, 2))
+    assert dictator_from_first_level(np.array([4, 0], dtype=np.int16)) == (1, 1, 0)
+    assert dictator_from_first_level(np.array([0, -2, 2])) == (2, -1, Fraction(3, 8))
+    for coefficients in ([], [4, 0] * 20):
+        with pytest.raises(DimensionError):
+            dictator_from_first_level(coefficients)
 
 
 def test_nearest_dictator():

@@ -17,15 +17,19 @@ from ucx.core import SetFamily, iter_bits
 from ucx.families import (
     PreconditionError,
     _roots_naive,
+    closure_rows,
     is_simply_rooted,
     is_union_closed,
     lower_shadow,
     missing_lower_covers,
     missing_lower_rows,
+    root_masks,
+    rooted_rows,
     roots,
     stats,
     theorem2_quantities,
     thin_boundary_check,
+    union_closed_rows,
     upper_shadow,
 )
 from ucx.verify import (
@@ -180,6 +184,32 @@ def test_duality_requires_empty_set_on_the_union_closed_side():
     assert is_union_closed(fam)
     assert not is_simply_rooted(fam.complement())
     assert duality_check(fam)
+
+
+def test_theorem2_domain_is_read_off_the_complement():
+    """The complement of t less the (rootless) empty set is simply-rooted
+    exactly when t is union-closed, with the root masks of the whole
+    complement.  Every table at n <= 4 as one batch, and seeded random
+    tables, closures, closures with the empty set and those with one member
+    dropped at n = 5..12."""
+    batches = [(n, (np.arange(1 << (1 << n))[:, None] >> np.arange(1 << n)) & 1 == 1)
+               for n in (1, 2, 3, 4)]
+    rng = np.random.default_rng(17)
+    for n in range(5, 13):
+        closed = closure_rows(rng.random((4, 1 << n)) < 5 / (1 << n), n)
+        with_empty = closed | (np.arange(1 << n) == 0)
+        gapped = with_empty.copy()
+        for row in gapped:
+            members = np.flatnonzero(row)
+            row[members[len(members) // 2]] = False
+        random = rng.random((3, 1 << n)) < np.array([[0.05], [0.5], [0.95]])
+        batches.append((n, np.concatenate([random, closed, with_empty, gapped])))
+    for n, t in batches:
+        rest = ~t
+        rest[:, 0] = False
+        found, simply_rooted = rooted_rows(rest, n)
+        assert np.array_equal(simply_rooted, union_closed_rows(t, n)), n
+        assert np.array_equal(found, root_masks(~t, n)), n
 
 
 def test_shadows():

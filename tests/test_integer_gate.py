@@ -14,11 +14,13 @@ from ucx.core import (
     check_int,
     check_mask,
     family_to_function,
+    iter_bits,
     mask_from_elements,
 )
 from ucx.extremal import (
     KSClassMember,
     dictator,
+    example_f3,
     half_cube_missing,
     ks_enumerate,
     or_family,
@@ -30,6 +32,7 @@ from ucx.influence import corollary_lower_bound, profile
 from ucx.spectral import first_level_identity, level_weight, transform
 from ucx.verify import (
     SweepPlan,
+    conjecture2_margin_rows,
     enumerate_families,
     largest_threshold_k,
     random_union_closed,
@@ -48,6 +51,7 @@ ENTRY_POINTS = {
     "check_int": (lambda v: check_int(v, "x", 0, 5), 3, 6),
     "check_int without high": (lambda v: check_int(v, "x", 1), 3, 0),
     "check_mask": (lambda v: check_mask(v, 3), 5, 8),
+    "iter_bits": (lambda v: next(iter_bits(v)), 5, -1),
     "mask_from_elements": (lambda v: mask_from_elements([v], 3), 2, 4),
     "SetFamily.from_members": (lambda v: SetFamily.from_members(3, [v]), 5, -1),
     "SetFamily.from_sets": (lambda v: SetFamily.from_sets(3, [[v, 1]]), 2, 0),
@@ -140,6 +144,8 @@ DIMENSION_CALLS = {
     "enumerate_families": lambda n: next(enumerate_families(n)),
     "ks_enumerate": lambda n: next(ks_enumerate(n)),
     "or_family_stats": lambda n: or_family_stats(1, n),
+    "conjecture2_margin_rows": lambda n: conjecture2_margin_rows(200, 0, n),
+    "example_f3": example_f3,
 }
 
 
@@ -185,6 +191,8 @@ NARROW_DIMENSION_CALLS = {
     "parity": lambda n: parity((1, 8), n).function,
     "random_union_closed": lambda n: random_union_closed(n, 5, 1),
     "largest_threshold_k": lambda n: largest_threshold_k(n, 200),
+    "conjecture2_margin_rows": lambda n: tuple(map(int, conjecture2_margin_rows(200, 0, n))),
+    "example_f3": lambda n: 1 << example_f3(n).n,
 }
 
 

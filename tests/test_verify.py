@@ -18,6 +18,7 @@ from ucx.families import (
     component_directions,
     is_simply_rooted,
     is_union_closed,
+    theorem2_quantities,
 )
 from ucx.verify import (
     SweepPlan,
@@ -32,7 +33,7 @@ from ucx.verify import (
     shadow_lemma_check,
     union_closure,
 )
-from ucx.extremal import or_family
+from ucx.extremal import half_cube_missing, or_family
 
 
 def oracle_closure(family: SetFamily) -> SetFamily:
@@ -527,6 +528,33 @@ def test_rigid_class_sweeps_transform_once_per_chunk(monkeypatch):
     calls.clear()
     assert run_sweep(SweepPlan("ks-zero", 5, "random", samples=2100, seed=2)).passed
     assert calls == [2048, 52]
+
+
+def test_theorem2_runs_one_cover_sweep(monkeypatch):
+    # the domain (union-closed with the empty set) is read off the roots of
+    # the complement, on the sweep that gives them
+    calls = []
+    for name in ("cover_table", "missing_lower_rows"):
+        original = getattr(families, name)
+
+        def counting(tables, n, name=name, original=original):
+            calls.append((name, len(tables)))
+            return original(tables, n)
+
+        monkeypatch.setattr(families, name, counting)
+    assert run_sweep(SweepPlan("theorem2", 4, "exhaustive")).passed
+    assert [rows for name, rows in calls if name == "cover_table"] == [2048] * 32
+    calls.clear()
+    # the closure that draws the domain, then the evaluator
+    assert run_sweep(SweepPlan("theorem2", 10, "random", samples=1000, seed=3)).passed
+    assert [rows for name, rows in calls if name == "cover_table"] == [1000, 1000]
+    calls.clear()
+    assert theorem2_quantities(half_cube_missing(1, 6).family) == (32, 32)
+    assert calls == [("cover_table", 64), ("missing_lower_rows", 64)]
+    calls.clear()
+    with pytest.raises(PreconditionError):  # refused before the deficiency
+        theorem2_quantities(SetFamily.from_sets(2, [[1], [2]]))
+    assert calls == [("cover_table", 4)]
 
 
 def test_function_sweeps_build_no_second_table():
