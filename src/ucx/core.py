@@ -14,10 +14,11 @@ table into the pairs (x, x + e_i), with ``word_pairs`` its form on tables
 packed 64 points to a word.  All derived quantities are exact: integers,
 or dyadic rationals represented as ``fractions.Fraction``.  Numpy arrays
 serve as containers for speed and hold integers or booleans, with one
-exception: ``spectral.fwht_rows`` multiplies float32 copies of its rows by
-+/-1 matrices.  Every value formed there, partial sums included, is an
-integer of magnitude at most 2^n <= 2^24, and float32 holds every such
-integer exactly, so no operation rounds.
+exception: ``spectral.fwht_rows`` copies each block of its rows to float32
+once, multiplies it by +/-1 matrices and writes it back.  Every value
+formed there, partial sums included, is an integer of magnitude at most
+2^n <= 2^24, and float32 holds every such integer exactly, so no operation
+rounds.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SetFamily, elements_from_mask, level_order, max_dimension
+from .core import SetFamily, level_order, max_dimension
 
 _HEADER = re.compile(r"^n=([0-9]+)$")
 _TOKEN = re.compile(r"\S+")
@@ -77,14 +77,24 @@ def parse_family(text: str) -> SetFamily:
     return SetFamily(n, table)
 
 
+def _label_lines(first: int, count: int) -> list[str]:
+    """The line of labels of each subset of the elements first + 1 .. first +
+    count, indexed by its mask over those elements."""
+    return [" ".join(str(first + i + 1) for i in range(count) if mask >> i & 1)
+            for mask in range(1 << count)]
+
+
 def format_family(family: SetFamily) -> str:
-    order = level_order(family.n)[0]
-    lines = [f"n={family.n}"]
+    """The canonical file: each member's line joins the label lines of the
+    low and the high half of its mask, read from two tables of at most
+    2^ceil(n/2) lines."""
+    n, half = family.n, family.n // 2
+    low, high = _label_lines(0, half), _label_lines(half, n - half)
+    order = level_order(n)[0]
+    lines = [f"n={n}"]
     for mask in order[family.to_bool()[order]].tolist():
-        if mask == 0:
-            lines.append("-")
-        else:
-            lines.append(" ".join(str(e) for e in elements_from_mask(mask)))
+        first, last = low[mask & ((1 << half) - 1)], high[mask >> half]
+        lines.append(f"{first} {last}" if first and last else first or last or "-")
     return "\n".join(lines) + "\n"
 
 

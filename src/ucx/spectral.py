@@ -5,15 +5,18 @@ is 2^n times the usual normalized coefficient.  Every identity used by the
 rest of the package (Parseval, level weights, the mean and first-level
 closed forms) is then an exact integer statement with zero tolerance.
 
-The transform runs as float32 matrix products (``fwht_rows``), and is still
-exact: each value it forms is an integer of magnitude at most 2^n <= 2^24,
-and float32 represents every integer up to 2^24, so no addition rounds.
+The transform runs as float32 matrix products (``fwht_rows``), one block of
+rows at a time, and is still exact: each value it forms is an integer of
+magnitude at most 2^n <= 2^24, and float32 represents every integer up to
+2^24, so no addition rounds.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -56,11 +59,15 @@ class Spectrum(CubeTable):
 
 
 # H_{2^n} = H_{2^{f_k}} x ... x H_{2^{f_1}}, each f <= _FACTOR_BITS.  Each
-# product multiplies 2^{-f} _GEMM_VOLUME entries by H_{2^f}, so it does at most
-# 2^18 = 64^3 multiply-adds: OpenBLAS runs a GEMM that small on the calling
-# thread alone, and forked pool workers do not oversubscribe the cores.
+# BLAS product multiplies by one H_{2^f} with at most _GEMM_VOLUME = 2^18 =
+# 64^3 multiply-adds: OpenBLAS runs a product that small on the calling thread
+# alone, and forked pool workers do not oversubscribe the cores.  Rows pass
+# through the kernels in blocks of at most _BLOCK_ENTRIES = 2^15 entries
+# (128 kB of float32, 256 kB of int64), which stay in L2.
 _FACTOR_BITS = 6
 _GEMM_VOLUME = 1 << 18
+_BLOCK_BITS = 15
+_BLOCK_ENTRIES = 1 << _BLOCK_BITS
 
 
 @lru_cache(maxsize=None)
@@ -78,14 +85,44 @@ def _factor_bits(n: int) -> list[int]:
     return [n // k + (j < n % k) for j in range(k)]
 
 
+def _blocks(shape: tuple[int, int, int]):
+    """Index slices [r:r + a, q:q + b] that tile a (rows, segments, width)
+    array in order, each block holding at most max(width, _BLOCK_ENTRIES)
+    entries: whole rows when they fit, else runs of one row's segments."""
+    rows, segments, width = shape
+    per = max(1, _BLOCK_ENTRIES // width)
+    row_step, segment_step = max(1, per // segments), min(segments, per)
+    for r in range(0, rows, row_step):
+        for q in range(0, segments, segment_step):
+            yield np.s_[r:r + row_step, q:q + segment_step]
+
+
+def _apply(h: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """y[j] = h @ x[j] for float32 stacks x, y of shape (g, len(h), width), by
+    stacked products of at most _GEMM_VOLUME multiply-adds: numpy's matmul
+    makes one BLAS call per stacked matrix."""
+    g, size, width = x.shape
+    cap = _GEMM_VOLUME // (size * size)
+    if width == 1:  # the vectors are rows: x @ h (h is symmetric), k rows a product
+        k = min(g & -g, cap)
+        np.matmul(x.reshape(-1, k, size), h, out=y.reshape(-1, k, size))
+    else:  # column slices of width w, each with row stride ``width``
+        w = min(width, cap)
+        shape = (g, size, width // w, w)
+        np.matmul(h, x.reshape(shape).swapaxes(1, 2), out=y.reshape(shape).swapaxes(1, 2))
+
+
 def fwht_rows(mat: np.ndarray) -> None:
     """In-place Walsh-Hadamard transform of each row of an int64 matrix whose
     entries lie in [-1, 1] and whose row length is 2^n with n <= 24;
     ``ValueError`` before any write otherwise.
 
-    Each Kronecker factor H_{2^f}, acting on bits [s, s + f) of the column
-    index, is applied by multiplying float32 copies of at most
-    ``_GEMM_VOLUME >> f`` entries by ``_hadamard32(f)``.  This is exact: every
+    The factors H_{2^f} act on consecutive bit ranges of the column index.
+    Those within the low ``_BLOCK_BITS`` bits run in one pass: each block of
+    row segments of 2^low entries is copied to float32 once, multiplied by
+    every such factor in turn (stacked products, between two buffers) and
+    written back once.  A factor on higher bits (n > 15 only) runs on
+    strided float32 copies of (2^f, w) column chunks.  This is exact: every
     output and every partial sum, in whatever order BLAS adds, is a signed
     subset sum of one row, so its magnitude is at most 2^n <= 2^24, and
     float32 holds every integer up to 2^24."""
@@ -96,23 +133,30 @@ def fwht_rows(mat: np.ndarray) -> None:
         return
     if mat.max() > 1 or mat.min() < -1:
         raise ValueError("fwht_rows needs entries in [-1, 1]")
-    s = 0
-    for f in _factor_bits(cols.bit_length() - 1):
-        h = _hadamard32(f)
-        budget = _GEMM_VOLUME >> f
-        # split only the last axis, so this is a view for any memory layout
-        view = mat.reshape(rows, cols >> (f + s), 1 << f, 1 << s)
-        row_step = max(1, budget // cols)
-        block_step = max(1, budget >> (f + s))
-        col_step = min(1 << s, budget >> f)
-        for r in range(0, rows, row_step):
-            for b in range(0, view.shape[1], block_step):
-                for c in range(0, 1 << s, col_step):
-                    chunk = view[r:r + row_step, b:b + block_step, :, c:c + col_step]
-                    x = chunk.astype(np.float32).reshape(-1, 1 << f, chunk.shape[-1])
-                    y = x[..., 0] @ h if s == 0 else np.matmul(h, x)
-                    chunk[...] = y.reshape(chunk.shape)
-        s += f
+    factors = _factor_bits(cols.bit_length() - 1)
+    hadamards = [_hadamard32(f) for f in factors]  # built, if new, before the buffers
+    starts = [0, *accumulate(factors)]  # factor j acts on bits [starts[j], starts[j + 1])
+    split = bisect_right(starts, _BLOCK_BITS) - 1  # factors [0, split) act within a block
+    low = starts[split]
+    a, b = (np.empty(min(mat.size, _BLOCK_ENTRIES), dtype=np.float32) for _ in range(2))
+    segments = mat.reshape(rows, cols >> low, 1 << low)  # splits only the last axis: a view
+    for at in _blocks(segments.shape):
+        block = segments[at]
+        x, y = a[:block.size], b[:block.size]
+        x.reshape(block.shape)[...] = block
+        for h, s in zip(hadamards[:split], starts):
+            _apply(h, x.reshape(-1, len(h), 1 << s), y.reshape(-1, len(h), 1 << s))
+            x, y = y, x
+        block[...] = x.reshape(block.shape)
+    for f, h, s in zip(factors[split:], hadamards[split:], starts[split:]):
+        w = min(1 << s, _BLOCK_ENTRIES >> f)
+        view = mat.reshape(rows, cols >> (f + s), 1 << f, (1 << s) // w, w)
+        x, y = a[:w << f].reshape(1, 1 << f, w), b[:w << f].reshape(1, 1 << f, w)
+        for r, q, c in np.ndindex(rows, view.shape[1], view.shape[3]):
+            chunk = view[r, q, :, c]
+            x[0] = chunk
+            _apply(h, x, y)
+            chunk[...] = y[0]
 
 
 def spectrum_rows(tables: np.ndarray) -> np.ndarray:
@@ -134,7 +178,8 @@ def first_level_rows(tables: np.ndarray, n: int) -> np.ndarray:
 
 
 def transform(f: BooleanFunction) -> Spectrum:
-    """Full spectrum by ``fwht_rows``: O(n 2^n) work in ceil(n/6) passes."""
+    """Full spectrum by ``fwht_rows``: one float32 pass over the row for the
+    factors on its low 15 bits, and one more per factor above them."""
     return Spectrum._of(f.n, spectrum_rows(f.to_bool()[None])[0])
 
 
@@ -160,15 +205,29 @@ def parseval_sum(spec: Spectrum) -> int:
 
 def level_sum_rows(spectra: np.ndarray, n: int) -> np.ndarray:
     """Per row of integer spectra (..., 2^n): the sums of s(S)^2 over each level
-    |S| = k, as int64 (..., n+1), read with one gather of a slice of the cached
-    level order and one dot product per level: no table of squares is built
-    and the input is only read."""
-    order, bounds = level_order(n)
-    out = np.empty(spectra.shape[:-1] + (n + 1,), dtype=np.int64)
-    for k in range(n + 1):
-        level = np.take(spectra, order[bounds[k]:bounds[k + 1]], axis=-1)
-        out[..., k] = np.einsum("...j,...j->...", level, level)
-    return out
+    |S| = k, as int64 (..., n+1).  Each row is read in segments of 2^b masks,
+    b = min(n, 15), in blocks of at most 2^15 entries: a block is gathered in
+    the level order of the low b bits, squared in place and summed at the
+    level bounds, and each segment's sums then move up by the popcount of
+    its high bits.  The input is only read; no table of squares is built."""
+    b = min(n, _BLOCK_BITS)
+    segments = spectra.reshape(-1, (1 << n) >> b, 1 << b)  # a view for any 2-D input
+    order, bounds = level_order(b)
+    order = order.astype(np.intp)  # np.take would convert int32 indices on every call
+    partial = np.empty(segments.shape[:2] + (b + 1,), dtype=np.int64)
+    buffer = np.empty(min(segments.size, _BLOCK_ENTRIES), dtype=np.int64)
+    for at in _blocks(segments.shape):
+        block = segments[at]
+        squares = np.take(block, order, axis=-1, out=buffer[:block.size].reshape(block.shape),
+                          mode="clip")  # "clip" writes straight to out: the indices are in range
+        squares *= squares
+        partial[at] = np.add.reduceat(squares, bounds[:-1], axis=-1)
+    high_order, high_bounds = level_order(n - b)
+    by_high = np.add.reduceat(partial[:, high_order], high_bounds[:-1], axis=1)
+    out = np.zeros((len(partial), n + 1), dtype=np.int64)
+    for p in range(n - b + 1):  # segments whose high bits hold p elements
+        out[:, p:p + b + 1] += by_high[:, p]
+    return out.reshape(spectra.shape[:-1] + (n + 1,))
 
 
 def level_sums(spec: Spectrum) -> tuple[int, ...]:

@@ -296,6 +296,66 @@ def _index_bits(start: int, stop: int, n: int) -> np.ndarray:
     return ((idx[:, None] >> cols[None, :]) & 1).astype(bool)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64
+# multiplier (numpy/random/src/pcg64/pcg64.h).  Like the draw layouts below,
+# they are part of numpy's published stream for a seed: a numpy release that
+# changed them would change every default_rng((seed, index)) stream too.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD = (1 << 32) - 1
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hash step on a column of uint32 words: xor with the
+    running constant, multiply by the next one, fold in the high half.  The
+    constants depend only on how many words were hashed before, so one call
+    hashes a word of every row."""
+
+    def hashed(words: np.ndarray) -> np.ndarray:
+        nonlocal const
+        words = words ^ np.uint32(const)
+        const = const * mult & _WORD
+        words = words * np.uint32(const)
+        return words ^ (words >> np.uint32(16))
+
+    return hashed
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> list[dict]:
+    """The PCG64 state {"state", "inc"} of ``default_rng((seed, index))`` for
+    each index in [start, stop), computed for all of them at once.
+
+    numpy seeds it with ``SeedSequence((seed, index))``: its entropy is the
+    uint32 words of seed and of index, lowest first, which hash and mix into
+    a pool of four words (missing words hash as 0 words); eight hashes of the
+    pool give the uint64 words (s_hi, s_lo, i_hi, i_lo), and PCG64 sets
+    inc = 2 i + 1 and state = (s + inc) M + inc mod 2^128.  The seed has at
+    most two words, and each index below 2^64 is taken as two."""
+    if stop > 1 << 64:  # indices of three words or more
+        return [np.random.PCG64((seed, i)).state["state"] for i in range(start, stop)]
+    count = stop - start
+    seed_words = [seed & _WORD] + ([seed >> 32] if seed >> 32 else [])
+    index = np.arange(start, stop, dtype="<u8").view("<u4").reshape(count, 2)
+    entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words] + [index[:, 0], index[:, 1]]
+    entropy += [np.zeros(count, dtype=np.uint32)] * (4 - len(entropy))
+    hashed = _hasher(_INIT_A, _MULT_A)
+    pool = [hashed(words) for words in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashed(pool[src])
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    hashed = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([hashed(pool[i % 4]) for i in range(8)], axis=1).astype("<u4").view("<u8")
+    states, mask = [], (1 << 128) - 1
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & mask
+        states.append({"state": ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & mask, "inc": inc})
+    return states
+
+
 def _draw_signs(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
     """A uniformly random function: a member wherever the drawn bit is 0.
 
@@ -534,16 +594,28 @@ class _Property:
         return "function" if self.draw is _draw_signs else "family"
 
     def chunks(self, plan: SweepPlan, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-        """(first index, boolean rows) per chunk of the index range [lo, hi)."""
+        """(first index, boolean rows) per chunk of the index range [lo, hi).
+
+        Random mode draws every row with one ``Generator``, whose PCG64 state
+        is set per row to that of ``default_rng((seed, index))``.  A PCG64
+        stream is fixed by its state, and clearing ``has_uint32`` drops the
+        spare 32-bit half that an earlier row's ``integers`` call may have
+        kept, so each row's draws are bit-identical to those of a fresh
+        ``default_rng((seed, index))``, without building one per row.
+        Exhaustive mode does not load ``numpy.random``."""
         n = plan.n
-        for start, stop in _chunks(n, lo, hi):
-            if plan.mode == "exhaustive":
+        if plan.mode == "exhaustive":
+            for start, stop in _chunks(n, lo, hi):
                 yield start, _index_bits(start, stop, n)
-            else:
-                rows = np.zeros((stop - start, 1 << n), dtype=bool)
-                for r, index in enumerate(range(start, stop)):
-                    self.draw(np.random.default_rng((plan.seed, index)), n, rows[r])
-                yield start, rows if self.domain is None else self.domain(rows, n)
+            return
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        for start, stop in _chunks(n, lo, hi):
+            rows = np.zeros((stop - start, 1 << n), dtype=bool)
+            for r, state in enumerate(_pcg64_states(plan.seed, start, stop)):
+                bits.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+                self.draw(rng, n, rows[r])
+            yield start, rows if self.domain is None else self.domain(rows, n)
 
 
 _PROPERTIES = {

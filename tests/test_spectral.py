@@ -17,6 +17,7 @@ from ucx.core import (
     SetFamily,
     coordinate_pairs,
     family_to_function,
+    level_order,
     popcount_table,
 )
 from ucx.influence import influence_identity_check
@@ -220,6 +221,25 @@ def test_level_sum_rows_by_definition():
         assert level_sum_rows(spectra[2], n).tolist() == expected[2]
         assert level_sum_rows(spectra[:0], n).shape == (0, n + 1)
         assert np.array_equal(spectra, before)
+
+
+def test_level_sum_rows_walks_a_large_row_in_segments():
+    """One n = 20 row: the kernel holds a block of squares at a time, not a
+    copy of the row (2.0x when the whole row is gathered at once)."""
+    n = 20
+    spectrum = np.random.default_rng(20).integers(-(1 << 10), 1 << 10, size=1 << n)
+    expected = level_sum_rows(spectrum, n)  # builds the cached level order first
+    tracemalloc.start()
+    try:
+        levels = level_sum_rows(spectrum, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    order, bounds = level_order(n)
+    squares = spectrum[order] ** 2
+    assert levels.tolist() == expected.tolist() == [
+        int(squares[bounds[k]:bounds[k + 1]].sum()) for k in range(n + 1)]
+    assert peak <= 0.6 * spectrum.nbytes, peak / spectrum.nbytes
 
 
 def test_spectrum_structural_invariants():

@@ -3,8 +3,12 @@
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,6 +459,51 @@ def test_function_draw_reads_the_raw_stream():
             verify._draw_signs(np.random.default_rng(key), n, row)
             drawn = np.random.default_rng(key).integers(0, 2, size=1 << n, dtype=np.int8)
             assert np.array_equal(row, drawn == 0), (n, key)
+
+
+def test_chunk_seeding_is_numpys_seeding():
+    """The states computed for a whole chunk are those numpy's SeedSequence
+    and PCG64 give each (seed, index): seeds of one and two words, a chunk
+    across the index word boundary 2^32 (indices of one and two words), one
+    across 2^64, and scattered indices."""
+    scattered = np.random.default_rng(8).integers(0, 1 << 64, size=40, dtype=np.uint64).tolist()
+    ranges = [(0, 2048), ((1 << 32) - 5, (1 << 32) + 5), ((1 << 64) - 2, (1 << 64) + 2)]
+    ranges += [(i, i + 1) for i in scattered]
+    for seed in (0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1):
+        for start, stop in ranges:
+            states = verify._pcg64_states(seed, start, stop)
+            assert len(states) == stop - start
+            for index, state in zip(range(start, stop), states):
+                assert state == np.random.PCG64((seed, index)).state["state"], (seed, index)
+
+
+@pytest.mark.parametrize("prop", ["parseval", "duality", "theorem2", "kotlov"])
+def test_chunk_rows_are_fresh_generator_draws(prop):
+    """Rows drawn through the one reused Generator equal the draws of a fresh
+    ``default_rng((seed, index))`` per row, for each draw (the raw stream,
+    ``bytes``, ``integers`` and ``choice``), also across 2^32."""
+    draw = verify._PROPERTIES[prop].draw
+    as_drawn = dataclasses.replace(verify._PROPERTIES[prop], domain=None)
+    for n, seed, start in [(1, 0, 0), (2, 5, 0), (4, (1 << 64) - 1, 0), (7, 1 << 32, 0),
+                           (5, 3, (1 << 32) - 40)]:
+        plan = SweepPlan(prop, n, "random", samples=start + 80, seed=seed)
+        for first, rows in as_drawn.chunks(plan, start, start + 80):
+            for r, row in enumerate(rows):
+                fresh = np.zeros(1 << n, dtype=bool)
+                draw(np.random.default_rng((seed, first + r)), n, fresh)
+                assert np.array_equal(row, fresh), (prop, n, seed, first + r)
+
+
+def test_exhaustive_sweeps_leave_numpy_random_unloaded():
+    """Only random mode builds a Generator: loading numpy.random grew the
+    resident size of a process running one exhaustive sweep by about 5 MB."""
+    code = ("import sys\nfrom ucx.verify import SweepPlan, run_sweep\n"
+            "assert run_sweep(SweepPlan('duality', 3, 'exhaustive')).passed\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = str(Path(verify.__file__).resolve().parents[1])
+    found = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True, timeout=120)
+    assert found.stdout.split() == ["False"]
 
 
 def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
