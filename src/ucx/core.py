@@ -14,11 +14,11 @@ table into the pairs (x, x + e_i), with ``word_pairs`` its form on tables
 packed 64 points to a word.  All derived quantities are exact: integers,
 or dyadic rationals represented as ``fractions.Fraction``.  Numpy arrays
 serve as containers for speed and hold integers or booleans, with one
-exception: ``spectral.fwht_rows`` copies each block of its rows to float32
-once, multiplies it by +/-1 matrices and writes it back.  Every value
-formed there, partial sums included, is an integer of magnitude at most
-2^n <= 2^24, and float32 holds every such integer exactly, so no operation
-rounds.
+exception: ``spectral.fwht_rows`` reads each block of its boolean rows into
+float32 once as +/-1, multiplies it by +/-1 matrices and writes it to its
+int64 output.  Every value formed there, partial sums included, is an
+integer of magnitude at most 2^n <= 2^24, and float32 holds every such
+integer exactly, so no operation rounds.
 """
 
 from __future__ import annotations
@@ -393,6 +393,7 @@ class CharacterSpec:
         object.__setattr__(self, "sign", check_sign(self.sign))
 
     def eval(self, x: int) -> int:
+        x = check_int(x, "subset mask", 0)  # no upper bound: a character has no n
         return self.sign * (1 - 2 * ((x & self.support).bit_count() & 1))
 
     def values(self, n: int) -> np.ndarray:

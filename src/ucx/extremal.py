@@ -40,7 +40,7 @@ from .core import (
     function_to_family,
     mask_from_elements,
 )
-from .spectral import Spectrum, first_level_rows, spectrum_rows
+from .spectral import Spectrum, first_level_rows, fwht_rows
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def ks_distance(f: BooleanFunction) -> tuple[KSClassMember, Fraction]:
     """Nearest member of the quadratic rigid class and the exact distance; ties
     resolve to the earliest member in ks_enumerate order."""
     n = f.n
-    corr = ks_correlation_rows(spectrum_rows(f.to_bool()[None]), n)
+    corr = ks_correlation_rows(fwht_rows(f.to_bool()[None]), n)
     row, sign, best = (int(v[0]) for v in nearest_signed_rows(corr))
     member = KSClassMember._of_cycle(sign, _ks_cycles(n)[row].tolist())
     return member, Fraction((1 << (n + 1)) - best, 1 << (n + 2))

@@ -5,10 +5,11 @@ is 2^n times the usual normalized coefficient.  Every identity used by the
 rest of the package (Parseval, level weights, the mean and first-level
 closed forms) is then an exact integer statement with zero tolerance.
 
-The transform runs as float32 matrix products (``fwht_rows``), one block of
-rows at a time, and is still exact: each value it forms is an integer of
-magnitude at most 2^n <= 2^24, and float32 represents every integer up to
-2^24, so no addition rounds.
+The one transform kernel, ``fwht_rows``, reads boolean membership rows a
+block at a time into float32 and runs it through matrix products.  It is
+still exact: each value it forms is an integer of magnitude at most
+2^n <= 2^24, and float32 represents every integer up to 2^24, so no addition
+rounds.
 """
 
 from __future__ import annotations
@@ -112,60 +113,48 @@ def _apply(h: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         np.matmul(h, x.reshape(shape).swapaxes(1, 2), out=y.reshape(shape).swapaxes(1, 2))
 
 
-def fwht_rows(mat: np.ndarray) -> None:
-    """In-place Walsh-Hadamard transform of each row of an int64 matrix whose
-    entries lie in [-1, 1] and whose row length is 2^n with n <= 24;
-    ``ValueError`` before any write otherwise.
-
-    The factors H_{2^f} act on consecutive bit ranges of the column index.
-    Those within the low ``_BLOCK_BITS`` bits run in one pass: each block of
-    row segments of 2^low entries is copied to float32 once, multiplied by
-    every such factor in turn (stacked products, between two buffers) and
-    written back once.  A factor on higher bits (n > 15 only) runs on
-    strided float32 copies of (2^f, w) column chunks.  This is exact: every
-    output and every partial sum, in whatever order BLAS adds, is a signed
-    subset sum of one row, so its magnitude is at most 2^n <= 2^24, and
-    float32 holds every integer up to 2^24."""
-    rows, cols = mat.shape
+def fwht_rows(tables: np.ndarray) -> np.ndarray:
+    """Integer spectra of the membership functions of the rows of a boolean
+    (rows, 2^n) table, n <= 24, as a new int64 array.  Each block of row
+    segments is read into float32 as 1 - 2 member, multiplied by every factor
+    H_{2^f} on its low bits and written out once; a factor on bits above
+    ``_BLOCK_BITS`` (n > 15) runs on float32 copies of the output's column
+    chunks.  Exact: every partial sum is a signed sum of at most 2^n <= 2^24
+    entries of +/-1, and float32 holds every integer up to 2^24."""
+    rows, cols = tables.shape
     if cols & (cols - 1) or not 1 <= cols <= 1 << HARD_MAX_N:
         raise ValueError(f"fwht_rows needs rows of 2^n entries, n <= {HARD_MAX_N}; got {cols}")
-    if mat.size == 0:
-        return
-    if mat.max() > 1 or mat.min() < -1:
-        raise ValueError("fwht_rows needs entries in [-1, 1]")
+    if tables.dtype != np.bool_:
+        raise TypeError(f"fwht_rows needs a boolean table, got {tables.dtype}")
+    spec = np.empty((rows, cols), dtype=np.int64)
+    if spec.size == 0:
+        return spec
     factors = _factor_bits(cols.bit_length() - 1)
     hadamards = [_hadamard32(f) for f in factors]  # built, if new, before the buffers
     starts = [0, *accumulate(factors)]  # factor j acts on bits [starts[j], starts[j + 1])
     split = bisect_right(starts, _BLOCK_BITS) - 1  # factors [0, split) act within a block
     low = starts[split]
-    a, b = (np.empty(min(mat.size, _BLOCK_ENTRIES), dtype=np.float32) for _ in range(2))
-    segments = mat.reshape(rows, cols >> low, 1 << low)  # splits only the last axis: a view
-    for at in _blocks(segments.shape):
-        block = segments[at]
+    a, b = (np.empty(min(spec.size, _BLOCK_ENTRIES), dtype=np.float32) for _ in range(2))
+    shape = (rows, cols >> low, 1 << low)
+    members, segments = tables.reshape(shape), spec.reshape(shape)
+    for at in _blocks(shape):
+        block = members[at]
         x, y = a[:block.size], b[:block.size]
-        x.reshape(block.shape)[...] = block
+        np.multiply(block, np.float32(-2), out=x.reshape(block.shape))
+        x += 1
         for h, s in zip(hadamards[:split], starts):
             _apply(h, x.reshape(-1, len(h), 1 << s), y.reshape(-1, len(h), 1 << s))
             x, y = y, x
-        block[...] = x.reshape(block.shape)
+        segments[at] = x.reshape(block.shape)
     for f, h, s in zip(factors[split:], hadamards[split:], starts[split:]):
         w = min(1 << s, _BLOCK_ENTRIES >> f)
-        view = mat.reshape(rows, cols >> (f + s), 1 << f, (1 << s) // w, w)
+        view = spec.reshape(rows, cols >> (f + s), 1 << f, (1 << s) // w, w)
         x, y = a[:w << f].reshape(1, 1 << f, w), b[:w << f].reshape(1, 1 << f, w)
         for r, q, c in np.ndindex(rows, view.shape[1], view.shape[3]):
             chunk = view[r, q, :, c]
             x[0] = chunk
             _apply(h, x, y)
             chunk[...] = y[0]
-
-
-def spectrum_rows(tables: np.ndarray) -> np.ndarray:
-    """Integer spectra of the membership functions of the rows of a boolean
-    (rows, 2^n) table, as an int64 (rows, 2^n) array."""
-    spec = tables.astype(np.int64)
-    spec *= -2  # 1 - 2 * member, in place: no second int64 table
-    spec += 1
-    fwht_rows(spec)
     return spec
 
 
@@ -178,9 +167,8 @@ def first_level_rows(tables: np.ndarray, n: int) -> np.ndarray:
 
 
 def transform(f: BooleanFunction) -> Spectrum:
-    """Full spectrum by ``fwht_rows``: one float32 pass over the row for the
-    factors on its low 15 bits, and one more per factor above them."""
-    return Spectrum._of(f.n, spectrum_rows(f.to_bool()[None])[0])
+    """Full spectrum: ``fwht_rows`` on the function's membership row."""
+    return Spectrum._of(f.n, fwht_rows(f.to_bool()[None])[0])
 
 
 def naive_transform(f: BooleanFunction) -> Spectrum:

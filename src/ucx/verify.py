@@ -59,7 +59,7 @@ from .families import (
     upper_shadow_deficiency,
 )
 from .influence import corollary_bound_rows, flip_count_rows, pair_count_rows
-from .spectral import first_level_rows, level_sum_rows, spectrum_rows
+from .spectral import first_level_rows, fwht_rows, level_sum_rows
 
 EXHAUSTIVE_MAX_N = 4
 # Table entries per chunk of a sweep: 2^20 booleans, and the int64 spectra
@@ -200,12 +200,14 @@ class SweepPlan:
 
     def validate(self) -> None:
         """The one check of a sweep's or scan's arguments, before any row is
-        drawn; ``samples`` is read in random mode only.  Each integer field is
-        stored back as the ``int`` its gate returns, so a numpy scalar never
-        reaches a shift (where numpy would wrap ``1 << n`` to 0)."""
+        drawn; ``samples`` is read in random mode only, and stored as None in
+        exhaustive mode, so it cannot change an exhaustive report.  Each
+        integer field is stored back as the ``int`` its gate returns, so a
+        numpy scalar never reaches a shift (where numpy would wrap ``1 << n``
+        to 0)."""
         if self.property not in PROPERTY_NAMES:
             raise ValueError(f"unknown property {self.property!r}")
-        gated = {"n": check_dimension(self.n)}
+        gated = {"n": check_dimension(self.n), "samples": None}
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"mode must be exhaustive or random, got {self.mode!r}")
         if self.mode == "exhaustive" and gated["n"] > EXHAUSTIVE_MAX_N:
@@ -450,14 +452,14 @@ def _first_failure(fail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _parseval(t: np.ndarray, n: int) -> _Rows:
     four_n = 1 << (2 * n)
-    spec = spectrum_rows(t)
+    spec = fwht_rows(t)
     sums = np.einsum("ij,ij->i", spec, spec)
     return _Rows(_every(t), sums == four_n,
                  lambda r: {"coefficient_square_sum": int(sums[r]), "expected": four_n})
 
 
 def _influence_identity(t: np.ndarray, n: int) -> _Rows:
-    spec = spectrum_rows(t)
+    spec = fwht_rows(t)
     pivotal = flip_count_rows(t, n).sum(axis=1)
     weighted = level_sum_rows(spec, n) @ np.arange(n + 1)
     return _Rows(_every(t), weighted == pivotal << (n + 1),
@@ -466,7 +468,7 @@ def _influence_identity(t: np.ndarray, n: int) -> _Rows:
 
 
 def _corollary_lb(t: np.ndarray, n: int) -> _Rows:
-    spec = spectrum_rows(t)
+    spec = fwht_rows(t)
     bounds = corollary_bound_rows(level_sum_rows(spec, n), n)
     lhs = flip_count_rows(t, n).sum(axis=1) << (n + 1)  # I(f) * 2 * 4^n / 2^n
     ok, first = _first_failure(lhs[:, None] < bounds)
@@ -495,7 +497,7 @@ def _fkn_zero(t: np.ndarray, n: int) -> _Rows:
 
 
 def _ks_zero(t: np.ndarray, n: int) -> _Rows:
-    spec = spectrum_rows(t)
+    spec = fwht_rows(t)
     qualifying = level_sum_rows(spec, n)[:, 2] == 1 << (2 * n)
     ok = ~qualifying
     best = nearest_signed_rows(ks_correlation_rows(spec[qualifying], n))[2]

@@ -162,8 +162,7 @@ def test_criterion_11_zero_delta_rigidity():
         chunk = idx[start : start + 4096]
         bits = ((chunk[:, None] >> cols[None, :]) & 1).astype(np.int8)
         mat = (1 - 2 * bits).astype(np.int8)
-        spec = mat.astype(np.int64)
-        fwht_rows(spec)
+        spec = fwht_rows(bits.astype(bool))
         squares = spec * spec
         for r in np.nonzero(squares[:, level1_cols].sum(axis=1) == four_n)[0]:
             full_level1.add(mat[int(r)].tobytes())

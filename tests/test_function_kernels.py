@@ -7,8 +7,7 @@ point.  The inputs are the tables of ``test_family_kernels.batch`` read as
 membership functions (-1 on members): every table at n <= 3 as one batch,
 and seeded rows at n = 4..10.  Each batch is handed over as 0, 1 and all
 rows, with leading dimensions (2, 3), in C, Fortran and strided layouts,
-and read-only; a kernel must leave its input unchanged, except
-``fwht_rows``, which transforms its input in place.  Every row also runs
+and read-only; a kernel must leave its input unchanged.  Every row also runs
 with the spectral block size cut to 2^7 entries, so block edges, row
 segments and the factors on high bits show at these small n.
 """
@@ -33,7 +32,6 @@ from ucx.spectral import (
     fwht_rows,
     level_sum_rows,
     naive_transform,
-    spectrum_rows,
 )
 from ucx.verify import conjecture2_margin_rows
 
@@ -149,13 +147,7 @@ class Kernel(NamedTuple):
     inputs: Callable  # n -> the input batch
     oracle: Callable  # n -> the outputs on inputs(n)
     leading: bool = True  # takes (..., width) inputs, not only (rows, width)
-    in_place: bool = False  # writes its result into its input
     low: int = 1  # the smallest n it accepts
-
-
-def _fwht(mat, n):
-    fwht_rows(mat)
-    return mat
 
 
 def _margins(pairs, n):
@@ -163,8 +155,7 @@ def _margins(pairs, n):
 
 
 KERNELS = {
-    "fwht_rows": Kernel(_fwht, lambda n: signs(n).copy(), spectra, leading=False, in_place=True),
-    "spectrum_rows": Kernel(lambda t, n: spectrum_rows(t), batch, spectra, leading=False),
+    "fwht_rows": Kernel(lambda t, n: fwht_rows(t), batch, spectra, leading=False),
     "level_sum_rows": Kernel(level_sum_rows, spectra, levels),
     "first_level_rows": Kernel(first_level_rows, batch,
                                lambda n: spectra(n)[:, 1 << np.arange(n)]),
@@ -199,10 +190,8 @@ def test_function_kernel_matches_its_oracle(name, block_bits, monkeypatch):
     kernel = KERNELS[name]
     for n in DIMENSIONS[kernel.low - 1:]:
         want = expected(name, n)
-        # every layout is made before the first call, so an in-place kernel
-        # changes no other layout's input
-        for label, given, index in list(layouts(kernel.inputs(n))):
-            if kernel.in_place and not given.flags.writeable or not kernel.leading and given.ndim > 2:
+        for label, given, index in layouts(kernel.inputs(n)):
+            if not kernel.leading and given.ndim > 2:
                 continue
             before = given.copy()
             got = kernel.call(given, n)
@@ -210,8 +199,7 @@ def test_function_kernel_matches_its_oracle(name, block_bits, monkeypatch):
             assert len(got) == len(want), name
             for out, column in zip(got, want):
                 assert out.dtype == np.int64 and np.array_equal(out, column[index]), (name, n, label)
-            if not kernel.in_place:
-                assert np.array_equal(given, before), (name, n, label)
+            assert np.array_equal(given, before), (name, n, label)
 
 
 def test_every_row_kernel_of_the_package_has_an_oracle():

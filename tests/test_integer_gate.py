@@ -60,6 +60,7 @@ ENTRY_POINTS = {
     "BooleanFunction.constant": (lambda v: BooleanFunction.constant(2, v), -1, 2),
     "CharacterSpec support": (lambda v: CharacterSpec(v).values(3).tolist(), 5, -1),
     "CharacterSpec sign": (lambda v: CharacterSpec(3, v).values(3).tolist(), -1, 0),
+    "CharacterSpec.eval": (lambda v: CharacterSpec(5).eval(v), 3, -1),
     "Spectrum.coefficient": (SPECTRUM.coefficient, 3, 8),
     "InfluenceProfile.influence": (PROFILE.influence, 2, 4),
     "InfluenceProfile.positive_influence": (PROFILE.positive_influence, 1, 0),

@@ -33,7 +33,6 @@ from ucx.spectral import (
     mean_identity_check,
     naive_transform,
     parseval_sum,
-    spectrum_rows,
     transform,
 )
 
@@ -79,11 +78,11 @@ def test_transform_matches_definition_oracle_random():
         assert np.array_equal(transform(f).s, expected)
 
 
-def test_spectrum_rows_match_naive_transform():
+def test_fwht_rows_match_naive_transform_random():
     rng = np.random.default_rng(5)
     for n in range(1, 7):
         tables = rng.integers(0, 2, size=(9, 1 << n)).astype(bool)
-        spectra = spectrum_rows(tables)
+        spectra = fwht_rows(tables)
         assert spectra.dtype == np.int64 and spectra.shape == tables.shape
         for table, spec in zip(tables, spectra):
             f = family_to_function(SetFamily(n, table))
@@ -117,34 +116,29 @@ def reference_butterfly(mat: np.ndarray) -> None:
 def test_fwht_rows_matches_naive_transform_exhaustive_small():
     for n in (1, 2, 3):
         functions = list(all_functions(n))
-        mat = np.array([f.values for f in functions], dtype=np.int64)
-        fwht_rows(mat)
-        assert mat.tolist() == [naive_transform(f).s.tolist() for f in functions]
+        spectra = fwht_rows(np.array([f.to_bool() for f in functions]))
+        assert spectra.tolist() == [naive_transform(f).s.tolist() for f in functions]
 
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_fwht_rows_matches_the_butterfly(n):
     """Every factor split (n < 6, n not a multiple of 6) and every chunk
-    tail, on +/-1 rows and on rows with zeros, in any memory layout."""
+    tail, on boolean rows in any memory layout, leaving them unchanged."""
     rng = np.random.default_rng(100 + n)
     for rows in (0, 1, 2049 if n <= 11 else 5):
-        for low in (-1, 0):
-            mat = rng.integers(0, 2, size=(rows, 1 << n), dtype=np.int64)
-            mat[mat == 0] = low  # entries in {-1, 1}, then in {0, 1}
-            expected = mat.copy()
-            reference_butterfly(expected)
-            fwht_rows(mat)
-            assert np.array_equal(mat, expected)
-    mat = 1 - 2 * rng.integers(0, 2, size=(3, 1 << n), dtype=np.int64)
-    expected = mat.copy()
+        tables = rng.integers(0, 2, size=(rows, 1 << n)).astype(bool)
+        expected = 1 - 2 * tables.astype(np.int64)
+        reference_butterfly(expected)
+        spectra = fwht_rows(tables)
+        assert spectra.dtype == np.int64 and np.array_equal(spectra, expected)
+    tables = rng.integers(0, 2, size=(3, 1 << n)).astype(bool)
+    expected = 1 - 2 * tables.astype(np.int64)
     reference_butterfly(expected)
-    column_major = np.asfortranarray(mat)
-    fwht_rows(column_major)
-    assert np.array_equal(column_major, expected)
-    wide = np.zeros((3, 2 << n), dtype=np.int64)
-    wide[:, 1::2] = mat
-    fwht_rows(wide[:, 1::2])
-    assert np.array_equal(wide[:, 1::2], expected) and not wide[:, ::2].any()
+    assert np.array_equal(fwht_rows(np.asfortranarray(tables)), expected)
+    wide = np.zeros((3, 2 << n), dtype=bool)
+    wide[:, 1::2] = tables
+    assert np.array_equal(fwht_rows(wide[:, 1::2]), expected)
+    assert np.array_equal(wide[:, 1::2], tables) and not wide[:, ::2].any()
 
 
 def test_fwht_rows_reaches_the_float32_integer_limit(monkeypatch):
@@ -168,14 +162,12 @@ def test_fwht_rows_refuses_rows_that_are_not_a_cube(cols):
 
 
 def test_fwht_rows_refuses_entries_outside_the_unit_range():
-    rng = np.random.default_rng(2)
-    for bad in (2, -2):
-        mat = 1 - 2 * rng.integers(0, 2, size=(3, 64), dtype=np.int64)
-        mat[1, 37] = bad
-        before = mat.copy()
-        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            fwht_rows(mat)
-        assert np.array_equal(mat, before)
+    """The dtype is the whole input check: a boolean table holds no entry
+    outside [-1, 1], and any other table is refused, even one of +/-1."""
+    signs = 1 - 2 * np.random.default_rng(2).integers(0, 2, size=(3, 64), dtype=np.int64)
+    for table in (signs, signs.astype(np.int8), signs.astype(np.float32)):
+        with pytest.raises(TypeError, match="boolean table"):
+            fwht_rows(table)
 
 
 @pytest.mark.parametrize("n", [16, 20, 24])
@@ -324,7 +316,7 @@ def test_first_level_rows_match_spectrum():
     for n in range(1, 9):
         tables = rng.integers(0, 2, size=(20, 1 << n)).astype(bool)
         singletons = [1 << i for i in range(n)]
-        assert np.array_equal(first_level_rows(tables, n), spectrum_rows(tables)[:, singletons])
+        assert np.array_equal(first_level_rows(tables, n), fwht_rows(tables)[:, singletons])
     assert first_level_rows(np.zeros((0, 8), dtype=bool), 3).shape == (0, 3)
 
 

@@ -328,6 +328,13 @@ def test_samples_are_ignored_in_exhaustive_mode():
         assert run_sweep(SweepPlan("parseval", 2, "exhaustive", samples=samples)).checked == 16
 
 
+def test_exhaustive_reports_hold_no_samples():
+    reports = [run_sweep(SweepPlan("duality", 2, "exhaustive", samples=samples))
+               for samples in (None, 0, 7, "x")]
+    assert len({report.canonical_json() for report in reports}) == 1
+    assert all(report.samples is None for report in reports)
+
+
 def test_sweep_examples():
     rep = run_sweep(SweepPlan("duality", 3, "exhaustive"))
     assert rep.passed and rep.checked == 256 and rep.violation_count == 0
@@ -375,7 +382,7 @@ def test_sweep_determinism_across_workers():
 def test_pool_forked_after_blas_gives_the_same_report():
     """Pool workers are forked after the parent has run a BLAS product (and
     OpenBLAS has started its threads); they neither hang nor change a byte."""
-    spectral.spectrum_rows(np.zeros((4, 1 << 12), dtype=bool))
+    spectral.fwht_rows(np.zeros((4, 1 << 12), dtype=bool))
     plan = SweepPlan("parseval", 12, "random", samples=300, seed=5)
     forked = run_sweep(dataclasses.replace(plan, worker_count=2))
     assert forked.passed and forked.canonical_json() == run_sweep(plan).canonical_json()
@@ -558,13 +565,13 @@ def test_report_canonical_shape():
 
 def test_rigid_class_sweeps_transform_once_per_chunk(monkeypatch):
     calls = []
-    original = spectral.fwht_rows
+    original = verify.fwht_rows
 
-    def counting(mat):
-        calls.append(len(mat))
-        return original(mat)
+    def counting(tables):
+        calls.append(len(tables))
+        return original(tables)
 
-    monkeypatch.setattr(spectral, "fwht_rows", counting)
+    monkeypatch.setattr(verify, "fwht_rows", counting)
     # fkn-zero reads the first level off the frequencies
     report = run_sweep(SweepPlan("fkn-zero", 3, "exhaustive"))
     assert report.passed and report.summary["num_qualifying"] == 6  # the signed dictators
