@@ -9,7 +9,9 @@ family takes the value -1 exactly on its members, so that the empty family
 is the constant +1 function, and a family and its membership function share
 one table.  The +/-1 value table of a function and the bitset integer of a
 family (bit ``mask`` set for each member) are only input and output formats
-of this module, and ``coordinate_pairs`` is the one place that splits a
+of this module.  ``packed_words`` and ``unpacked`` are the one bit codec
+(boolean tables to little-endian packed bits and back), ``np.bitwise_count``
+is the one popcount, and ``coordinate_pairs`` is the one place that splits a
 table into the pairs (x, x + e_i), with ``word_pairs`` its form on tables
 packed 64 points to a word.  All derived quantities are exact: integers,
 or dyadic rationals represented as ``fractions.Fraction``.  Numpy arrays
@@ -64,16 +66,6 @@ def check_dimension(n) -> int:
     if not 1 <= n <= cap:
         raise DimensionError(f"dimension n={n} outside [1, {cap}] (raise via {ENV_MAX_N})")
     return n
-
-
-@lru_cache(maxsize=None)
-def popcount_table(n: int) -> np.ndarray:
-    """Read-only uint8 table of popcounts for every mask below 2^n."""
-    out = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        out[1 << i : 2 << i] = out[: 1 << i] + 1
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -144,15 +136,12 @@ def elements_from_mask(mask: int) -> tuple[int, ...]:
 
 def bits_to_bool(bits: int, n: int) -> np.ndarray:
     """Expand a 2^n-bit bitset integer into a boolean table."""
-    size = 1 << n
-    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:size].astype(bool)
+    return unpacked(np.frombuffer(bits.to_bytes(((1 << n) + 7) // 8, "little"), dtype=np.uint8), n)
 
 
 def bool_to_bits(table: np.ndarray) -> int:
     """Pack a boolean table back into a bitset integer."""
-    packed = np.packbits(np.asarray(table, dtype=bool), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+    return int.from_bytes(packed_words(np.asarray(table, dtype=bool)).tobytes(), "little")
 
 
 def coordinate_pairs(tables: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +169,15 @@ def packed_words(tables: np.ndarray) -> np.ndarray:
     if pad:
         packed = np.concatenate([packed, np.zeros(packed.shape[:-1] + (pad,), np.uint8)], axis=-1)
     return np.ascontiguousarray(packed).view("<u8")
+
+
+def unpacked(packed: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of ``packed_words``: uint8 bytes (..., k), such as its words
+    viewed as bytes, read as boolean tables (..., 2^n), bit p of byte j at
+    point 8 j + p.  Missing bits read as 0 and bits past 2^n are dropped."""
+    if not packed.shape[-1]:  # np.unpackbits leaves the padding of an empty axis unwritten
+        return np.zeros(packed.shape[:-1] + (1 << n,), dtype=bool)
+    return np.unpackbits(packed, axis=-1, count=1 << n, bitorder="little").view(bool)
 
 
 def word_pairs(words: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -401,7 +399,7 @@ class CharacterSpec:
         n = check_dimension(n)
         if self.support.bit_length() > n:
             raise DimensionError(f"support mask {self.support} does not fit in dimension {n}")
-        parity = (popcount_table(n)[np.arange(1 << n) & self.support] & 1).astype(np.int8)
+        parity = (np.bitwise_count(np.arange(1 << n) & self.support) & 1).astype(np.int8)
         return (self.sign * (1 - 2 * parity)).astype(np.int8)
 
 
@@ -422,27 +420,26 @@ def function_to_family(f: BooleanFunction) -> SetFamily:
 GLike = Union[BooleanFunction, CharacterSpec, Sequence, np.ndarray]
 
 
-def _as_table(g: GLike, n: int) -> np.ndarray:
-    if isinstance(g, BooleanFunction):
-        if g.n != n:
-            raise DimensionError(f"dimension mismatch: {n} vs {g.n}")
-        return g.values
+def dist(f: BooleanFunction, g: GLike) -> Fraction:
+    """Normalized Hamming distance between +/-1 functions: the share of points
+    where their membership tables differ.  ``g`` is a ``BooleanFunction``, a
+    ``CharacterSpec`` (read as its ``values``) or a +/-1 integer table, which
+    the ``BooleanFunction`` constructor checks: ``TypeError`` for any other
+    dtype, ``ValueError`` for other values, ``DimensionError`` for a wrong
+    shape or dimension."""
     if isinstance(g, CharacterSpec):
-        return g.values(n)
-    table = np.asarray(g)
-    if table.shape != (1 << n,):
-        raise DimensionError(f"expected a table of 2^{n} values, got shape {table.shape}")
-    if not np.issubdtype(table.dtype, np.integer):
-        raise TypeError(f"expected an integer table, got {table.dtype}")
-    return table
+        g = g.values(f.n)
+    if not isinstance(g, BooleanFunction):
+        g = np.asarray(g)
+        if not np.issubdtype(g.dtype, np.integer):
+            raise TypeError(f"expected an integer table, got {g.dtype}")
+        g = BooleanFunction(f.n, g)
+    if g.n != f.n:
+        raise DimensionError(f"dimension mismatch: {f.n} vs {g.n}")
+    return Fraction(int(np.count_nonzero(f.to_bool() != g.to_bool())), 1 << f.n)
 
 
 def inner_product(f: BooleanFunction, g: GLike) -> Fraction:
-    """Normalized correlation: the average of f(x)g(x) over the cube, exact."""
-    table = _as_table(g, f.n).astype(np.int64)
-    return Fraction(int(np.dot(f.values.astype(np.int64), table)), 1 << f.n)
-
-
-def dist(f: BooleanFunction, g: Union[BooleanFunction, CharacterSpec]) -> Fraction:
-    """Normalized Hamming distance between +/-1 functions: (1 - <f,g>)/2."""
-    return (1 - inner_product(f, g)) / 2
+    """Normalized correlation, the average of f(x)g(x) over the cube, exact:
+    1 - 2 dist(f, g), with ``g`` taken as ``dist`` takes it."""
+    return 1 - 2 * dist(f, g)

@@ -31,7 +31,6 @@ from .core import (
     family_to_function,
     frequency_rows,
     level_order,
-    popcount_table,
 )
 
 
@@ -75,7 +74,7 @@ _BLOCK_ENTRIES = 1 << _BLOCK_BITS
 def _hadamard32(bits: int) -> np.ndarray:
     """Read-only float32 Sylvester matrix H[a, b] = (-1)^{|a AND b|} of order 2^bits."""
     masks = np.arange(1 << bits)
-    h = 1 - 2 * (popcount_table(bits)[masks[:, None] & masks] & 1).astype(np.float32)
+    h = 1 - 2 * (np.bitwise_count(masks[:, None] & masks) & 1).astype(np.float32)
     h.setflags(write=False)
     return h
 

@@ -44,7 +44,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import familyfile
-from .core import SetFamily, check_dimension, check_int, frequency_rows
+from .core import SetFamily, check_dimension, check_int, frequency_rows, unpacked
 from .extremal import ks_correlation_rows, nearest_signed_rows, or_family_ladder
 from .families import (
     PreconditionError,
@@ -215,7 +215,7 @@ class SweepPlan:
         if self.mode == "random":
             if self.samples is None:
                 raise ValueError("random mode needs samples >= 1")
-            gated["samples"] = check_int(self.samples, "samples", 1)
+            gated["samples"] = check_int(self.samples, "samples", 1, 1 << 64)
         gated["seed"] = check_int(self.seed, "seed", 0, (1 << 64) - 1)
         gated["worker_count"] = check_int(self.worker_count, "worker_count", 1)
         gated["witness_cap"] = check_int(self.witness_cap, "witness_cap", 0)
@@ -293,9 +293,7 @@ def _chunks(n: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
 
 def _index_bits(start: int, stop: int, n: int) -> np.ndarray:
     """Exhaustive rows: the 2^n binary digits of each index, as bool."""
-    idx = np.arange(start, stop, dtype=np.uint64)
-    cols = np.arange(1 << n, dtype=np.uint32)
-    return ((idx[:, None] >> cols[None, :]) & 1).astype(bool)
+    return unpacked(np.arange(start, stop, dtype="<u8")[:, None].view(np.uint8), n)
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64
@@ -334,9 +332,8 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[dict]:
     a pool of four words (missing words hash as 0 words); eight hashes of the
     pool give the uint64 words (s_hi, s_lo, i_hi, i_lo), and PCG64 sets
     inc = 2 i + 1 and state = (s + inc) M + inc mod 2^128.  The seed has at
-    most two words, and each index below 2^64 is taken as two."""
-    if stop > 1 << 64:  # indices of three words or more
-        return [np.random.PCG64((seed, i)).state["state"] for i in range(start, stop)]
+    most two words, and each index as two: ``SweepPlan.validate`` caps the
+    samples at 2^64, so every index is below 2^64."""
     count = stop - start
     seed_words = [seed & _WORD] + ([seed >> 32] if seed >> 32 else [])
     index = np.arange(start, stop, dtype="<u8").view("<u4").reshape(count, 2)
@@ -367,16 +364,13 @@ def _draw_signs(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
     byte b to (2 b) >> 8 = b >> 7, never rejecting for a range of 2.  So a
     point is a member where b >> 7 == 0, that is b < 128."""
     raw = rng.bit_generator.random_raw(((1 << n) + 7) >> 3).astype("<u8", copy=False)
-    row[:] = raw.view(np.uint8)[: 1 << n] < 128
+    np.less(raw.view(np.uint8)[: 1 << n], 128, out=row)
 
 
 def _draw_uniform(rng: np.random.Generator, n: int, row: np.ndarray) -> None:
     """A uniformly random family: the drawn bits, lowest point first."""
-    if n >= 3:
-        raw = np.frombuffer(rng.bytes(1 << (n - 3)), dtype=np.uint8)
-    else:
-        raw = np.array([rng.integers(0, 1 << (1 << n))], dtype=np.uint8)
-    row[:] = np.unpackbits(raw, bitorder="little")[: 1 << n]
+    raw = rng.bytes(1 << (n - 3)) if n >= 3 else bytes([rng.integers(0, 1 << (1 << n))])
+    row[:] = unpacked(np.frombuffer(raw, dtype=np.uint8), n)
 
 
 def _draw_generators(rng: np.random.Generator, n: int, row: np.ndarray) -> None:

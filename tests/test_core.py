@@ -29,7 +29,7 @@ from ucx.core import (
     mask_from_elements,
     max_dimension,
     packed_words,
-    popcount_table,
+    unpacked,
     word_pairs,
 )
 from ucx.families import missing_lower_covers, roots
@@ -47,10 +47,6 @@ def test_mask_element_round_trip():
     assert mask_from_elements([], 3) == 0
     with pytest.raises(ValueError):
         mask_from_elements([4], 3)
-    for n in range(1, 13):
-        table = popcount_table(n)
-        assert table.tolist() == [m.bit_count() for m in range(1 << n)]
-        assert not table.flags.writeable
 
 
 def test_bitset_bool_round_trip():
@@ -159,6 +155,26 @@ def test_packed_words_hold_the_bitset():
         packed_words(np.ones(8, dtype=np.int8))
 
 
+def test_unpacked_reads_the_binary_digits():
+    # Against the digit definition (bits >> p) & 1 of the little-endian bytes:
+    # 0 rows and leading dimensions, n = 1 and 2 (bits past 2^n dropped),
+    # fewer bytes than 2^n bits (missing bits read as 0), a read-only input.
+    rng = np.random.default_rng(10)
+    for n in range(1, 8):
+        for shape in ((0,), (5,), (2, 3)):
+            for width in (0, 1, (1 << n) >> 3, ((1 << n) + 7) >> 3):
+                packed = rng.integers(0, 256, size=shape + (width,), dtype=np.uint8)
+                packed.setflags(write=False)
+                rows = packed.reshape(math.prod(shape), width)
+                bits = [int.from_bytes(row.tobytes(), "little") for row in rows]
+                want = [[(b >> p) & 1 == 1 for p in range(1 << n)] for b in bits]
+                got = unpacked(packed, n)
+                assert got.dtype == np.bool_ and got.shape == shape + (1 << n,), (n, shape, width)
+                assert got.reshape(len(rows), 1 << n).tolist() == want, (n, shape, width)
+    tables = rng.integers(0, 2, size=(3, 1 << 9)).astype(bool)
+    assert np.array_equal(unpacked(packed_words(tables).view(np.uint8), 9), tables)
+
+
 def test_frequency_rows_match_the_definition():
     rng = np.random.default_rng(8)
     for n in range(1, 14):
@@ -205,7 +221,7 @@ def test_level_order_sorts_by_popcount_then_mask():
     for n in range(1, 17):
         order, bounds = level_order(n)
         assert not order.flags.writeable
-        pops = popcount_table(n)
+        pops = np.bitwise_count(np.arange(1 << n))
         assert np.array_equal(order, np.argsort(pops, kind="stable")), n
         assert bounds == tuple(np.searchsorted(pops[order], np.arange(n + 2)).tolist())
         assert [b - a for a, b in zip(bounds, bounds[1:])] == [math.comb(n, k) for k in range(n + 1)]
@@ -253,6 +269,18 @@ def test_inner_product_dimension_mismatch():
     for wrong in ([1.0, 1.0, -1.0, 1.0], [Fraction(1), Fraction(1), Fraction(-1), Fraction(1)]):
         with pytest.raises(TypeError):
             inner_product(f, wrong)
+
+
+def test_inner_product_and_dist_refuse_tables_other_than_signs():
+    # an integer table must hold +1 and -1 only: int64 products of other
+    # values wrap (2^62 + 2^62), and [3, 1] would give a negative distance
+    f = BooleanFunction.constant(1, 1)
+    for wrong in ([3, 1], np.array([2**62, 2**62]), np.array([2**63, 1], np.uint64)):
+        for measure in (inner_product, dist):
+            with pytest.raises(ValueError, match="must all be"):
+                measure(f, wrong)
+    assert inner_product(f, np.array([1, -1], np.int64)) == 0
+    assert dist(f, [-1, -1]) == 1
 
 
 def test_dist_examples():

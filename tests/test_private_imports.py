@@ -1,6 +1,7 @@
 """No module of the package imports another module's private names, no
 module keeps an import it does not use, the modules import each other in
-one layer order only, and one gate checks integer arguments."""
+one layer order only, one gate checks integer arguments, and core holds
+the one bit codec and popcount."""
 
 import ast
 from pathlib import Path
@@ -82,4 +83,19 @@ def test_one_integer_gate():
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
                     and "must be an int" in node.value and path.name != "core.py"):
                 offenders.append(f"{path.name}:{node.lineno}: restates the type check")
+    assert offenders == []
+
+
+def test_one_bit_layer():
+    # core packs and unpacks every bit (packed_words, unpacked) and numpy's
+    # bitwise_count is the one popcount
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "popcount_table":
+                offenders.append(f"{path.name}:{node.lineno}: defines popcount_table")
+            if (isinstance(node, ast.Attribute) and node.attr in ("packbits", "unpackbits")
+                    and path.name != "core.py"):
+                offenders.append(f"{path.name}:{node.lineno}: calls np.{node.attr}")
     assert offenders == []

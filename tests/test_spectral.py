@@ -18,7 +18,6 @@ from ucx.core import (
     coordinate_pairs,
     family_to_function,
     level_order,
-    popcount_table,
 )
 from ucx.influence import influence_identity_check
 from ucx.spectral import (
@@ -41,7 +40,7 @@ def character_matrix(n: int) -> np.ndarray:
     """Definition-level oracle: chi[S, x] = (-1)^{|S AND x|}."""
     pts = np.arange(1 << n, dtype=np.int64)
     overlap = pts[:, None] & pts[None, :]
-    parity = (popcount_table(n)[overlap] & 1).astype(np.int64)
+    parity = (np.bitwise_count(overlap) & 1).astype(np.int64)
     return 1 - 2 * parity
 
 

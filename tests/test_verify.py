@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucx import families, familyfile, spectral, verify
-from ucx.core import DimensionError, SetFamily, bits_to_bool, check_dimension
+from ucx.core import DimensionError, SetFamily, check_dimension
 from ucx.families import (
     PreconditionError,
     component_directions,
@@ -323,6 +323,16 @@ def test_dimension_rejects_bools():
             run_sweep(SweepPlan("parseval", flag, "random", samples=2))
 
 
+def test_samples_are_capped_at_two_to_the_64():
+    # every index of a random sweep is below 2^64, which the chunk seeding
+    # takes as two words; validate() only, no sweep is run
+    plan = SweepPlan("parseval", 3, "random", samples=1 << 64)
+    plan.validate()
+    assert plan.samples == 1 << 64
+    with pytest.raises(ValueError, match="samples"):
+        SweepPlan("parseval", 3, "random", samples=(1 << 64) + 1).validate()
+
+
 def test_samples_are_ignored_in_exhaustive_mode():
     for samples in (None, 0):
         assert run_sweep(SweepPlan("parseval", 2, "exhaustive", samples=samples)).checked == 16
@@ -452,7 +462,7 @@ def test_uniform_draw_unpacks_the_drawn_bits():
             bits = int.from_bytes(rng.bytes(1 << (n - 3)), "little")
         else:
             bits = int(rng.integers(0, 1 << (1 << n)))
-        assert row.tolist() == bits_to_bool(bits, n).tolist(), n
+        assert row.tolist() == [(bits >> p) & 1 == 1 for p in range(1 << n)], n
 
 
 def test_function_draw_reads_the_raw_stream():
@@ -472,9 +482,9 @@ def test_chunk_seeding_is_numpys_seeding():
     """The states computed for a whole chunk are those numpy's SeedSequence
     and PCG64 give each (seed, index): seeds of one and two words, a chunk
     across the index word boundary 2^32 (indices of one and two words), one
-    across 2^64, and scattered indices."""
+    ending at 2^64 (the last indices a sweep reaches), and scattered indices."""
     scattered = np.random.default_rng(8).integers(0, 1 << 64, size=40, dtype=np.uint64).tolist()
-    ranges = [(0, 2048), ((1 << 32) - 5, (1 << 32) + 5), ((1 << 64) - 2, (1 << 64) + 2)]
+    ranges = [(0, 2048), ((1 << 32) - 5, (1 << 32) + 5), ((1 << 64) - 4, 1 << 64)]
     ranges += [(i, i + 1) for i in scattered]
     for seed in (0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1):
         for start, stop in ranges:
