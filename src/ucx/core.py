@@ -394,13 +394,27 @@ class CharacterSpec:
         x = check_int(x, "subset mask", 0)  # no upper bound: a character has no n
         return self.sign * (1 - 2 * ((x & self.support).bit_count() & 1))
 
-    def values(self, n: int) -> np.ndarray:
-        """Value table over the whole n-cube."""
+    def to_bool(self, n: int) -> np.ndarray:
+        """Membership table over the n-cube, True where the character is -1:
+        the parity of x AND support, xor sign < 0.  Built by doubling: the
+        points with bit i set repeat those below 2^i, flipped if i is in the
+        support."""
         n = check_dimension(n)
         if self.support.bit_length() > n:
             raise DimensionError(f"support mask {self.support} does not fit in dimension {n}")
-        parity = (np.bitwise_count(np.arange(1 << n) & self.support) & 1).astype(np.int8)
-        return (self.sign * (1 - 2 * parity)).astype(np.int8)
+        table = np.empty(1 << n, dtype=bool)
+        table[0] = self.sign < 0
+        for i in range(n):
+            low, high = table[:1 << i], table[1 << i:2 << i]
+            if self.support >> i & 1:
+                np.logical_not(low, out=high)
+            else:
+                high[...] = low
+        return table
+
+    def values(self, n: int) -> np.ndarray:
+        """Value table over the whole n-cube, as int8."""
+        return 1 - 2 * self.to_bool(n).view(np.int8)
 
 
 def eval_character(spec: CharacterSpec, x: int) -> int:
@@ -423,13 +437,13 @@ GLike = Union[BooleanFunction, CharacterSpec, Sequence, np.ndarray]
 def dist(f: BooleanFunction, g: GLike) -> Fraction:
     """Normalized Hamming distance between +/-1 functions: the share of points
     where their membership tables differ.  ``g`` is a ``BooleanFunction``, a
-    ``CharacterSpec`` (read as its ``values``) or a +/-1 integer table, which
-    the ``BooleanFunction`` constructor checks: ``TypeError`` for any other
-    dtype, ``ValueError`` for other values, ``DimensionError`` for a wrong
-    shape or dimension."""
+    ``CharacterSpec`` (read as its membership table ``to_bool(n)``) or a +/-1
+    integer table, which the ``BooleanFunction`` constructor checks:
+    ``TypeError`` for any other dtype, ``ValueError`` for other values,
+    ``DimensionError`` for a wrong shape or dimension."""
     if isinstance(g, CharacterSpec):
-        g = g.values(f.n)
-    if not isinstance(g, BooleanFunction):
+        g = BooleanFunction._of(f.n, g.to_bool(f.n))
+    elif not isinstance(g, BooleanFunction):
         g = np.asarray(g)
         if not np.issubdtype(g.dtype, np.integer):
             raise TypeError(f"expected an integer table, got {g.dtype}")

@@ -37,7 +37,6 @@ from .core import (
     check_int,
     check_sign,
     family_to_function,
-    function_to_family,
     mask_from_elements,
 )
 from .spectral import Spectrum, first_level_rows, fwht_rows
@@ -83,8 +82,8 @@ def parity(elements: tuple[int, ...], n: int) -> NamedConstruction:
     mask = mask_from_elements(elements, n)
     if mask.bit_count() != len(elements):  # x_i XOR x_i is constant, not a parity
         raise ValueError(f"parity coordinates {elements} must be distinct")
-    func = BooleanFunction(n, CharacterSpec(mask).values(n))
-    return NamedConstruction("parity", n, tuple(sorted(elements)), function_to_family(func), func)
+    family = SetFamily(n, CharacterSpec(mask).to_bool(n))
+    return NamedConstruction("parity", n, tuple(sorted(elements)), family, family_to_function(family))
 
 
 def example_f3(n: int = 2) -> NamedConstruction:

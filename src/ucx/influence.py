@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import BooleanFunction, check_int, packed_words, word_pairs
-from .spectral import Spectrum, first_level_rows, level_sum_rows, transform
+from .spectral import Spectrum, first_level_rows, function_level_rows, level_sum_rows
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def influence_identity_check(f: BooleanFunction) -> tuple[Fraction, Fraction]:
 
     Returns (I(f), sum_k k W^k(f)); the two are always equal.
     """
-    weighted = level_sum_rows(transform(f).s, f.n) @ np.arange(f.n + 1)
+    weighted = function_level_rows(f.to_bool()[None], f.n)[0] @ np.arange(f.n + 1)
     return profile(f).influence(), Fraction(int(weighted), 1 << (2 * f.n))
 
 
@@ -110,5 +110,6 @@ def corollary_lower_bound(spec: Spectrum, k: int) -> Fraction:
 
 
 def balanced_distance_floor(f: BooleanFunction) -> Fraction:
-    """|mean coefficient| / 2: a lower bound on dist(f, g) for every balanced g."""
-    return abs(transform(f).coefficient(0)) / 2
+    """|mean coefficient| / 2: a lower bound on dist(f, g) for every balanced g.
+    The mean coefficient is read off the count, 1 - 2^{1-n} |f^{-1}(-1)|."""
+    return abs(1 - Fraction(2 * f.minus_count(), 1 << f.n)) / 2

@@ -9,7 +9,10 @@ The one transform kernel, ``fwht_rows``, reads boolean membership rows a
 block at a time into float32 and runs it through matrix products.  It is
 still exact: each value it forms is an integer of magnitude at most
 2^n <= 2^24, and float32 represents every integer up to 2^24, so no addition
-rounds.
+rounds.  ``function_level_rows`` runs the same blocks for callers that need
+only the level sums: while a row fits in a block, each block's spectra are
+cast to int64 and reduced in a block-sized buffer, and no spectra table is
+built.
 """
 
 from __future__ import annotations
@@ -112,6 +115,49 @@ def _apply(h: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         np.matmul(h, x.reshape(shape).swapaxes(1, 2), out=y.reshape(shape).swapaxes(1, 2))
 
 
+def _cube_bits(tables: np.ndarray) -> int:
+    """n for a boolean (rows, 2^n) table, n <= 24."""
+    _, cols = tables.shape
+    if cols & (cols - 1) or not 1 <= cols <= 1 << HARD_MAX_N:
+        raise ValueError(f"fwht_rows needs rows of 2^n entries, n <= {HARD_MAX_N}; got {cols}")
+    if tables.dtype != np.bool_:
+        raise TypeError(f"fwht_rows needs a boolean table, got {tables.dtype}")
+    return cols.bit_length() - 1
+
+
+def _factors(n: int) -> tuple[list[np.ndarray], list[int], int]:
+    """The factors H_{2^f} of H_{2^n}, the bit each starts at (factor j acts
+    on bits [starts[j], starts[j + 1])), and how many act within a block."""
+    bits = _factor_bits(n)
+    starts = [0, *accumulate(bits)]
+    return [_hadamard32(f) for f in bits], starts, bisect_right(starts, _BLOCK_BITS) - 1
+
+
+def _float32_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two float32 blocks for a table of ``size`` entries."""
+    return tuple(np.empty(min(size, _BLOCK_ENTRIES), dtype=np.float32) for _ in range(2))
+
+
+def _low_products(tables: np.ndarray, factors, a: np.ndarray, b: np.ndarray):
+    """Per block of row segments of a boolean (rows, 2^n) table: its index
+    [r:r + p, c:c + q] into the table and its float32 entries 1 - 2 member
+    multiplied by every one of ``_factors(n)`` that acts within a block, a
+    view of the ``_float32_buffers`` a or b that the next block overwrites."""
+    hadamards, starts, split = factors
+    low = starts[split]
+    shape = (len(tables), tables.shape[1] >> low, 1 << low)
+    members = tables.reshape(shape)
+    for rows, segments in _blocks(shape):
+        block = members[rows, segments]
+        x, y = a[:block.size], b[:block.size]
+        np.multiply(block, np.float32(-2), out=x.reshape(block.shape))
+        x += 1
+        for h, s in zip(hadamards[:split], starts):
+            _apply(h, x.reshape(-1, len(h), 1 << s), y.reshape(-1, len(h), 1 << s))
+            x, y = y, x
+        yield np.s_[rows, segments.start << low:segments.stop << low], x.reshape(len(block), -1)
+
+
 def fwht_rows(tables: np.ndarray) -> np.ndarray:
     """Integer spectra of the membership functions of the rows of a boolean
     (rows, 2^n) table, n <= 24, as a new int64 array.  Each block of row
@@ -120,41 +166,48 @@ def fwht_rows(tables: np.ndarray) -> np.ndarray:
     ``_BLOCK_BITS`` (n > 15) runs on float32 copies of the output's column
     chunks.  Exact: every partial sum is a signed sum of at most 2^n <= 2^24
     entries of +/-1, and float32 holds every integer up to 2^24."""
-    rows, cols = tables.shape
-    if cols & (cols - 1) or not 1 <= cols <= 1 << HARD_MAX_N:
-        raise ValueError(f"fwht_rows needs rows of 2^n entries, n <= {HARD_MAX_N}; got {cols}")
-    if tables.dtype != np.bool_:
-        raise TypeError(f"fwht_rows needs a boolean table, got {tables.dtype}")
-    spec = np.empty((rows, cols), dtype=np.int64)
+    n = _cube_bits(tables)
+    spec = np.empty(tables.shape, dtype=np.int64)
     if spec.size == 0:
         return spec
-    factors = _factor_bits(cols.bit_length() - 1)
-    hadamards = [_hadamard32(f) for f in factors]  # built, if new, before the buffers
-    starts = [0, *accumulate(factors)]  # factor j acts on bits [starts[j], starts[j + 1])
-    split = bisect_right(starts, _BLOCK_BITS) - 1  # factors [0, split) act within a block
-    low = starts[split]
-    a, b = (np.empty(min(spec.size, _BLOCK_ENTRIES), dtype=np.float32) for _ in range(2))
-    shape = (rows, cols >> low, 1 << low)
-    members, segments = tables.reshape(shape), spec.reshape(shape)
-    for at in _blocks(shape):
-        block = members[at]
-        x, y = a[:block.size], b[:block.size]
-        np.multiply(block, np.float32(-2), out=x.reshape(block.shape))
-        x += 1
-        for h, s in zip(hadamards[:split], starts):
-            _apply(h, x.reshape(-1, len(h), 1 << s), y.reshape(-1, len(h), 1 << s))
-            x, y = y, x
-        segments[at] = x.reshape(block.shape)
-    for f, h, s in zip(factors[split:], hadamards[split:], starts[split:]):
-        w = min(1 << s, _BLOCK_ENTRIES >> f)
-        view = spec.reshape(rows, cols >> (f + s), 1 << f, (1 << s) // w, w)
-        x, y = a[:w << f].reshape(1, 1 << f, w), b[:w << f].reshape(1, 1 << f, w)
-        for r, q, c in np.ndindex(rows, view.shape[1], view.shape[3]):
+    factors = _factors(n)  # the matrices are built, if new, before the buffers
+    a, b = _float32_buffers(spec.size)
+    for at, x in _low_products(tables, factors, a, b):
+        spec[at] = x
+    hadamards, starts, split = factors
+    for h, s in zip(hadamards[split:], starts[split:]):
+        size = len(h)
+        w = min(1 << s, _BLOCK_ENTRIES // size)
+        view = spec.reshape(len(spec), (1 << n) // (size << s), size, (1 << s) // w, w)
+        x, y = a[:size * w].reshape(1, size, w), b[:size * w].reshape(1, size, w)
+        for r, q, c in np.ndindex(len(spec), view.shape[1], view.shape[3]):
             chunk = view[r, q, :, c]
             x[0] = chunk
             _apply(h, x, y)
             chunk[...] = y[0]
     return spec
+
+
+def function_level_rows(tables: np.ndarray, n: int) -> np.ndarray:
+    """Per row of a boolean (rows, 2^n) table: the level sums of the spectrum
+    of its membership function, sum of s(S)^2 over each level |S| = k, as
+    int64 (rows, n+1); ``level_sum_rows(fwht_rows(tables), n)`` without the
+    spectra table.  While a row fits in a block (2^n <= ``_BLOCK_ENTRIES``),
+    each block's float32 spectra, exact integers |s| <= 2^15, are cast to
+    int64 in a block-sized buffer and reduced there, so no float is squared;
+    above that it is ``level_sum_rows(fwht_rows(tables), n)``."""
+    if _cube_bits(tables) != n:
+        raise ValueError(f"expected rows of 2^{n} entries, got {tables.shape[1]}")
+    if 1 << n > _BLOCK_ENTRIES:
+        return level_sum_rows(fwht_rows(tables), n)
+    factors, (order, bounds) = _factors(n), _level_gather(n)
+    out = np.empty((len(tables), n + 1), dtype=np.int64)
+    spectra, squares = (np.empty(min(tables.size, _BLOCK_ENTRIES), dtype=np.int64) for _ in range(2))
+    for (rows, _), x in _low_products(tables, factors, *_float32_buffers(tables.size)):
+        block = spectra[:x.size].reshape(x.shape)
+        block[...] = x
+        out[rows] = _block_level_sums(block, order, bounds, squares)
+    return out
 
 
 def first_level_rows(tables: np.ndarray, n: int) -> np.ndarray:
@@ -190,6 +243,24 @@ def parseval_sum(spec: Spectrum) -> int:
     return int(np.dot(spec.s, spec.s))
 
 
+def _level_gather(b: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``level_order(b)`` with intp indices: np.take would convert int32
+    indices on every call."""
+    order, bounds = level_order(b)
+    return order.astype(np.intp), bounds
+
+
+def _block_level_sums(block: np.ndarray, order: np.ndarray, bounds: tuple[int, ...],
+                      buffer: np.ndarray) -> np.ndarray:
+    """Per row segment of an int64 block (..., 2^b): the sums of its squares
+    over each level of the low b bits, gathered into ``buffer`` in level order
+    and squared in place."""
+    squares = np.take(block, order, axis=-1, out=buffer[:block.size].reshape(block.shape),
+                      mode="clip")  # "clip" writes straight to out: the indices are in range
+    squares *= squares
+    return np.add.reduceat(squares, bounds[:-1], axis=-1)
+
+
 def level_sum_rows(spectra: np.ndarray, n: int) -> np.ndarray:
     """Per row of integer spectra (..., 2^n): the sums of s(S)^2 over each level
     |S| = k, as int64 (..., n+1).  Each row is read in segments of 2^b masks,
@@ -199,16 +270,11 @@ def level_sum_rows(spectra: np.ndarray, n: int) -> np.ndarray:
     its high bits.  The input is only read; no table of squares is built."""
     b = min(n, _BLOCK_BITS)
     segments = spectra.reshape(-1, (1 << n) >> b, 1 << b)  # a view for any 2-D input
-    order, bounds = level_order(b)
-    order = order.astype(np.intp)  # np.take would convert int32 indices on every call
+    order, bounds = _level_gather(b)
     partial = np.empty(segments.shape[:2] + (b + 1,), dtype=np.int64)
     buffer = np.empty(min(segments.size, _BLOCK_ENTRIES), dtype=np.int64)
     for at in _blocks(segments.shape):
-        block = segments[at]
-        squares = np.take(block, order, axis=-1, out=buffer[:block.size].reshape(block.shape),
-                          mode="clip")  # "clip" writes straight to out: the indices are in range
-        squares *= squares
-        partial[at] = np.add.reduceat(squares, bounds[:-1], axis=-1)
+        partial[at] = _block_level_sums(segments[at], order, bounds, buffer)
     high_order, high_bounds = level_order(n - b)
     by_high = np.add.reduceat(partial[:, high_order], high_bounds[:-1], axis=1)
     out = np.zeros((len(partial), n + 1), dtype=np.int64)

@@ -59,11 +59,12 @@ from .families import (
     upper_shadow_deficiency,
 )
 from .influence import corollary_bound_rows, flip_count_rows, pair_count_rows
-from .spectral import first_level_rows, fwht_rows, level_sum_rows
+from .spectral import first_level_rows, function_level_rows, fwht_rows
 
 EXHAUSTIVE_MAX_N = 4
-# Table entries per chunk of a sweep: 2^20 booleans, and the int64 spectra
-# of a function chunk (8 MB), stay near the cache.
+# Table entries per chunk of a sweep: 2^20 booleans (1 MB) stay near the
+# cache.  At n <= 15 a function chunk's spectra are reduced to level sums a
+# block at a time and never held as a table.
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -446,24 +447,21 @@ def _first_failure(fail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _parseval(t: np.ndarray, n: int) -> _Rows:
     four_n = 1 << (2 * n)
-    spec = fwht_rows(t)
-    sums = np.einsum("ij,ij->i", spec, spec)
+    sums = function_level_rows(t, n).sum(axis=1)
     return _Rows(_every(t), sums == four_n,
                  lambda r: {"coefficient_square_sum": int(sums[r]), "expected": four_n})
 
 
 def _influence_identity(t: np.ndarray, n: int) -> _Rows:
-    spec = fwht_rows(t)
     pivotal = flip_count_rows(t, n).sum(axis=1)
-    weighted = level_sum_rows(spec, n) @ np.arange(n + 1)
+    weighted = function_level_rows(t, n) @ np.arange(n + 1)
     return _Rows(_every(t), weighted == pivotal << (n + 1),
                  lambda r: {"pivotal_pairs": int(pivotal[r]),
                             "weighted_square_sum": int(weighted[r])})
 
 
 def _corollary_lb(t: np.ndarray, n: int) -> _Rows:
-    spec = fwht_rows(t)
-    bounds = corollary_bound_rows(level_sum_rows(spec, n), n)
+    bounds = corollary_bound_rows(function_level_rows(t, n), n)
     lhs = flip_count_rows(t, n).sum(axis=1) << (n + 1)  # I(f) * 2 * 4^n / 2^n
     ok, first = _first_failure(lhs[:, None] < bounds)
     return _Rows(_every(t), ok,
@@ -491,10 +489,9 @@ def _fkn_zero(t: np.ndarray, n: int) -> _Rows:
 
 
 def _ks_zero(t: np.ndarray, n: int) -> _Rows:
-    spec = fwht_rows(t)
-    qualifying = level_sum_rows(spec, n)[:, 2] == 1 << (2 * n)
+    qualifying = function_level_rows(t, n)[:, 2] == 1 << (2 * n)
     ok = ~qualifying
-    best = nearest_signed_rows(ks_correlation_rows(spec[qualifying], n))[2]
+    best = nearest_signed_rows(ks_correlation_rows(fwht_rows(t[qualifying]), n))[2]
     ok[qualifying] = best == 1 << (n + 1)  # correlation 1 with a member
     return _Rows(_every(t), ok, _reason("full level-2 weight but outside the quadratic class"),
                  _count("num_qualifying", qualifying))

@@ -241,6 +241,21 @@ def test_eval_character():
     assert eval_character(CharacterSpec(1, -1), 0b001) == 1
 
 
+def test_character_tables_match_eval():
+    # the membership row built by doubling, and the values derived from it,
+    # against the definition point by point
+    for n in range(1, 7):
+        for support in range(1 << n):
+            for sign in (1, -1):
+                chi = CharacterSpec(support, sign)
+                points = [chi.eval(x) for x in range(1 << n)]
+                members, values = chi.to_bool(n), chi.values(n)
+                assert members.dtype == np.bool_ and members.tolist() == [v == -1 for v in points]
+                assert values.dtype == np.int8 and values.tolist() == points
+    with pytest.raises(DimensionError):
+        CharacterSpec(0b100).to_bool(2)
+
+
 def test_character_orthonormality_exhaustive():
     for n in (1, 2, 3, 4):
         for s_mask in range(1 << n):

@@ -29,6 +29,7 @@ from ucx.extremal import ks_correlation_rows, ks_enumerate, nearest_signed_rows
 from ucx.influence import corollary_bound_rows, flip_count_rows, pair_count_rows
 from ucx.spectral import (
     first_level_rows,
+    function_level_rows,
     fwht_rows,
     level_sum_rows,
     naive_transform,
@@ -157,6 +158,7 @@ def _margins(pairs, n):
 KERNELS = {
     "fwht_rows": Kernel(lambda t, n: fwht_rows(t), batch, spectra, leading=False),
     "level_sum_rows": Kernel(level_sum_rows, spectra, levels),
+    "function_level_rows": Kernel(function_level_rows, batch, levels, leading=False),
     "first_level_rows": Kernel(first_level_rows, batch,
                                lambda n: spectra(n)[:, 1 << np.arange(n)]),
     "frequency_rows": Kernel(frequency_rows, batch, rowwise(oracle_frequencies, batch)),
