@@ -260,12 +260,12 @@ class BooleanFunction(CubeTable):
     @classmethod
     def constant(cls, n: int, sign: int = 1) -> "BooleanFunction":
         n = check_dimension(n)
-        return cls(n, np.full(1 << n, check_sign(sign), dtype=np.int8))
+        return cls._of(n, np.full(1 << n, check_sign(sign) < 0))
 
     @property
     def values(self) -> np.ndarray:
-        """The read-only int8 table of +/-1 values."""
-        table = np.where(self._table, np.int8(-1), np.int8(1))
+        """The read-only int8 table of +/-1 values, 1 - 2 row."""
+        table = 1 - 2 * self._table.view(np.int8)
         table.setflags(write=False)
         return table
 
@@ -413,8 +413,8 @@ class CharacterSpec:
         return table
 
     def values(self, n: int) -> np.ndarray:
-        """Value table over the whole n-cube, as int8."""
-        return 1 - 2 * self.to_bool(n).view(np.int8)
+        """The read-only int8 value table over the whole n-cube."""
+        return BooleanFunction._of(n, self.to_bool(n)).values
 
 
 def eval_character(spec: CharacterSpec, x: int) -> int:

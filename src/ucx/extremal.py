@@ -9,14 +9,14 @@ influence, m 2^{1-m}.  With m = k+1 disjuncts it realizes mean coefficient
 pair at which both the conjectured positive-influence cap and the lower
 edge-isoperimetric bound are tight.
 
-The quadratic rigid class contains all signed parities of two coordinates,
-plus all functions (a b + b c + c d - a d)/2 built from four distinct
-single-coordinate parities a, b, c, d; that combination is +/-1-valued
-pointwise.  These are exactly the +/-1 functions whose squared-coefficient
-mass sits entirely on the second level.  A member is sign (chi_a + chi_b +
-chi_c - chi_d)/2 for the masks (ij, jk, kl, il) of four indices, or (ij, ij,
-0, 0) of a pair.  ``nearest_signed_rows`` is the one tie-break of the
-nearest-member searches, which are row kernels over correlation tables.
+The quadratic rigid class holds the signed parities of two coordinates and
+the signed half-sums (a b + b c + c d - a d)/2 of four single-coordinate
+parities on distinct indices, exactly the +/-1 functions whose squared
+coefficients all sit on level 2.  A member is sign (chi_a + chi_b + chi_c -
+chi_d)/2 for the masks (ij, jk, kl, il) of four indices, or (ij, ij, 0, 0) of
+a pair; as chi_c = chi_a chi_b chi_d, its row is the majority of the rows of
+chi_a, chi_b and -chi_d, xor sign < 0.  ``nearest_signed_rows`` is the one
+tie-break of the nearest-member searches, row kernels over correlation tables.
 """
 
 from __future__ import annotations
@@ -48,32 +48,31 @@ class NamedConstruction:
     n: int
     param: object
     family: SetFamily
-    function: BooleanFunction
+
+    @property
+    def function(self) -> BooleanFunction:  # the family's membership function, one table
+        return family_to_function(self.family)
 
 
 def or_family(m: int, n: int) -> NamedConstruction:
     """Family of all subsets of [n] that meet {1, ..., m}."""
     n = check_dimension(n)
     m = check_int(m, "disjunct count", 1, n)
-    low = (1 << m) - 1
-    table = (np.arange(1 << n, dtype=np.uint32) & low) != 0
-    family = SetFamily(n, table)
-    return NamedConstruction("or_family", n, m, family, family_to_function(family))
+    table = (np.arange(1 << n, dtype=np.uint32) & ((1 << m) - 1)) != 0
+    return NamedConstruction("or_family", n, m, SetFamily._of(n, table))
 
 
 def half_cube_missing(i: int, n: int) -> NamedConstruction:
     """Family of all subsets of [n] avoiding element i; union-closed, size 2^{n-1}."""
     n = check_dimension(n)
     i = check_int(i, "element", 1, n)
-    table = (np.arange(1 << n, dtype=np.uint32) >> (i - 1)) & 1 == 0
-    family = SetFamily(n, table)
-    return NamedConstruction("half_cube_missing", n, i, family, family_to_function(family))
+    table = CharacterSpec(1 << (i - 1), -1).to_bool(n)  # -1 exactly where i is absent
+    return NamedConstruction("half_cube_missing", n, i, SetFamily._of(n, table))
 
 
 def dictator(i: int, n: int) -> NamedConstruction:
     """Single-coordinate parity; as a family, all sets containing element i."""
-    built = parity((i,), n)
-    return NamedConstruction("dictator", n, i, built.family, built.function)
+    return NamedConstruction("dictator", n, i, parity((i,), n).family)
 
 
 def parity(elements: tuple[int, ...], n: int) -> NamedConstruction:
@@ -82,14 +81,14 @@ def parity(elements: tuple[int, ...], n: int) -> NamedConstruction:
     mask = mask_from_elements(elements, n)
     if mask.bit_count() != len(elements):  # x_i XOR x_i is constant, not a parity
         raise ValueError(f"parity coordinates {elements} must be distinct")
-    family = SetFamily(n, CharacterSpec(mask).to_bool(n))
-    return NamedConstruction("parity", n, tuple(sorted(elements)), family, family_to_function(family))
+    family = SetFamily._of(n, CharacterSpec(mask).to_bool(n))
+    return NamedConstruction("parity", n, tuple(sorted(elements)), family)
 
 
 def example_f3(n: int = 2) -> NamedConstruction:
     """The two-disjunct OR construction; on n=2 the family {{1},{2},{1,2}}."""
     built = or_family(2, n)
-    return NamedConstruction("example_f3", built.n, None, built.family, built.function)
+    return NamedConstruction("example_f3", built.n, None, built.family)
 
 
 _BUILDERS = {builder.__name__: builder
@@ -175,11 +174,11 @@ class KSClassMember:
         return tuple(_cycle_masks(np.array(cycle)).tolist())
 
     def values(self, n: int) -> np.ndarray:
-        a, b, c, d = (CharacterSpec(m).values(n).astype(np.int16) for m in self.masks())
-        return (self.sign * ((a + b + c - d) // 2)).astype(np.int8)  # always +/-1
+        return self.function(n).values
 
     def function(self, n: int) -> BooleanFunction:
-        return BooleanFunction(n, self.values(n))
+        a, b, _, d = (CharacterSpec(m).to_bool(n) for m in self.masks())
+        return BooleanFunction._of(n, (a & b | (a | b) & ~d) ^ (self.sign < 0))
 
     def correlation(self, spec: Spectrum) -> Fraction:
         """Exact correlation with any function, read off its spectrum."""

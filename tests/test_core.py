@@ -99,8 +99,16 @@ def test_family_basics():
 
 def test_family_to_function_sign_convention():
     # empty family is constant +1; full family constant -1
-    assert family_to_function(SetFamily.empty(2)) == BooleanFunction.constant(2, 1)
-    assert family_to_function(SetFamily.full(2)) == BooleanFunction.constant(2, -1)
+    for n in range(1, 5):
+        for sign, family in ((1, SetFamily.empty(n)), (-1, SetFamily.full(n))):
+            constant = BooleanFunction.constant(n, sign)
+            assert family_to_function(family) == constant
+            assert constant == BooleanFunction(n, [sign] * (1 << n))
+            assert constant.values.tolist() == [sign] * (1 << n)
+    assert BooleanFunction.constant(2) == BooleanFunction.constant(2, 1)
+    for sign in (0, 2):
+        with pytest.raises(ValueError):
+            BooleanFunction.constant(2, sign)
     # the OR-of-two-coordinates membership function in point order 00,10,01,11
     f3 = family_to_function(SetFamily.from_sets(2, [[1], [2], [1, 2]]))
     assert f3.values.tolist() == [1, -1, -1, -1]
@@ -116,7 +124,9 @@ def test_function_family_round_trip_exhaustive():
             table = fam.to_bool()
             assert np.shares_memory(f.to_bool(), table)
             assert np.array_equal(f.to_bool(), table)
-            assert np.array_equal(f.values, np.where(table, -1, 1))
+            values = f.values
+            assert values.dtype == np.int8 and not values.flags.writeable
+            assert np.array_equal(values, np.where(table, np.int8(-1), np.int8(1)))
             assert [f(x) for x in range(1 << n)] == f.values.tolist()
             assert f.minus_count() == fam.size
             # same table, different objects: never equal

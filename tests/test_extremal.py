@@ -44,9 +44,20 @@ def test_or_family_examples():
     assert f3.family == SetFamily.from_sets(2, [[1], [2], [1, 2]])
     assert example_f3(2).family == f3.family
 
-    hc = half_cube_missing(1, 3)
-    assert hc.family.members() == tuple(m for m in range(8) if not m & 1)
+    # the half cube is the family of sets avoiding i, for every i
+    for n in range(1, 7):
+        for i in range(1, n + 1):
+            table = half_cube_missing(i, n).family.to_bool()
+            assert table.tolist() == [not x >> (i - 1) & 1 for x in range(1 << n)]
 
+
+def test_constructions_hold_one_table():
+    # the function of a construction is its family's membership function,
+    # over the same table
+    for built in (or_family(2, 4), half_cube_missing(3, 4), dictator(2, 4),
+                  parity((1, 4), 4), example_f3(4)):
+        assert built.function == family_to_function(built.family)
+        assert np.shares_memory(built.function.to_bool(), built.family.to_bool())
 
 
 def test_parity_refuses_repeated_coordinates():
@@ -103,10 +114,17 @@ def test_or_family_stats_values():
 
 
 def test_ks_members_are_plus_minus_one_valued():
-    for n in (2, 4, 5, 6):
+    # every member's row against its definition, sign (chi_a + chi_b + chi_c -
+    # chi_d) / 2 evaluated point by point
+    for n in range(2, 7):
         for member in ks_enumerate(n):
+            chars = [CharacterSpec(mask) for mask in member.masks()]
+            expected = [member.sign * (chars[0].eval(x) + chars[1].eval(x) + chars[2].eval(x)
+                                       - chars[3].eval(x)) // 2 for x in range(1 << n)]
             values = member.values(n)
-            assert np.all(np.abs(values) == 1)
+            assert values.dtype == np.int8 and not values.flags.writeable
+            assert values.tolist() == expected
+            assert member.function(n).to_bool().tolist() == [v == -1 for v in expected]
 
 
 def test_ks_quadruple_identity_at_origin():

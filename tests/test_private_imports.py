@@ -1,7 +1,7 @@
 """No module of the package imports another module's private names, no
 module keeps an import it does not use, the modules import each other in
-one layer order only, one gate checks integer arguments, and core holds
-the one bit codec and popcount."""
+one layer order only, one gate checks integer arguments, core holds the
+one bit codec and popcount, and membership rows enter through ``_of``."""
 
 import ast
 from pathlib import Path
@@ -98,4 +98,29 @@ def test_one_bit_layer():
             if (isinstance(node, ast.Attribute) and node.attr in ("packbits", "unpackbits")
                     and path.name != "core.py"):
                 offenders.append(f"{path.name}:{node.lineno}: calls np.{node.attr}")
+    assert offenders == []
+
+
+def test_membership_rows_enter_through_of():
+    # the +/-1-checking BooleanFunction constructor reads a caller's table
+    # only in core.dist; every row the package builds enters through _of,
+    # and no module does int16 arithmetic on +/-1 tables
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if path.name == "core.py" and isinstance(node, ast.FunctionDef) and node.name == "dist":
+                allowed |= {id(sub) for sub in ast.walk(node)}
+            if isinstance(node, ast.ClassDef) and node.name == "BooleanFunction":
+                offenders += [f"{path.name}:{sub.lineno}: calls cls(...)" for sub in ast.walk(node)
+                              if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                              and sub.func.id == "cls"]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in allowed
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BooleanFunction"):
+                offenders.append(f"{path.name}:{node.lineno}: calls BooleanFunction(...)")
+            if "int16" in (getattr(node, "id", None), getattr(node, "attr", None),
+                           getattr(node, "value", None)):
+                offenders.append(f"{path.name}:{node.lineno}: names int16")
     assert offenders == []

@@ -189,6 +189,7 @@ def test_transform_keeps_the_computed_spectrum():
     """The spectrum wraps the butterfly's output: no copy of the int64 table."""
     n = 16
     f = random_function(np.random.default_rng(5), n)
+    transform(f)  # first-call caches and allocations stay outside the window
     tracemalloc.start()
     try:
         spec = transform(f)
