@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import familyfile
-from .core import DimensionError, SetFamily, family_to_function
+from .core import SetFamily, family_to_function
 from .extremal import dictator_from_first_level, or_family_stats
 from .families import (
     is_union_closed,
@@ -119,12 +119,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mode = "exhaustive" if args.exhaustive else "random"
     plan = SweepPlan(
         property=args.property,
         n=args.n,
-        mode=mode,
-        samples=args.samples if mode == "random" else None,
+        mode="exhaustive" if args.exhaustive else "random",
+        samples=args.samples,  # validate stores None in exhaustive mode
         seed=args.seed,
         worker_count=args.workers,
         witness_cap=args.witness_cap,
@@ -204,8 +203,7 @@ def cmd_scan(args) -> int:
             out.close()
     if failed:
         row, members = failed
-        family = SetFamily.from_bool(args.n, members)
-        payload = {"row": row, "family": familyfile.format_family(family)}
+        payload = {"row": row, "family": familyfile.format_family(SetFamily._of(args.n, members))}
         print(f"violation: {json.dumps(payload, sort_keys=True)}", file=sys.stderr)
         return 1
     return 0
@@ -268,7 +266,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, DimensionError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DimensionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -227,9 +227,9 @@ class CubeTable:
 
     @classmethod
     def _of(cls, n: int, table: np.ndarray):
-        """An instance over a table that needs no validation or copy: another
-        instance's read-only table, an unpickled one, or a fresh one that
-        nothing else holds."""
+        """The door for every table the package builds, which needs no check or
+        copy: another instance's read-only table, an unpickled one, or a fresh
+        one that nothing else holds, such as a row of a chunk the package drew."""
         made = cls.__new__(cls)
         CubeTable.__init__(made, n, table)
         return made
@@ -293,8 +293,8 @@ class BooleanFunction(CubeTable):
 class SetFamily(CubeTable):
     """A family of subsets of [n], stored as a read-only boolean membership
     table of shape (2^n,): entry ``mask`` is True exactly when that subset is
-    a member.  The constructor copies the table; ``bits`` derives the bitset
-    integer (bit ``mask`` set for each member) from it."""
+    a member.  The constructor and ``from_bool`` copy a caller's table, tables
+    ucx builds enter through ``_of``, and ``bits`` derives the bitset integer."""
 
     __slots__ = ()
 
@@ -307,12 +307,12 @@ class SetFamily(CubeTable):
     @classmethod
     def empty(cls, n: int) -> "SetFamily":
         n = check_dimension(n)
-        return cls(n, np.zeros(1 << n, dtype=bool))
+        return cls._of(n, np.zeros(1 << n, dtype=bool))
 
     @classmethod
     def full(cls, n: int) -> "SetFamily":
         n = check_dimension(n)
-        return cls(n, np.ones(1 << n, dtype=bool))
+        return cls._of(n, np.ones(1 << n, dtype=bool))
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> "SetFamily":
@@ -321,7 +321,7 @@ class SetFamily(CubeTable):
         bits = check_int(bits, "bitset", 0)
         if bits.bit_length() > 1 << n:  # its own range test: 2^(2^n) is never printed
             raise ValueError(f"bitset does not fit in 2^{n} bits")
-        return cls(n, bits_to_bool(bits, n))
+        return cls._of(n, bits_to_bool(bits, n))
 
     @classmethod
     def from_members(cls, n: int, masks: Iterable[int]) -> "SetFamily":
@@ -329,7 +329,7 @@ class SetFamily(CubeTable):
         table = np.zeros(1 << n, dtype=bool)
         for m in masks:
             table[check_mask(m, n)] = True
-        return cls(n, table)
+        return cls._of(n, table)
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -366,7 +366,7 @@ class SetFamily(CubeTable):
         return tuple(np.flatnonzero(self._table).tolist())
 
     def complement(self) -> "SetFamily":
-        return SetFamily(self.n, ~self._table)
+        return SetFamily._of(self.n, ~self._table)
 
     def frequencies(self) -> tuple[int, ...]:
         """Per-element membership counts: entry i-1 is the number of members containing i."""

@@ -36,6 +36,7 @@ from .core import (
     check_dimension,
     check_int,
     check_sign,
+    elements_from_mask,
     family_to_function,
     mask_from_elements,
 )
@@ -72,7 +73,8 @@ def half_cube_missing(i: int, n: int) -> NamedConstruction:
 
 def dictator(i: int, n: int) -> NamedConstruction:
     """Single-coordinate parity; as a family, all sets containing element i."""
-    return NamedConstruction("dictator", n, i, parity((i,), n).family)
+    built = parity((i,), n)
+    return NamedConstruction("dictator", built.n, built.param[0], built.family)
 
 
 def parity(elements: tuple[int, ...], n: int) -> NamedConstruction:
@@ -81,8 +83,8 @@ def parity(elements: tuple[int, ...], n: int) -> NamedConstruction:
     mask = mask_from_elements(elements, n)
     if mask.bit_count() != len(elements):  # x_i XOR x_i is constant, not a parity
         raise ValueError(f"parity coordinates {elements} must be distinct")
-    family = SetFamily._of(n, CharacterSpec(mask).to_bool(n))
-    return NamedConstruction("parity", n, tuple(sorted(elements)), family)
+    return NamedConstruction("parity", n, elements_from_mask(mask),
+                             SetFamily._of(n, CharacterSpec(mask).to_bool(n)))
 
 
 def example_f3(n: int = 2) -> NamedConstruction:

@@ -232,7 +232,7 @@ def is_simply_rooted(family: SetFamily) -> bool:
 
 def upper_shadow(family: SetFamily) -> SetFamily:
     """All sets obtained by adding one element to some member (covering one)."""
-    return SetFamily.from_bool(family.n, missing_lower_rows(~family.to_bool(), family.n) != 0)
+    return SetFamily._of(family.n, missing_lower_rows(~family.to_bool(), family.n) != 0)
 
 
 def lower_shadow(family: SetFamily) -> SetFamily:
@@ -240,7 +240,7 @@ def lower_shadow(family: SetFamily) -> SetFamily:
     complements of the upper shadow of the members' complements.  X -> [n] - X
     reverses the mask order."""
     flipped = ~family.to_bool()[::-1]
-    return SetFamily.from_bool(family.n, missing_lower_rows(flipped, family.n)[::-1] != 0)
+    return SetFamily._of(family.n, missing_lower_rows(flipped, family.n)[::-1] != 0)
 
 
 def missing_lower_covers(family: SetFamily, member: int) -> int:

@@ -74,7 +74,7 @@ def parse_family(text: str) -> SetFamily:
         table[mask] = True
     if n is None:
         raise FamilyFileError("missing header 'n=<int>'", 1)
-    return SetFamily(n, table)
+    return SetFamily._of(n, table)
 
 
 def _label_lines(first: int, count: int) -> list[str]:

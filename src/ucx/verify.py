@@ -75,7 +75,7 @@ _CHUNK_ENTRIES = 1 << 20
 def union_closure(generators: SetFamily) -> SetFamily:
     """Smallest union-closed superfamily; contains the empty set only if a
     generator is the empty set."""
-    return SetFamily.from_bool(generators.n, closure_rows(generators.to_bool(), generators.n))
+    return SetFamily._of(generators.n, closure_rows(generators.to_bool(), generators.n))
 
 
 def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
@@ -92,7 +92,7 @@ def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
         elif which == "simply_rooted":
             rows = rows[rooted_rows(rows, n)[1]]
         for row in rows:
-            yield SetFamily(n, row)
+            yield SetFamily._of(n, row)
 
 
 def random_union_closed(n: int, generator_count: int, seed: int) -> SetFamily:
@@ -102,7 +102,7 @@ def random_union_closed(n: int, generator_count: int, seed: int) -> SetFamily:
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     table = np.zeros(1 << n, dtype=bool)
     table[rng.integers(0, 1 << n, size=generator_count, dtype=np.int64)] = True
-    return SetFamily.from_bool(n, closure_rows(table, n))
+    return SetFamily._of(n, closure_rows(table, n))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def jsonable(value):
 
 def _witness(kind: str, index: int, n: int, row: np.ndarray, detail: dict) -> dict:
     if kind == "family":
-        body = familyfile.format_family(SetFamily.from_bool(n, row))
+        body = familyfile.format_family(SetFamily._of(n, row))
     else:
         body = "".join("-" if member else "+" for member in row)
     return {"index": index, "kind": kind, "n": n, kind: body, "detail": jsonable(detail)}

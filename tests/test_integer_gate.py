@@ -114,6 +114,16 @@ def test_signs_and_indices_are_stored_as_ints():
     assert spec.eval(1) == CharacterSpec(5, -1).eval(1) == 1
 
 
+def test_constructions_store_ints():
+    built = (or_family(np.int64(2), np.int64(3)), half_cube_missing(np.int32(2), np.uint8(3)),
+             dictator(np.int64(2), np.int16(3)), parity((np.int64(2), np.int8(1)), np.int64(3)),
+             example_f3(np.int64(3)))
+    for c in built:
+        params = c.param if isinstance(c.param, tuple) else () if c.param is None else (c.param,)
+        assert type(c.n) is int and all(type(p) is int for p in params), c.kind
+    assert built[3].param == (1, 2) and built[3] == parity((2, 1), 3) == parity((1, 2), 3)
+
+
 PLAN_COUNTS = {"samples": (50, 0), "seed": (7, 1 << 64), "witness_cap": (3, -1),
                "worker_count": (2, 0)}
 

@@ -1,7 +1,9 @@
 """No module of the package imports another module's private names, no
 module keeps an import it does not use, the modules import each other in
 one layer order only, one gate checks integer arguments, core holds the
-one bit codec and popcount, and membership rows enter through ``_of``."""
+one bit codec and popcount, and every membership row the package builds,
+of a function or of a family, enters through ``_of``: the copying
+constructors read only callers' tables."""
 
 import ast
 from pathlib import Path
@@ -123,4 +125,23 @@ def test_membership_rows_enter_through_of():
             if "int16" in (getattr(node, "id", None), getattr(node, "attr", None),
                            getattr(node, "value", None)):
                 offenders.append(f"{path.name}:{node.lineno}: names int16")
+    assert offenders == []
+
+
+def test_family_tables_enter_through_of():
+    # SetFamily(n, table) and SetFamily.from_bool copy a caller's table; no
+    # module calls either, and inside SetFamily only from_bool calls cls(...)
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "SetFamily":
+                copying = {id(sub) for method in node.body if getattr(method, "name", None) == "from_bool"
+                           for sub in ast.walk(method)}
+                offenders += [f"{path.name}:{sub.lineno}: calls cls(...)" for sub in ast.walk(node)
+                              if isinstance(sub, ast.Call) and id(sub) not in copying
+                              and getattr(sub.func, "id", None) == "cls"]
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in ("SetFamily", "from_bool")):
+                offenders.append(f"{path.name}:{node.lineno}: calls {ast.unparse(node.func)}(...)")
     assert offenders == []

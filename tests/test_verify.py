@@ -418,6 +418,56 @@ def test_witness_serialization(monkeypatch):
                 assert witness["family"] == familyfile.format_family(family)
 
 
+def test_package_families_enter_through_of(monkeypatch):
+    """The runtime twin of ``test_family_tables_enter_through_of``: with the
+    copying constructor refusing every call, each path that returns a family
+    still returns the one it did, over a read-only table."""
+    def fail_every_row(rows, n):
+        return verify._Rows(np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool),
+                            lambda r: {"reason": "forced"})
+
+    monkeypatch.setitem(verify._PROPERTIES, "duality",
+                        dataclasses.replace(verify._PROPERTIES["duality"], evaluate=fail_every_row))
+    format_family, witnessed = familyfile.format_family, []
+    monkeypatch.setattr(familyfile, "format_family",
+                        lambda family: witnessed.append(family) or format_family(family))
+
+    def witness_families():
+        witnessed.clear()
+        run_sweep(SweepPlan("duality", 2, "exhaustive", witness_cap=5))
+        return list(witnessed)
+
+    base = SetFamily.from_sets(3, [[1], [2, 3]])
+    paths = {
+        "empty": lambda: SetFamily.empty(3),
+        "full": lambda: SetFamily.full(3),
+        "from_bits": lambda: SetFamily.from_bits(3, 0b10010110),
+        "from_sets": lambda: SetFamily.from_sets(3, [[1], [2, 3], []]),
+        "complement": base.complement,
+        "union_closure": lambda: union_closure(base),
+        "random_union_closed": lambda: random_union_closed(4, 5, 1),
+        "upper_shadow": lambda: families.upper_shadow(base),
+        "lower_shadow": lambda: families.lower_shadow(base),
+        "parse_family": lambda: familyfile.parse_family("n=3\n-\n1\n1 3\n"),
+        "enumerate_families": lambda: list(enumerate_families(3, "union_closed")),
+        "witness": witness_families,
+    }
+    reference = {name: path() for name, path in paths.items()}
+
+    def refuse(self, n, table):
+        raise AssertionError("a table the package built went through the copying constructor")
+
+    monkeypatch.setattr(SetFamily, "__init__", refuse)
+    with pytest.raises(AssertionError, match="copying constructor"):
+        SetFamily.from_bool(3, base.to_bool())
+    for name, path in paths.items():
+        built = path()
+        assert built == reference[name], name
+        for family in built if isinstance(built, list) else [built]:
+            assert type(family) is SetFamily and not family.to_bool().flags.writeable, name
+    assert len(reference["enumerate_families"]) == 122 and len(reference["witness"]) == 5
+
+
 def test_single_family_checks_read_their_sweep_evaluators(monkeypatch):
     fam = SetFamily.from_members(2, [1, 2, 3])  # simply-rooted, over half the cube
     checks = {"duality": duality_check, "shadow-lemma": shadow_lemma_check,
