@@ -179,7 +179,9 @@ def thin_boundary_rows(tables: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# definition-level oracles for the tests
+# the definition-level root oracle: ``tests/oracles.py`` reads it for every
+# root check, and ``perfbench/test_inputs.py`` for the simple-rootedness of
+# its seeded inputs
 
 
 def _root_set_naive(family: SetFamily, member: int) -> int:
@@ -200,10 +202,6 @@ def _root_set_naive(family: SetFamily, member: int) -> int:
         if ok:
             roots |= bit
     return roots
-
-
-def _roots_naive(family: SetFamily) -> tuple[int, ...]:
-    return tuple(_root_set_naive(family, m) for m in family.members())
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +239,6 @@ def lower_shadow(family: SetFamily) -> SetFamily:
     reverses the mask order."""
     flipped = ~family.to_bool()[::-1]
     return SetFamily._of(family.n, missing_lower_rows(flipped, family.n)[::-1] != 0)
-
-
-def missing_lower_covers(family: SetFamily, member: int) -> int:
-    """Mask of elements i in the member with member - i outside the family."""
-    member = check_mask(member, family.n)
-    return int(missing_lower_rows(family.to_bool(), family.n)[member])
 
 
 def thin_boundary_check(family: SetFamily) -> bool:

@@ -238,11 +238,6 @@ def naive_transform(f: BooleanFunction) -> Spectrum:
     return Spectrum(n, out)
 
 
-def parseval_sum(spec: Spectrum) -> int:
-    """Sum of squared integer coefficients; equals 4^n for +/-1 functions."""
-    return int(np.dot(spec.s, spec.s))
-
-
 def _level_gather(b: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """``level_order(b)`` with intp indices: np.take would convert int32
     indices on every call."""

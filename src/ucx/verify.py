@@ -117,14 +117,6 @@ def _threshold_k(n: int, sizes):
     return np.count_nonzero(s0[..., None] <= or_family_ladder(n)[0], axis=-1) - 1
 
 
-def largest_threshold_k(n: int, size: int) -> int | None:
-    """Largest k in [0, n-1] with mean coefficient <= -(1 - 2^{-k}),
-    in terms of the family size; None when even k = 0 fails."""
-    n = check_dimension(n)
-    k = int(_threshold_k(n, check_int(size, "size", 0, 1 << n)))
-    return None if k < 0 else k
-
-
 def conjecture2_margin_rows(sizes, enter, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per family size and total enter-pair count: the threshold k (-1 for
     none) and the margin (k+1) 2^{-k} - I^+ of the positive-influence cap,

@@ -9,10 +9,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import (
+    all_families,
+    all_functions,
+    every_table,
+    nearest_dictator_by_definition,
+    oracle_deficiency,
+    oracle_frequencies,
+    oracle_level_sums,
+    oracle_pairs,
+    oracle_roots,
+    oracle_threshold_k,
+    oracle_union_closed,
+)
 
 from ucx import cli, families, familyfile, spectral, verify
 from ucx.core import SetFamily, family_to_function, frequency_rows
 from ucx.extremal import nearest_dictator
+from ucx.spectral import naive_transform
 from ucx.verify import union_closure
 
 
@@ -117,13 +131,54 @@ def test_analysis_report_half_cube():
     assert "conjecture2" not in report  # not simply-rooted (contains the empty set)
 
 
+def test_analysis_report_matches_the_oracles():
+    """Every field of the report on every family at n <= 3, read off the oracles."""
+    def text(value: Fraction) -> str:
+        return f"{value.numerator}/{value.denominator}"
+
+    for n in (1, 2, 3):
+        pairs = 1 << (n - 1)
+        for table, f in zip(every_table(n), all_functions(n)):
+            size, counts = int(np.count_nonzero(table)), oracle_frequencies(table, n).tolist()
+            roots = oracle_roots(table, n)[table].tolist()
+            spectrum = naive_transform(f).s
+            enter, leave = (c.tolist() for c in oracle_pairs(table, n))
+            nearest = nearest_dictator_by_definition(f)
+            want = {
+                "n": n, "size": size, "is_union_closed": oracle_union_closed(table, n),
+                "is_simply_rooted": all(roots), "frequencies": counts,
+                "abundant": [i + 1 for i, c in enumerate(counts) if 2 * c >= size],
+                "rare": [i + 1 for i, c in enumerate(counts) if 2 * c <= size],
+                "delta": text(Fraction(pairs - size, 1 << n)),
+                "mean_coefficient": text(Fraction(int(spectrum[0]), 1 << n)),
+                "level_weights": [text(Fraction(level, 1 << (2 * n)))
+                                  for level in oracle_level_sums(spectrum, n)],
+                "influence": {"total": text(Fraction(sum(enter) + sum(leave), pairs)),
+                              "positive": text(Fraction(sum(enter), pairs)),
+                              "negative": text(Fraction(sum(leave), pairs)),
+                              "per_coordinate": [text(Fraction(a + b, pairs))
+                                                 for a, b in zip(enter, leave)]},
+                "unique_root_count": sum(r.bit_count() == 1 for r in roots),
+                "nearest_dictator": {"i": nearest[0], "sign": nearest[1], "dist": text(nearest[2])},
+            }
+            if want["is_union_closed"]:
+                want["upper_shadow_deficiency"] = oracle_deficiency(table, n)
+            k = oracle_threshold_k(n, size)
+            if all(roots) and size > 0 and k < 0:
+                want["conjecture2"] = {"k": None, "bound": None, "margin": None}
+            elif all(roots) and size > 0:
+                cap = Fraction(k + 1, 1 << k)
+                want["conjecture2"] = {"k": k, "bound": text(cap),
+                                       "margin": text(cap - Fraction(sum(enter), pairs))}
+            assert cli.analysis_report(SetFamily.from_bool(n, table)) == want, (n, table)
+
+
 def _report_families():
     """Every family at n <= 3; per n = 5..9 two seeded random families (one
     uniform, one of a few generators with the empty set), their closures and
     the complements of the closures; and the empty and full families."""
     for n in (1, 2, 3):
-        for bits in range(1 << (1 << n)):
-            yield SetFamily.from_bits(n, bits)
+        yield from all_families(n)
     rng = np.random.default_rng(2024)
     for n in range(5, 10):
         uniform = SetFamily(n, rng.integers(0, 2, size=1 << n).astype(bool))

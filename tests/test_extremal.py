@@ -4,13 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import (
+    all_functions,
+    ks_distance_by_definition,
+    nearest_dictator_by_definition,
+    oracle_nearest_signed,
+)
 
 from ucx.core import (
     BooleanFunction,
     CharacterSpec,
     DimensionError,
     SetFamily,
-    dist,
     family_to_function,
 )
 from ucx.extremal import (
@@ -173,13 +178,6 @@ def test_ks_distance_correlation_matches_direct():
             assert member.correlation(spec) == direct
 
 
-def _nearest_dictator_by_definition(f: BooleanFunction):
-    """The first minimum of dist(f, sign * chi_{i}) over i = 1..n, + before -."""
-    candidates = [(i, sign) for i in range(1, f.n + 1) for sign in (1, -1)]
-    found = [(i, sign, dist(f, CharacterSpec(1 << (i - 1), sign))) for i, sign in candidates]
-    return min(found, key=lambda c: c[2])  # min keeps the first of equal keys
-
-
 def test_dictator_from_first_level_reads_n_off_its_coefficients():
     # all-zero coefficients on 16 coordinates: the first dictator, + sign, at 1/2
     assert dictator_from_first_level([0] * 16) == (1, 1, Fraction(1, 2))
@@ -204,43 +202,35 @@ def test_nearest_dictator():
     assert nearest_dictator(anti) == (2, -1, 0)
 
     for n in (1, 2, 3):
-        for bits in range(1 << (1 << n)):
-            f = family_to_function(SetFamily.from_bits(n, bits))
-            assert nearest_dictator(f) == _nearest_dictator_by_definition(f)
+        for f in all_functions(n):
+            assert nearest_dictator(f) == nearest_dictator_by_definition(f)
     rng = np.random.default_rng(61)
     for n in range(4, 9):
         for _ in range(10):
             f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
-            assert nearest_dictator(f) == _nearest_dictator_by_definition(f)
+            assert nearest_dictator(f) == nearest_dictator_by_definition(f)
     # ties: a constant is at distance 1/2 from every signed dictator, and so
     # is a balanced function uncorrelated with every coordinate
     for n in (1, 4, 8):
         for sign in (1, -1):
             const = BooleanFunction.constant(n, sign)
             assert nearest_dictator(const) == (1, 1, Fraction(1, 2))
-            assert nearest_dictator(const) == _nearest_dictator_by_definition(const)
+            assert nearest_dictator(const) == nearest_dictator_by_definition(const)
     balanced = BooleanFunction(3, CharacterSpec(0b111).values(3))
     assert balanced.is_balanced()
     assert nearest_dictator(balanced) == (1, 1, Fraction(1, 2))
-    assert nearest_dictator(balanced) == _nearest_dictator_by_definition(balanced)
-
-
-def _ks_distance_by_definition(f: BooleanFunction):
-    """The first minimum of dist(f, member) over ks_enumerate(n)."""
-    found = [(member, dist(f, member.function(f.n))) for member in ks_enumerate(f.n)]
-    return min(found, key=lambda c: c[1])  # min keeps the first of equal keys
+    assert nearest_dictator(balanced) == nearest_dictator_by_definition(balanced)
 
 
 def test_ks_distance_by_definition():
     for n in (2, 3):
-        for bits in range(1 << (1 << n)):
-            f = family_to_function(SetFamily.from_bits(n, bits))
-            assert ks_distance(f) == _ks_distance_by_definition(f)
+        for f in all_functions(n):
+            assert ks_distance(f) == ks_distance_by_definition(f)
     rng = np.random.default_rng(67)
     for n in (4, 5, 6):
         for _ in range(6):
             f = BooleanFunction(n, 1 - 2 * rng.integers(0, 2, size=1 << n))
-            assert ks_distance(f) == _ks_distance_by_definition(f)
+            assert ks_distance(f) == ks_distance_by_definition(f)
     members = list(ks_enumerate(4))
     assert len(members) == 36
     for member in members:  # every member is its own nearest member
@@ -268,8 +258,7 @@ def test_nearest_signed_rows_is_first_of_interleaved():
     corr = rng.integers(-3, 4, size=(300, 5))
     member, sign, best = nearest_signed_rows(corr)
     for r in range(len(corr)):
-        candidates = [(m, s, s * int(corr[r, m])) for m in range(5) for s in (1, -1)]
-        assert (member[r], sign[r], best[r]) == max(candidates, key=lambda c: c[2])
+        assert (member[r], sign[r], best[r]) == oracle_nearest_signed(corr[r])
     assert [tuple(map(int, v)) for v in nearest_signed_rows(np.array([[0, 0], [-3, 3]]))] == [
         (0, 0), (1, -1), (0, 3)]
     # a chunk in which no row qualifies

@@ -1,27 +1,34 @@
 """Family predicates, roots, shadows, and the complement duality.
 
-The lattice-sweep kernels are checked against definition-level oracles:
-interval enumeration for roots and the pairwise union scan for
-union-closedness.  The corrected duality (union-closed with the empty set
-<=> complement simply-rooted) is verified exhaustively, including the
+The lattice-sweep kernels are checked against the definition-level oracles
+of ``oracles.py``: ``_root_set_naive``'s interval scan for roots, the
+pairwise union scan for union-closedness, and the element-by-element
+shadows.  The corrected duality (union-closed with the empty set <=>
+complement simply-rooted) is verified exhaustively, including the
 documented edge cases that break the uncorrected pairing.
 """
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import (
+    all_families,
+    every_table,
+    oracle_lower_shadow,
+    oracle_missing_lower,
+    oracle_roots,
+    oracle_union_closed,
+    oracle_upper_shadow,
+)
 
-from ucx.core import SetFamily, iter_bits
+from ucx.core import SetFamily
 from ucx.families import (
     PreconditionError,
-    _roots_naive,
     closure_rows,
     is_simply_rooted,
     is_union_closed,
     lower_shadow,
-    missing_lower_covers,
     missing_lower_rows,
     root_masks,
     rooted_rows,
@@ -40,56 +47,6 @@ from ucx.verify import (
 )
 
 
-def oracle_root_set(family: SetFamily, member: int) -> int:
-    """Roots by brute enumeration of every subset of the member."""
-    out = 0
-    elements = list(iter_bits(member))
-    for i in elements:
-        ok = True
-        for r in range(len(elements) + 1):
-            for combo in itertools.combinations(elements, r):
-                sub = 0
-                for e in combo:
-                    sub |= 1 << e
-                if (sub >> i) & 1 and sub not in family:
-                    ok = False
-        if ok:
-            out |= 1 << i
-    return out
-
-
-def oracle_upper_shadow(family: SetFamily) -> SetFamily:
-    masks = set()
-    for m in family.members():
-        for i in range(family.n):
-            if not (m >> i) & 1:
-                masks.add(m | (1 << i))
-    return SetFamily.from_members(family.n, masks)
-
-
-def oracle_lower_shadow(family: SetFamily) -> SetFamily:
-    masks = set()
-    for m in family.members():
-        for i in iter_bits(m):
-            masks.add(m ^ (1 << i))
-    return SetFamily.from_members(family.n, masks)
-
-
-def oracle_missing_lower(tables: np.ndarray, n: int) -> np.ndarray:
-    """Per row and mask A: the elements i of A with A - i outside the family,
-    read at the index A XOR e_i."""
-    masks = np.arange(1 << n)
-    out = np.zeros(tables.shape, dtype=np.int64)
-    for i in range(n):
-        out |= np.where((masks >> i) & 1 & ~tables[..., masks ^ (1 << i)], 1 << i, 0)
-    return out
-
-
-def all_families(n):
-    for bits in range(1 << (1 << n)):
-        yield SetFamily.from_bits(n, bits)
-
-
 HALF_CUBE_3 = SetFamily.from_members(3, [m for m in range(8) if not m & 1])  # sets avoiding 1
 DICTATOR_FAMILY_3 = SetFamily.from_members(3, [m for m in range(8) if m & 1])  # sets containing 1
 
@@ -102,26 +59,20 @@ def test_is_union_closed_examples():
     assert is_union_closed(SetFamily.from_sets(2, [[1]]))
 
 
-def oracle_union_closed(family: SetFamily) -> bool:
-    """Pairwise union scan (definition)."""
-    members = family.members()
-    return all((a | b) in family for a in members for b in members)
-
-
 def test_is_union_closed_matches_pairwise_scan():
     for n in (1, 2, 3, 4):
         for fam in all_families(n):
-            assert is_union_closed(fam) == oracle_union_closed(fam)
+            assert is_union_closed(fam) == oracle_union_closed(fam.to_bool(), n)
     rng = np.random.default_rng(31)
     for _ in range(40):
         n = 7  # random families, and closures with one member dropped
         fam = SetFamily.from_bits(n, int.from_bytes(rng.bytes(16), "little"))
-        assert is_union_closed(fam) == oracle_union_closed(fam)
+        assert is_union_closed(fam) == oracle_union_closed(fam.to_bool(), n)
         closed = union_closure(SetFamily.from_members(n, rng.integers(0, 128, size=5).tolist()))
-        assert is_union_closed(closed) and oracle_union_closed(closed)
+        assert is_union_closed(closed) and oracle_union_closed(closed.to_bool(), n)
         dropped = closed.members()[int(rng.integers(0, closed.size))]
         gapped = SetFamily.from_bits(n, closed.bits ^ (1 << dropped))
-        assert is_union_closed(gapped) == oracle_union_closed(gapped)
+        assert is_union_closed(gapped) == oracle_union_closed(gapped.to_bool(), n)
 
 
 def test_is_simply_rooted_examples():
@@ -152,15 +103,15 @@ def test_roots_examples():
 def test_roots_routes_agree_with_oracle():
     for n in (1, 2, 3):
         for fam in all_families(n):
-            expected = tuple(oracle_root_set(fam, m) for m in fam.members())
-            assert _roots_naive(fam) == expected
-            assert roots(fam).root_sets.tolist() == list(expected)
+            table = fam.to_bool()
+            assert roots(fam).root_sets.tolist() == oracle_roots(table, n)[table].tolist()
     rng = np.random.default_rng(37)
     for _ in range(50):
         n = 4 + int(rng.integers(0, 5))
         bits = int.from_bytes(rng.bytes((1 << n) // 8), "little")
         fam = SetFamily.from_bits(n, bits)
-        assert roots(fam).root_sets.tolist() == list(_roots_naive(fam))
+        table = fam.to_bool()
+        assert roots(fam).root_sets.tolist() == oracle_roots(table, n)[table].tolist()
 
 
 def test_duality_check_examples():
@@ -192,8 +143,7 @@ def test_theorem2_domain_is_read_off_the_complement():
     complement.  Every table at n <= 4 as one batch, and seeded random
     tables, closures, closures with the empty set and those with one member
     dropped at n = 5..12."""
-    batches = [(n, (np.arange(1 << (1 << n))[:, None] >> np.arange(1 << n)) & 1 == 1)
-               for n in (1, 2, 3, 4)]
+    batches = [(n, every_table(n)) for n in (1, 2, 3, 4)]
     rng = np.random.default_rng(17)
     for n in range(5, 13):
         closed = closure_rows(rng.random((4, 1 << n)) < 5 / (1 << n), n)
@@ -225,9 +175,10 @@ def test_shadows():
 def test_shadows_match_oracle():
     for n in (1, 2, 3):
         for fam in all_families(n):
-            assert upper_shadow(fam) == oracle_upper_shadow(fam)
-            assert lower_shadow(fam) == oracle_lower_shadow(fam)
-        every = (np.arange(1 << (1 << n))[:, None] >> np.arange(1 << n)) & 1 == 1
+            table = fam.to_bool()
+            assert np.array_equal(upper_shadow(fam).to_bool(), oracle_upper_shadow(table, n))
+            assert np.array_equal(lower_shadow(fam).to_bool(), oracle_lower_shadow(table, n))
+        every = every_table(n)
         assert np.array_equal(missing_lower_rows(every, n), oracle_missing_lower(every, n))
     # seeded batches of sparse to dense rows
     rng = np.random.default_rng(16)
@@ -237,28 +188,22 @@ def test_shadows_match_oracle():
         assert np.array_equal(missing_lower_rows(tables, n), oracle_missing_lower(tables, n)), n
         for table in tables:
             fam = SetFamily.from_bool(n, table)
-            assert upper_shadow(fam) == oracle_upper_shadow(fam), n
-            assert lower_shadow(fam) == oracle_lower_shadow(fam), n
+            assert np.array_equal(upper_shadow(fam).to_bool(), oracle_upper_shadow(table, n)), n
+            assert np.array_equal(lower_shadow(fam).to_bool(), oracle_lower_shadow(table, n)), n
 
 
 def test_shadow_lemma_examples():
     fam = DICTATOR_FAMILY_3
     member = 0b011  # {1,2}, uniquely rooted at 1
-    assert missing_lower_covers(fam, member) == 0b001
+    assert missing_lower_rows(fam.to_bool(), 3)[member] == 0b001
+    assert missing_lower_rows(fam.to_bool(), 3)[0b111] == 0b001  # {1,2,3} - 1 is missing
     assert shadow_lemma_check(fam)
     two_rooted = SetFamily.from_sets(2, [[1], [2], [1, 2]])
-    assert missing_lower_covers(two_rooted, 0b11) == 0
+    assert missing_lower_rows(two_rooted.to_bool(), 2)[0b11] == 0
     assert shadow_lemma_check(two_rooted)
     assert shadow_lemma_check(SetFamily.empty(2))
     with pytest.raises(PreconditionError):
         shadow_lemma_check(SetFamily.from_bits(2, 1))
-
-
-def test_missing_lower_covers_rejects_masks_outside_the_cube():
-    assert missing_lower_covers(DICTATOR_FAMILY_3, 0b111) == 0b001  # {1,2,3} - 1 is missing
-    for mask in (-1, 8, 1 << 200):  # -1 would index mask 7 from the end
-        with pytest.raises(ValueError, match=f"subset mask {mask} outside \\[0, 7\\]"):
-            missing_lower_covers(DICTATOR_FAMILY_3, mask)
 
 
 def test_shadow_lemma_exhaustive():

@@ -1,9 +1,9 @@
 """One oracle table for the batched function kernels.
 
 Each row of ``KERNELS`` pairs a row kernel of ``ucx`` that reads functions,
-spectra or their summaries with an oracle written here: ``naive_transform``
-for every spectral quantity, and otherwise the definition read point by
-point.  The inputs are the tables of ``test_family_kernels.batch`` read as
+spectra or their summaries with an oracle: ``naive_transform`` for every
+spectral quantity, and otherwise the definition read point by point, from
+``oracles.py``.  The inputs are the tables of ``oracles.batch`` read as
 membership functions (-1 on members): every table at n <= 3 as one batch,
 and seeded rows at n = 4..10.  Each batch is handed over as 0, 1 and all
 rows, with leading dimensions (2, 3), in C, Fortran and strided layouts,
@@ -13,15 +13,24 @@ segments and the factors on high bits show at these small n.
 """
 
 import ast
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from oracles import (
+    batch,
+    layouts,
+    oracle_corollary_bounds,
+    oracle_frequencies,
+    oracle_level_sums,
+    oracle_margin,
+    oracle_nearest_signed,
+    oracle_pairs,
+    rowwise,
+)
 from test_family_kernels import KERNELS as FAMILY_KERNELS
-from test_family_kernels import batch, layouts
 
 from ucx import spectral
 from ucx.core import BooleanFunction, frequency_rows
@@ -40,6 +49,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ucx"
 DIMENSIONS = range(1, 11)
 
 
+# ---------------------------------------------------------------------------
+# the inputs and the table
+
+
 @lru_cache(maxsize=None)
 def signs(n: int) -> np.ndarray:
     """The +/-1 values of the membership functions of ``batch(n)``."""
@@ -52,63 +65,10 @@ def spectra(n: int) -> np.ndarray:
     return np.array([naive_transform(BooleanFunction(n, row)).s for row in signs(n)])
 
 
-# ---------------------------------------------------------------------------
-# per-row oracles
-
-
-def oracle_level_sums(spectrum, n):
-    """Sum of s(S)^2 over the masks S with k elements, for k = 0..n."""
-    return [sum(int(v) ** 2 for mask, v in enumerate(spectrum) if mask.bit_count() == k)
-            for k in range(n + 1)]
-
-
-def oracle_frequencies(table, n):
-    """How many members contain element i + 1."""
-    return [sum(bool(table[x]) for x in range(1 << n) if x >> i & 1) for i in range(n)]
-
-
-def oracle_pairs(table, n):
-    """Per coordinate: enter pairs (x outside, x + e_i a member) and exit pairs."""
-    lows = [[x for x in range(1 << n) if not x >> i & 1] for i in range(n)]
-    enter = [sum(bool(~table[x] & table[x | 1 << i]) for x in low) for i, low in enumerate(lows)]
-    leave = [sum(bool(table[x] & ~table[x | 1 << i]) for x in low) for i, low in enumerate(lows)]
-    return enter, leave
-
-
-def oracle_corollary_bounds(levels, n):
-    """4^n (k - sum_{i<k} (k - i) W^i) for k = 1..n, with W^i = levels[i] / 4^n."""
-    four_n = 1 << (2 * n)
-    return [int(four_n * (k - sum(Fraction((k - i) * int(levels[i]), four_n) for i in range(k))))
-            for k in range(1, n + 1)]
-
-
 @lru_cache(maxsize=None)
 def ks_members(n: int) -> np.ndarray:
     """The +/-1 values of the + members of the quadratic class, in class order."""
     return np.array([m.values(n) for m in ks_enumerate(n) if m.sign == 1], dtype=np.int64)
-
-
-def oracle_nearest_signed(corr):
-    """The first of (member, +), (member, -) in member order whose signed
-    correlation is largest."""
-    candidates = [(sign * int(c), j, sign) for j, c in enumerate(corr) for sign in (1, -1)]
-    best = max(value for value, _, _ in candidates)
-    _, member, sign = next(c for c in candidates if c[0] == best)
-    return member, sign, best
-
-
-def oracle_margin(size, enter, n):
-    """The largest k in [0, n - 1] with mean coefficient 1 - 2|F|/2^n at most
-    -(1 - 2^-k), or -1; and (k + 1) 2^-k - I^+ scaled by 2^(n-1), with a cap
-    of 0 at k = -1."""
-    mean = 1 - Fraction(2 * int(size), 1 << n)
-    k = max([j for j in range(n) if mean <= -(1 - Fraction(1, 1 << j))], default=-1)
-    cap = 0 if k < 0 else Fraction(k + 1, 1 << k) * (1 << (n - 1))
-    return k, int(cap) - int(enter)
-
-
-# ---------------------------------------------------------------------------
-# the inputs and the table
 
 
 @lru_cache(maxsize=None)
@@ -133,16 +93,6 @@ def size_enter(n: int) -> np.ndarray:
     return np.concatenate([own, np.stack([sizes, drawn], axis=1)])
 
 
-def rowwise(oracle, inputs):
-    """The batch oracle that runs a per-row oracle on every row of ``inputs(n)``."""
-    def run(n):
-        found = [oracle(row, n) for row in inputs(n)]
-        if isinstance(found[0], tuple):
-            return tuple(np.array(column) for column in zip(*found))
-        return np.array(found)
-    return run
-
-
 class Kernel(NamedTuple):
     call: Callable  # (input batch, n) -> the kernel's output(s)
     inputs: Callable  # n -> the input batch
@@ -161,10 +111,9 @@ KERNELS = {
     "function_level_rows": Kernel(function_level_rows, batch, levels, leading=False),
     "first_level_rows": Kernel(first_level_rows, batch,
                                lambda n: spectra(n)[:, 1 << np.arange(n)]),
-    "frequency_rows": Kernel(frequency_rows, batch, rowwise(oracle_frequencies, batch)),
-    "flip_count_rows": Kernel(flip_count_rows, batch,
-                              lambda n: sum(rowwise(oracle_pairs, batch)(n))),
-    "pair_count_rows": Kernel(pair_count_rows, batch, rowwise(oracle_pairs, batch)),
+    "frequency_rows": Kernel(frequency_rows, batch, lambda n: oracle_frequencies(batch(n), n)),
+    "flip_count_rows": Kernel(flip_count_rows, batch, lambda n: sum(oracle_pairs(batch(n), n))),
+    "pair_count_rows": Kernel(pair_count_rows, batch, lambda n: oracle_pairs(batch(n), n)),
     "corollary_bound_rows": Kernel(corollary_bound_rows, levels,
                                    rowwise(oracle_corollary_bounds, levels)),
     "ks_correlation_rows": Kernel(ks_correlation_rows, spectra,

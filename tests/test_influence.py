@@ -1,15 +1,15 @@
-"""Influence profiles against a literal pair-scan oracle, plus the identities."""
+"""Influence profiles against the pair-scan oracle, plus the identities."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import all_functions, oracle_pairs, random_function
 
 from ucx.core import (
     BooleanFunction,
     CharacterSpec,
     SetFamily,
-    coordinate_pairs,
     dist,
     family_to_function,
 )
@@ -25,33 +25,6 @@ from ucx.influence import (
     profile,
 )
 from ucx.spectral import level_sums, level_weights, transform
-
-
-def naive_profile(f: BooleanFunction) -> InfluenceProfile:
-    """Literal scan of every pair (x, x + e_i) with x_i = 0."""
-    n = f.n
-    enter = [0] * n
-    leave = [0] * n
-    for i in range(n):
-        bit = 1 << i
-        for x in range(1 << n):
-            if x & bit:
-                continue
-            low, high = f(x), f(x | bit)
-            if low == 1 and high == -1:
-                enter[i] += 1
-            elif low == -1 and high == 1:
-                leave[i] += 1
-    return InfluenceProfile(n, tuple(enter), tuple(leave))
-
-
-def all_functions(n: int):
-    for fbits in range(1 << (1 << n)):
-        yield BooleanFunction(n, [(-1 if (fbits >> x) & 1 else 1) for x in range(1 << n)])
-
-
-def random_function(rng, n):
-    return BooleanFunction(n, (rng.integers(0, 2, size=1 << n, dtype=np.int8) << 1) - 1)
 
 
 def test_profile_examples():
@@ -83,7 +56,8 @@ def test_profile_rejects_coordinates_outside_the_cube():
 def test_profile_matches_naive_exhaustive():
     for n in (1, 2, 3):
         for f in all_functions(n):
-            assert profile(f) == naive_profile(f)
+            pairs = (tuple(counts.tolist()) for counts in oracle_pairs(f.to_bool(), n))
+            assert profile(f) == InfluenceProfile(n, *pairs)
 
 
 def test_profile_matches_naive_random():
@@ -91,7 +65,8 @@ def test_profile_matches_naive_random():
     for _ in range(60):
         n = 4 + int(rng.integers(0, 5))
         f = random_function(rng, n)
-        assert profile(f) == naive_profile(f)
+        pairs = (tuple(counts.tolist()) for counts in oracle_pairs(f.to_bool(), n))
+        assert profile(f) == InfluenceProfile(n, *pairs)
 
 
 def test_pair_count_rows_match_direct_counts():
@@ -99,24 +74,12 @@ def test_pair_count_rows_match_direct_counts():
     for n in range(1, 7):
         tables = rng.integers(0, 2, size=(7, 1 << n)).astype(bool)
         enter, leave = pair_count_rows(tables, n)
-        for i in range(n):
-            view = tables.reshape(7, -1, 2, 1 << i)
-            low, high = view[:, :, 0, :], view[:, :, 1, :]
-            assert enter[:, i].tolist() == np.count_nonzero(~low & high, axis=(1, 2)).tolist()
-            assert leave[:, i].tolist() == np.count_nonzero(low & ~high, axis=(1, 2)).tolist()
+        want_enter, want_leave = oracle_pairs(tables, n)
+        assert enter.tolist() == want_enter.tolist() and leave.tolist() == want_leave.tolist()
         signs = np.where(tables, np.int8(-1), np.int8(1))
         flips = flip_count_rows(tables, n)
         assert np.array_equal(flip_count_rows(signs < 0, n), flips)
         assert np.array_equal(flips, enter + leave)
-
-
-def direct_flip_counts(tables: np.ndarray, n: int) -> np.ndarray:
-    """The definition: per coordinate, the pairs whose entries differ."""
-    flips = np.empty(tables.shape[:-1] + (n,), dtype=np.int64)
-    for i in range(n):
-        low, high = coordinate_pairs(tables, i)
-        flips[..., i] = np.count_nonzero(low != high, axis=(-2, -1))
-    return flips
 
 
 def test_packed_flip_counts_match_the_definition():
@@ -126,12 +89,12 @@ def test_packed_flip_counts_match_the_definition():
             tables = rng.integers(0, 2, size=(rows, 1 << n)).astype(bool)
             flips = flip_count_rows(tables, n)
             assert flips.shape == (rows, n) and flips.dtype == np.int64
-            assert np.array_equal(flips, direct_flip_counts(tables, n)), (n, rows)
+            assert np.array_equal(flips, sum(oracle_pairs(tables, n))), (n, rows)
         deep = rng.integers(0, 2, size=(2, 3, 1 << n)).astype(bool)
-        assert np.array_equal(flip_count_rows(deep, n), direct_flip_counts(deep, n)), n
+        assert np.array_equal(flip_count_rows(deep, n), sum(oracle_pairs(deep, n))), n
         wide = rng.integers(0, 2, size=(4, 2 << n)).astype(bool)
         for table in (np.asfortranarray(tables), wide[:, 1::2]):
-            assert np.array_equal(flip_count_rows(table, n), direct_flip_counts(table, n)), n
+            assert np.array_equal(flip_count_rows(table, n), sum(oracle_pairs(table, n))), n
     with pytest.raises(TypeError, match="boolean"):  # a +/-1 table is no membership table
         flip_count_rows(np.where(tables, np.int8(-1), np.int8(1)), 13)
 

@@ -27,14 +27,12 @@ from ucx.extremal import (
     or_family_stats,
     parity,
 )
-from ucx.families import missing_lower_covers
 from ucx.influence import corollary_lower_bound, profile
 from ucx.spectral import first_level_identity, level_weight, transform
 from ucx.verify import (
     SweepPlan,
     conjecture2_margin_rows,
     enumerate_families,
-    largest_threshold_k,
     random_union_closed,
     run_sweep,
     scan,
@@ -67,7 +65,6 @@ ENTRY_POINTS = {
     "corollary_lower_bound": (lambda v: corollary_lower_bound(SPECTRUM, v), 2, 0),
     "level_weight": (lambda v: level_weight(SPECTRUM, v), 2, 4),
     "first_level_identity": (lambda v: first_level_identity(FAMILY, v), 2, 4),
-    "missing_lower_covers": (lambda v: missing_lower_covers(FAMILY, v), 3, 8),
     "or_family": (lambda v: or_family(v, 3), 2, 4),
     "or_family_stats": (lambda v: or_family_stats(v, 3), 2, 0),
     "half_cube_missing": (lambda v: half_cube_missing(v, 3), 2, 4),
@@ -75,7 +72,6 @@ ENTRY_POINTS = {
     "parity": (lambda v: parity((1, v), 3), 3, 4),
     "KSClassMember sign": (lambda v: KSClassMember(v, (1, 2)), -1, 2),
     "KSClassMember index": (lambda v: KSClassMember(1, (1, v)).values(3).tolist(), 3, 0),
-    "largest_threshold_k": (lambda v: largest_threshold_k(3, v), 6, 9),
     "random_union_closed generator_count": (lambda v: random_union_closed(3, v, 1), 4, -1),
     "random_union_closed seed": (lambda v: random_union_closed(3, 4, v), 7, -1),
 }
@@ -201,7 +197,6 @@ NARROW_DIMENSION_CALLS = {
     "half_cube_missing": lambda n: half_cube_missing(8, n).family,
     "parity": lambda n: parity((1, 8), n).function,
     "random_union_closed": lambda n: random_union_closed(n, 5, 1),
-    "largest_threshold_k": lambda n: largest_threshold_k(n, 200),
     "conjecture2_margin_rows": lambda n: tuple(map(int, conjecture2_margin_rows(200, 0, n))),
     "example_f3": lambda n: 1 << example_f3(n).n,
 }

@@ -3,12 +3,17 @@ module keeps an import it does not use, the modules import each other in
 one layer order only, one gate checks integer arguments, core holds the
 one bit codec and popcount, and every membership row the package builds,
 of a function or of a family, enters through ``_of``: the copying
-constructors read only callers' tables."""
+constructors read only callers' tables.  The tests define each oracle and
+each shared input once, in ``oracles.py``."""
 
 import ast
+from fnmatch import fnmatch
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ucx"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ucx"
+ORACLE_NAMES = ("oracle_*", "naive_*", "brute_*", "bfs_*", "direct_*", "*_by_definition",
+                "all_functions", "all_families", "random_function", "rowwise")
 LAYERS = ("core", "spectral", "influence", "families", "extremal", "familyfile", "verify", "cli")
 
 
@@ -144,4 +149,33 @@ def test_family_tables_enter_through_of():
             if (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
                     in ("SetFamily", "from_bool")):
                 offenders.append(f"{path.name}:{node.lineno}: calls {ast.unparse(node.func)}(...)")
+    assert offenders == []
+
+
+def test_oracles_live_in_one_module():
+    # no test module defines an oracle or a shared input, writes out the
+    # every-table expression (oracles.every_table), or reads anything of
+    # another test module but test_family_kernels.KERNELS, which the function
+    # table's completeness check reads
+    offenders = []
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            name = getattr(node, "name", "")
+            if (isinstance(node, ast.FunctionDef) and not name.startswith("test_")
+                    and any(fnmatch(name.lstrip("_"), pattern) for pattern in ORACLE_NAMES)):
+                offenders.append(f"{path.name}:{node.lineno}: defines {name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("test_"):
+                offenders += [f"{path.name}:{node.lineno}: imports {alias.name} from {node.module}"
+                              for alias in node.names if alias.name != "KERNELS"]
+            if isinstance(node, ast.Import):
+                offenders += [f"{path.name}:{node.lineno}: imports {alias.name}"
+                              for alias in node.names if alias.name.startswith("test_")]
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift)
+                    and isinstance(node.left, ast.Subscript) and isinstance(node.left.value, ast.Call)
+                    and getattr(node.left.value.func, "attr", None) == "arange"):
+                offenders.append(f"{path.name}:{node.lineno}: writes out every_table")
     assert offenders == []

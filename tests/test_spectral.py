@@ -9,13 +9,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    all_families,
+    all_functions,
+    character_matrix,
+    oracle_level_sums,
+    random_function,
+    reference_butterfly,
+)
 
 from ucx.core import (
     BooleanFunction,
     CharacterSpec,
     DimensionError,
     SetFamily,
-    coordinate_pairs,
     family_to_function,
     level_order,
 )
@@ -31,27 +38,8 @@ from ucx.spectral import (
     level_weights,
     mean_identity_check,
     naive_transform,
-    parseval_sum,
     transform,
 )
-
-
-def character_matrix(n: int) -> np.ndarray:
-    """Definition-level oracle: chi[S, x] = (-1)^{|S AND x|}."""
-    pts = np.arange(1 << n, dtype=np.int64)
-    overlap = pts[:, None] & pts[None, :]
-    parity = (np.bitwise_count(overlap) & 1).astype(np.int64)
-    return 1 - 2 * parity
-
-
-def all_functions(n: int):
-    for fbits in range(1 << (1 << n)):
-        values = [(-1 if (fbits >> x) & 1 else 1) for x in range(1 << n)]
-        yield BooleanFunction(n, values)
-
-
-def random_function(rng: np.random.Generator, n: int) -> BooleanFunction:
-    return BooleanFunction(n, (rng.integers(0, 2, size=1 << n, dtype=np.int8) << 1) - 1)
 
 
 def test_transform_examples():
@@ -92,7 +80,8 @@ def test_parseval_exhaustive_small():
     for n in (1, 2, 3, 4):
         four_n = 1 << (2 * n)
         for f in all_functions(n):
-            assert parseval_sum(transform(f)) == four_n
+            spec = transform(f)
+            assert int(spec.s @ spec.s) == four_n
 
 
 def test_parseval_random_large():
@@ -100,16 +89,8 @@ def test_parseval_random_large():
     for n in (10, 12, 14):
         for _ in range(50):
             f = random_function(rng, n)
-            assert parseval_sum(transform(f)) == 1 << (2 * n)
-
-
-def reference_butterfly(mat: np.ndarray) -> None:
-    """The in-place butterfly (a, b) -> (a + b, a - b), one bit at a time."""
-    for i in range(mat.shape[-1].bit_length() - 1):
-        low, high = coordinate_pairs(mat, i)
-        low += high
-        high *= -2
-        high += low
+            spec = transform(f)
+            assert int(spec.s @ spec.s) == 1 << (2 * n)
 
 
 def test_fwht_rows_matches_naive_transform_exhaustive_small():
@@ -180,7 +161,7 @@ def test_butterfly_exact_at_the_extremes(n, monkeypatch):
         del spec
     f = random_function(np.random.default_rng(n), n)
     spec = transform(f)
-    assert parseval_sum(spec) == sum(level_sums(spec)) == four_n
+    assert int(spec.s @ spec.s) == sum(level_sums(spec)) == four_n
     influence, weighted = influence_identity_check(f)
     assert influence == weighted
 
@@ -196,7 +177,7 @@ def test_transform_keeps_the_computed_spectrum():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert parseval_sum(spec) == 1 << (2 * n) and not spec.s.flags.writeable
+    assert int(spec.s @ spec.s) == 1 << (2 * n) and not spec.s.flags.writeable
     assert peak <= 1.6 * spec.s.nbytes, peak / spec.s.nbytes
 
 
@@ -206,8 +187,7 @@ def test_level_sum_rows_by_definition():
         spectra = rng.integers(-(1 << 20), 1 << 20, size=(6, 1 << n))
         before = spectra.copy()
         spectra.setflags(write=False)
-        expected = [[sum(v * v for mask, v in enumerate(row) if mask.bit_count() == k)
-                     for k in range(n + 1)] for row in spectra.tolist()]
+        expected = [oracle_level_sums(row, n) for row in spectra]
         levels = level_sum_rows(spectra, n)
         assert levels.dtype == np.int64 and levels.tolist() == expected
         assert level_sum_rows(spectra[2], n).tolist() == expected[2]
@@ -295,8 +275,7 @@ def test_first_level_identity_examples():
 
 def test_first_level_identity_exhaustive_and_random():
     for n in (1, 2, 3):
-        for bits in range(1 << (1 << n)):
-            fam = SetFamily.from_bits(n, bits)
+        for fam in all_families(n):
             for i in range(1, n + 1):
                 coeff, freq_form = first_level_identity(fam, i)
                 assert coeff == freq_form

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import every_table, oracle_closure, oracle_component_directions, oracle_threshold_k
 
 from ucx import families, familyfile, spectral, verify
 from ucx.core import DimensionError, SetFamily, check_dimension
@@ -30,7 +31,6 @@ from ucx.verify import (
     duality_check,
     enumerate_families,
     kotlov_check,
-    largest_threshold_k,
     positive_influence_cap_check,
     random_union_closed,
     run_sweep,
@@ -38,16 +38,6 @@ from ucx.verify import (
     union_closure,
 )
 from ucx.extremal import half_cube_missing, or_family
-
-
-def oracle_closure(family: SetFamily) -> SetFamily:
-    """Fixpoint by repeated full passes."""
-    masks = set(family.members())
-    while True:
-        extra = {a | b for a in masks for b in masks} - masks
-        if not extra:
-            return SetFamily.from_members(family.n, masks)
-        masks |= extra
 
 
 def test_union_closure_examples():
@@ -74,7 +64,7 @@ def test_union_closure_properties(n, raw_masks):
     assert gens.bits & closed.bits == gens.bits  # monotone
     assert union_closure(closed) == closed  # idempotent
     assert is_union_closed(closed)
-    assert closed == oracle_closure(gens)
+    assert np.array_equal(closed.to_bool(), oracle_closure(gens.to_bool(), n))
     # minimal: every non-generator member is forced as a union of generators below it
     for m in closed.members():
         if m not in gens:
@@ -136,34 +126,10 @@ def test_random_union_closed():
         random_union_closed(4, -1, 1)
 
 
-def oracle_threshold_k(n: int, size: int) -> int | None:
-    """The largest k in [0, n-1] with mean coefficient <= -(1 - 2^{-k})."""
-    mean = Fraction((1 << n) - 2 * size, 1 << n)
-    met = [k for k in range(n) if mean <= -(1 - Fraction(1, 1 << k))]
-    return max(met, default=None)
-
-
-def test_largest_threshold_k():
+def test_threshold_k_examples():
     # n=3: |F| = 6 gives mean -1/2: k = 1; |F| = 7 gives -3/4: k = 2
-    assert largest_threshold_k(3, 4) == 0
-    assert largest_threshold_k(3, 6) == 1
-    assert largest_threshold_k(3, 7) == 2
-    assert largest_threshold_k(3, 3) is None
-    for n in range(1, 11):
-        for size in range((1 << n) + 1):
-            assert largest_threshold_k(n, size) == oracle_threshold_k(n, size), (n, size)
-
-
-def test_largest_threshold_k_checks_its_arguments():
-    for size in (-1, 9, 100):  # no family of [3] has more than 8 members
-        with pytest.raises(ValueError, match=f"size {size} outside \\[0, 8\\]"):
-            largest_threshold_k(3, size)
-    for size in (True, 1.0):
-        with pytest.raises(TypeError, match="size must be an int"):
-            largest_threshold_k(3, size)
-    for n in (0, 30, True):
-        with pytest.raises(DimensionError):
-            largest_threshold_k(n, 1)
+    k, _ = verify.conjecture2_margin_rows(np.array([4, 6, 7, 3]), 0, 3)
+    assert k.tolist() == [0, 1, 2, -1]
 
 
 def test_conjecture2_margin_rows_match_fractions():
@@ -173,8 +139,8 @@ def test_conjecture2_margin_rows_match_fractions():
         k, margin = verify.conjecture2_margin_rows(sizes, enter, n)
         for size, e, got_k, got in zip(sizes.tolist(), enter.tolist(), k.tolist(), margin.tolist()):
             want_k = oracle_threshold_k(n, size)
-            assert got_k == (-1 if want_k is None else want_k), (n, size)
-            cap = 0 if want_k is None else Fraction(want_k + 1, 1 << want_k)
+            assert got_k == want_k, (n, size)
+            cap = 0 if want_k < 0 else Fraction(want_k + 1, 1 << want_k)
             assert Fraction(got, 1 << (n - 1)) == cap - Fraction(e, 1 << (n - 1)), (n, size, e)
 
 
@@ -241,44 +207,22 @@ def test_kotlov_check_refuses_before_labelling(monkeypatch):
             kotlov_check(half)
 
 
-def bfs_component_directions(n: int, vertices: set[int]) -> dict[int, int]:
-    """Per vertex: the directions of the edges in its connected component."""
-    labels: dict[int, int] = {}
-    for start in vertices:
-        if start in labels:
-            continue
-        component, frontier, directions = {start}, [start], 0
-        while frontier:
-            x = frontier.pop()
-            for i in range(n):
-                y = x ^ (1 << i)
-                if y in vertices:
-                    directions |= 1 << i
-                    if y not in component:
-                        component.add(y)
-                        frontier.append(y)
-        labels.update(dict.fromkeys(component, directions))
-    return labels
-
-
 def test_component_directions_match_bfs():
     # every vertex set at n <= 3, including those of at most half the cube,
     # where no component need span all directions; seeded sets of four
     # densities at n = 4..10
-    cases = [(n, (np.arange(1 << (1 << n))[:, None] >> np.arange(1 << n)) & 1 == 1)
-             for n in (1, 2, 3)]
+    cases = [(n, every_table(n)) for n in (1, 2, 3)]
     rng = np.random.default_rng(10)
     density = np.array([[0.2], [0.45], [0.55], [0.8]])
     cases += [(n, rng.random((len(density), 1 << n)) < density) for n in range(4, 11)]
     for n, tables in cases:
         full = (1 << n) - 1
         for table, row in zip(tables, component_directions(tables, n).tolist()):
-            vertices = set(np.flatnonzero(table).tolist())
-            labels = bfs_component_directions(n, vertices)
-            assert row == [labels.get(m, 0) for m in range(1 << n)]
-            if len(vertices) > 1 << (n - 1):
-                family = SetFamily.from_members(n, vertices)
-                assert kotlov_check(family) == (full in labels.values())
+            labels = oracle_component_directions(table, n)
+            assert row == labels.tolist()
+            if np.count_nonzero(table) > 1 << (n - 1):
+                family = SetFamily.from_bool(n, table)
+                assert kotlov_check(family) == (full in labels)
 
 
 def test_plan_validation():
