@@ -129,9 +129,10 @@ def cmd_verify(args) -> int:
         witness_cap=args.witness_cap,
     )
     report = run_sweep(plan)
+    summary = "".join(f" {key}={value}" for key, value in sorted(report.summary.items()))
     print(
         f"checked={report.checked} violations={report.violation_count} "
-        f"elapsed_ms={report.elapsed_ms:.0f}"
+        f"elapsed_ms={report.elapsed_ms:.0f}{summary}"
     )
     if report.violations and args.witness_dir:
         directory = Path(args.witness_dir)

@@ -11,8 +11,10 @@ still exact: each value it forms is an integer of magnitude at most
 2^n <= 2^24, and float32 represents every integer up to 2^24, so no addition
 rounds.  ``function_level_rows`` runs the same blocks for callers that need
 only the level sums: while a row fits in a block, each block's spectra are
-cast to int64 and reduced in a block-sized buffer, and no spectra table is
-built.
+squared in float32 (n <= 12) or float64 and summed by level in a BLAS
+product with a one-hot popcount matrix, and no spectra table is built.  That
+is exact too: every partial sum is an integer in [0, 4^n], and 4^n is at
+most 2^24 at n <= 12 and 2^30 at n <= 15.
 """
 
 from __future__ import annotations
@@ -61,13 +63,16 @@ class Spectrum(CubeTable):
         return f"Spectrum(n={self.n}, s={self.s.tolist() if self.n <= 3 else '...'})"
 
 
-# H_{2^n} = H_{2^{f_k}} x ... x H_{2^{f_1}}, each f <= _FACTOR_BITS.  Each
-# BLAS product multiplies by one H_{2^f} with at most _GEMM_VOLUME = 2^18 =
-# 64^3 multiply-adds: OpenBLAS runs a product that small on the calling thread
-# alone, and forked pool workers do not oversubscribe the cores.  Rows pass
-# through the kernels in blocks of at most _BLOCK_ENTRIES = 2^15 entries
-# (128 kB of float32, 256 kB of int64), which stay in L2.
-_FACTOR_BITS = 6
+# H_{2^n} = H_{2^{f_k}} x ... x H_{2^{f_1}}, each f <= _FACTOR_BITS: a factor
+# H_{2^f} costs 2^f multiply-adds per entry, so n = 12 runs as H_16 x H_16 x
+# H_16 (48), not H_64 x H_64 (128).  Each BLAS product multiplies by one
+# H_{2^f} with at most _GEMM_VOLUME = 2^18 multiply-adds: OpenBLAS runs a
+# product that small on the calling thread alone, and forked pool workers do
+# not oversubscribe the cores.  (It adds a thread only from 2^19 on, so the
+# level sums' one-hot products, at most 13 * 2^15 per block, stay there too.)
+# Rows pass through the kernels in blocks of at most _BLOCK_ENTRIES = 2^15
+# entries (128 kB of float32, 256 kB of int64), which stay in L2.
+_FACTOR_BITS = 5
 _GEMM_VOLUME = 1 << 18
 _BLOCK_BITS = 15
 _BLOCK_ENTRIES = 1 << _BLOCK_BITS
@@ -188,25 +193,39 @@ def fwht_rows(tables: np.ndarray) -> np.ndarray:
     return spec
 
 
+@lru_cache(maxsize=None)
+def _level_onehot(bits: int, low: int, dtype) -> np.ndarray:
+    """Read-only one-hot matrix C[h (low + 1) + i, |h| + i] = 1 of ``dtype``,
+    h < 2^bits, i <= low: a row of sums over the levels i of the low bits,
+    one run of low + 1 per mask h of the high bits, times C is the row's
+    sums over the levels of all bits.  With low = 0, C[h, |h|] = 1."""
+    levels = (np.bitwise_count(np.arange(1 << bits))[:, None] + np.arange(low + 1)).ravel()
+    c = (levels[:, None] == np.arange(bits + low + 1)).astype(dtype)
+    c.setflags(write=False)
+    return c
+
+
 def function_level_rows(tables: np.ndarray, n: int) -> np.ndarray:
     """Per row of a boolean (rows, 2^n) table: the level sums of the spectrum
     of its membership function, sum of s(S)^2 over each level |S| = k, as
     int64 (rows, n+1); ``level_sum_rows(fwht_rows(tables), n)`` without the
     spectra table.  While a row fits in a block (2^n <= ``_BLOCK_ENTRIES``),
-    each block's float32 spectra, exact integers |s| <= 2^15, are cast to
-    int64 in a block-sized buffer and reduced there, so no float is squared;
-    above that it is ``level_sum_rows(fwht_rows(tables), n)``."""
+    each block's spectra are squared in float32 (n <= 12) or float64 and
+    summed by level in BLAS products with ``_level_onehot`` matrices: over
+    all n bits, or for n > 12 over the low ceil(n/2) bits and then the high
+    ones.  Exact in any summation order: every partial sum is an integer in
+    [0, 4^n], and 4^n <= 2^24 (float32) or 2^30 (float64)."""
     if _cube_bits(tables) != n:
         raise ValueError(f"expected rows of 2^{n} entries, got {tables.shape[1]}")
     if 1 << n > _BLOCK_ENTRIES:
         return level_sum_rows(fwht_rows(tables), n)
-    factors, (order, bounds) = _factors(n), _level_gather(n)
+    exact, low = (np.float32, n) if n <= 12 else (np.float64, -(-n // 2))
+    by_low, by_high = _level_onehot(low, 0, exact), _level_onehot(n - low, low, exact)
     out = np.empty((len(tables), n + 1), dtype=np.int64)
-    spectra, squares = (np.empty(min(tables.size, _BLOCK_ENTRIES), dtype=np.int64) for _ in range(2))
-    for (rows, _), x in _low_products(tables, factors, *_float32_buffers(tables.size)):
-        block = spectra[:x.size].reshape(x.shape)
-        block[...] = x
-        out[rows] = _block_level_sums(block, order, bounds, squares)
+    squares = np.empty(min(tables.size, _BLOCK_ENTRIES), dtype=exact)
+    for (rows, _), x in _low_products(tables, _factors(n), *_float32_buffers(tables.size)):
+        sums = np.square(x, out=squares[:x.size].reshape(x.shape)).reshape(-1, 1 << low) @ by_low
+        out[rows] = sums.reshape(len(x), -1) @ by_high if low < n else sums
     return out
 
 
@@ -238,24 +257,6 @@ def naive_transform(f: BooleanFunction) -> Spectrum:
     return Spectrum(n, out)
 
 
-def _level_gather(b: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``level_order(b)`` with intp indices: np.take would convert int32
-    indices on every call."""
-    order, bounds = level_order(b)
-    return order.astype(np.intp), bounds
-
-
-def _block_level_sums(block: np.ndarray, order: np.ndarray, bounds: tuple[int, ...],
-                      buffer: np.ndarray) -> np.ndarray:
-    """Per row segment of an int64 block (..., 2^b): the sums of its squares
-    over each level of the low b bits, gathered into ``buffer`` in level order
-    and squared in place."""
-    squares = np.take(block, order, axis=-1, out=buffer[:block.size].reshape(block.shape),
-                      mode="clip")  # "clip" writes straight to out: the indices are in range
-    squares *= squares
-    return np.add.reduceat(squares, bounds[:-1], axis=-1)
-
-
 def level_sum_rows(spectra: np.ndarray, n: int) -> np.ndarray:
     """Per row of integer spectra (..., 2^n): the sums of s(S)^2 over each level
     |S| = k, as int64 (..., n+1).  Each row is read in segments of 2^b masks,
@@ -265,11 +266,16 @@ def level_sum_rows(spectra: np.ndarray, n: int) -> np.ndarray:
     its high bits.  The input is only read; no table of squares is built."""
     b = min(n, _BLOCK_BITS)
     segments = spectra.reshape(-1, (1 << n) >> b, 1 << b)  # a view for any 2-D input
-    order, bounds = _level_gather(b)
+    order, bounds = level_order(b)
+    order = order.astype(np.intp)  # np.take would convert int32 indices per block
     partial = np.empty(segments.shape[:2] + (b + 1,), dtype=np.int64)
     buffer = np.empty(min(segments.size, _BLOCK_ENTRIES), dtype=np.int64)
     for at in _blocks(segments.shape):
-        partial[at] = _block_level_sums(segments[at], order, bounds, buffer)
+        block = segments[at]
+        squares = np.take(block, order, axis=-1, out=buffer[:block.size].reshape(block.shape),
+                          mode="clip")  # "clip" writes straight to out: the indices are in range
+        squares *= squares
+        partial[at] = np.add.reduceat(squares, bounds[:-1], axis=-1)
     high_order, high_bounds = level_order(n - b)
     by_high = np.add.reduceat(partial[:, high_order], high_bounds[:-1], axis=1)
     out = np.zeros((len(partial), n + 1), dtype=np.int64)

@@ -269,6 +269,22 @@ def test_cmd_verify_exit_codes(capsys):
     assert cli.main(["verify", "frankl", "--n", "3"]) == 2  # mode required
 
 
+@pytest.mark.parametrize("argv, printed", [
+    (["conjecture2", "--n", "3"], "min_margin=0/1 num_applicable=35"),
+    (["theorem2", "--n", "3"], "max_deficiency=4"),
+    (["ks-zero", "--n", "4"], "num_qualifying=36"),
+    (["parseval", "--n", "3"], ""),
+])
+def test_cmd_verify_prints_the_summary(argv, printed, capsys):
+    """The report's summary follows elapsed_ms as key=value in sorted key
+    order, each value as in the canonical JSON (a Fraction as p/q)."""
+    assert cli.main(["verify", *argv, "--exhaustive"]) == 0
+    printed_fields = capsys.readouterr().out.split()
+    summary = verify.run_sweep(verify.SweepPlan(argv[0], int(argv[2]), "exhaustive")).summary
+    assert printed_fields[2].startswith("elapsed_ms=")
+    assert printed_fields[3:] == printed.split() == [f"{k}={v}" for k, v in sorted(summary.items())]
+
+
 def test_cmd_verify_writes_witnesses(tmp_path, monkeypatch, capsys):
     from ucx.verify import VerificationReport
 

@@ -153,6 +153,30 @@ def test_function_kernel_matches_its_oracle(name, block_bits, monkeypatch):
             assert np.array_equal(given, before), (name, n, label)
 
 
+@pytest.mark.parametrize("block_bits", [None, 7], ids=["default blocks", "2^7-entry blocks"])
+def test_function_level_rows_at_the_float_bounds(block_bits, monkeypatch):
+    """Past the table's n <= 10, on closed forms: a constant row has all of
+    4^n on level 0, and the row of the character chi_S or of -chi_S all of
+    it on level |S|.  A level sum reaches 2^24, the float32 ceiling, at
+    n = 12; n = 13 is the first float64 size, n = 15 the last that fits a
+    block and n = 16 runs through ``level_sum_rows``.  Seeded random rows
+    are checked against the int64 squares of ``fwht_rows`` summed per
+    popcount class."""
+    if block_bits is not None:
+        monkeypatch.setattr(spectral, "_BLOCK_BITS", block_bits, raising=False)
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 1 << block_bits, raising=False)
+    for n in (11, 12, 13, 15, 16):
+        popcounts, levels = np.bitwise_count(np.arange(1 << n)), np.arange(n + 1)
+        odd = np.bitwise_count(np.arange(1 << n) & ((1 << levels[:, None]) - 1)) & 1 == 1
+        characters = np.concatenate([odd, ~odd])  # chi_S, S = {1..k}, then -chi_S; k = 0: constants
+        random = np.random.default_rng([n, 37]).random((3, 1 << n)) < 0.5
+        squares = fwht_rows(random) ** 2
+        want = np.concatenate([np.tile(np.eye(n + 1, dtype=np.int64) << (2 * n), (2, 1)),
+                               np.stack([squares[:, popcounts == k].sum(axis=1) for k in levels], 1)])
+        got = function_level_rows(np.concatenate([characters, random]), n)
+        assert got.dtype == np.int64 and np.array_equal(got, want), n
+
+
 def test_every_row_kernel_of_the_package_has_an_oracle():
     """Every top-level ``def *_rows`` of ``src/ucx`` has a row in this table
     or in the family kernels' table."""
