@@ -220,12 +220,16 @@ def function_level_rows(tables: np.ndarray, n: int) -> np.ndarray:
     if 1 << n > _BLOCK_ENTRIES:
         return level_sum_rows(fwht_rows(tables), n)
     exact, low = (np.float32, n) if n <= 12 else (np.float64, -(-n // 2))
-    by_low, by_high = _level_onehot(low, 0, exact), _level_onehot(n - low, low, exact)
+    by_low = _level_onehot(low, 0, exact)
+    by_high = _level_onehot(n - low, low, exact) if low < n else None
     out = np.empty((len(tables), n + 1), dtype=np.int64)
     squares = np.empty(min(tables.size, _BLOCK_ENTRIES), dtype=exact)
     for (rows, _), x in _low_products(tables, _factors(n), *_float32_buffers(tables.size)):
-        sums = np.square(x, out=squares[:x.size].reshape(x.shape)).reshape(-1, 1 << low) @ by_low
-        out[rows] = sums.reshape(len(x), -1) @ by_high if low < n else sums
+        # dtype=exact: numpy picks the loop from the input, so without it a
+        # float32 x is squared in float32 and rounds once s^2 > 2^24 (n >= 14)
+        sums = np.square(x, out=squares[:x.size].reshape(x.shape), dtype=exact)
+        sums = sums.reshape(-1, 1 << low) @ by_low
+        out[rows] = sums if by_high is None else sums.reshape(len(x), -1) @ by_high
     return out
 
 

@@ -14,6 +14,7 @@ segments and the factors on high bits show at these small n.
 
 import ast
 from functools import lru_cache
+from math import comb
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -159,21 +160,27 @@ def test_function_level_rows_at_the_float_bounds(block_bits, monkeypatch):
     4^n on level 0, and the row of the character chi_S or of -chi_S all of
     it on level |S|.  A level sum reaches 2^24, the float32 ceiling, at
     n = 12; n = 13 is the first float64 size, n = 15 the last that fits a
-    block and n = 16 runs through ``level_sum_rows``.  Seeded random rows
-    are checked against the int64 squares of ``fwht_rows`` summed per
-    popcount class."""
+    block and n = 16 runs through ``level_sum_rows``.  A row with one member,
+    or all but one, has s(empty) = +/-(2^n - 2), whose square is no float32
+    at n >= 14, and s(S) = +/-2 elsewhere: level sums (2^n - 2)^2 and
+    4 C(n, k).  Seeded random rows are checked against the int64 squares of
+    ``fwht_rows`` summed per popcount class.  With 2^7-entry blocks every
+    size here runs through ``level_sum_rows``."""
     if block_bits is not None:
         monkeypatch.setattr(spectral, "_BLOCK_BITS", block_bits, raising=False)
         monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 1 << block_bits, raising=False)
-    for n in (11, 12, 13, 15, 16):
+    for n in (11, 12, 13, 14, 15, 16):
         popcounts, levels = np.bitwise_count(np.arange(1 << n)), np.arange(n + 1)
         odd = np.bitwise_count(np.arange(1 << n) & ((1 << levels[:, None]) - 1)) & 1 == 1
         characters = np.concatenate([odd, ~odd])  # chi_S, S = {1..k}, then -chi_S; k = 0: constants
+        single = np.arange(1 << n) == 5
         random = np.random.default_rng([n, 37]).random((3, 1 << n)) < 0.5
         squares = fwht_rows(random) ** 2
+        one_member = [(2 ** n - 2) ** 2] + [4 * comb(n, k) for k in range(1, n + 1)]
         want = np.concatenate([np.tile(np.eye(n + 1, dtype=np.int64) << (2 * n), (2, 1)),
+                               [one_member, one_member],
                                np.stack([squares[:, popcounts == k].sum(axis=1) for k in levels], 1)])
-        got = function_level_rows(np.concatenate([characters, random]), n)
+        got = function_level_rows(np.concatenate([characters, [single, ~single], random]), n)
         assert got.dtype == np.int64 and np.array_equal(got, want), n
 
 
