@@ -15,12 +15,11 @@ is the one popcount, and ``coordinate_pairs`` is the one place that splits a
 table into the pairs (x, x + e_i), with ``word_pairs`` its form on tables
 packed 64 points to a word.  All derived quantities are exact: integers,
 or dyadic rationals represented as ``fractions.Fraction``.  Numpy arrays
-serve as containers for speed and hold integers or booleans, with one
-exception: ``spectral.fwht_rows`` reads each block of its boolean rows into
-float32 once as +/-1, multiplies it by +/-1 matrices and writes it to its
-int64 output.  Every value formed there, partial sums included, is an
-integer of magnitude at most 2^n <= 2^24, and float32 holds every such
-integer exactly, so no operation rounds.
+serve as containers for speed and hold integers or booleans, except in
+``spectral``: its transform multiplies float32 blocks of +/-1 by +/-1
+matrices, and its level sums add float squares.  Every value formed there,
+partial sums included, is an integer that the float holds exactly (the
+module docstring gives the bounds), so no operation rounds.
 """
 
 from __future__ import annotations
@@ -69,18 +68,17 @@ def check_dimension(n) -> int:
 
 
 @lru_cache(maxsize=None)
-def level_order(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
+def level_order(n: int) -> np.ndarray:
     """The masks below 2^n sorted by (popcount, mask), as a read-only int32
-    array, and the bounds of each level in it.  Built by doubling: the level-k
-    masks below 2^{i+1} are those below 2^i, then the level-(k-1) ones below
-    2^i with bit i set."""
+    array.  Built by doubling: the level-k masks below 2^{i+1} are those
+    below 2^i, then the level-(k-1) ones below 2^i with bit i set."""
     levels = [np.zeros(1, dtype=np.int32)] + [np.zeros(0, dtype=np.int32)] * n
     for i in range(n):
         levels[1:] = [np.concatenate((levels[k], levels[k - 1] | (1 << i)))
                       for k in range(1, n + 1)]
     order = np.concatenate(levels)
     order.setflags(write=False)
-    return order, tuple(np.cumsum([0] + [len(level) for level in levels]).tolist())
+    return order
 
 
 def iter_bits(mask: int) -> Iterator[int]:

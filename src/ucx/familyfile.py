@@ -90,7 +90,7 @@ def format_family(family: SetFamily) -> str:
     2^ceil(n/2) lines."""
     n, half = family.n, family.n // 2
     low, high = _label_lines(0, half), _label_lines(half, n - half)
-    order = level_order(n)[0]
+    order = level_order(n)
     lines = [f"n={n}"]
     for mask in order[family.to_bool()[order]].tolist():
         first, last = low[mask & ((1 << half) - 1)], high[mask >> half]

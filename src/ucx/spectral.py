@@ -9,12 +9,12 @@ The one transform kernel, ``fwht_rows``, reads boolean membership rows a
 block at a time into float32 and runs it through matrix products.  It is
 still exact: each value it forms is an integer of magnitude at most
 2^n <= 2^24, and float32 represents every integer up to 2^24, so no addition
-rounds.  ``function_level_rows`` runs the same blocks for callers that need
-only the level sums: while a row fits in a block, each block's spectra are
-squared in float32 (n <= 12) or float64 and summed by level in a BLAS
-product with a one-hot popcount matrix, and no spectra table is built.  That
-is exact too: every partial sum is an integer in [0, 4^n], and 4^n is at
-most 2^24 at n <= 12 and 2^30 at n <= 15.
+rounds.  The level sums have one reduction, ``_by_level``: float squares
+times one-hot popcount matrices in BLAS.  ``function_level_rows`` feeds it
+each transform block squared (float32 at n <= 12, float64 to n = 15), with
+no spectra table, and ``level_sum_rows`` the float64 squares of integer
+spectra.  Every partial sum is an integer the float holds: at most 4^n,
+2^24 or 2^30, on the first path, and below 2^53, as checked, on the second.
 """
 
 from __future__ import annotations
@@ -35,8 +35,14 @@ from .core import (
     check_mask,
     family_to_function,
     frequency_rows,
-    level_order,
 )
+
+
+def _integer_table(table: np.ndarray) -> np.ndarray:
+    """``table``, if its entries are integers that int64 holds (not bools)."""
+    if table.dtype == np.bool_ or not np.can_cast(table.dtype, np.int64):
+        raise TypeError(f"expected integer coefficients, got {table.dtype}")
+    return table
 
 
 class Spectrum(CubeTable):
@@ -45,10 +51,7 @@ class Spectrum(CubeTable):
     __slots__ = ()
 
     def __init__(self, n: int, s) -> None:
-        table = np.asarray(s)
-        if table.dtype == np.bool_ or not np.can_cast(table.dtype, np.int64):
-            raise TypeError(f"expected integer coefficients, got {table.dtype}")
-        super().__init__(n, table.astype(np.int64))
+        super().__init__(n, _integer_table(np.asarray(s)).astype(np.int64))
 
     @property
     def s(self) -> np.ndarray:
@@ -68,8 +71,8 @@ class Spectrum(CubeTable):
 # H_16 (48), not H_64 x H_64 (128).  Each BLAS product multiplies by one
 # H_{2^f} with at most _GEMM_VOLUME = 2^18 multiply-adds: OpenBLAS runs a
 # product that small on the calling thread alone, and forked pool workers do
-# not oversubscribe the cores.  (It adds a thread only from 2^19 on, so the
-# level sums' one-hot products, at most 13 * 2^15 per block, stay there too.)
+# not oversubscribe the cores.  (It adds a thread only from 2^19 on, so the level
+# sums' one-hot products (at most 13 * 2^15 a block, 25 * 2^13 a row) run there too.)
 # Rows pass through the kernels in blocks of at most _BLOCK_ENTRIES = 2^15
 # entries (128 kB of float32, 256 kB of int64), which stay in L2.
 _FACTOR_BITS = 5
@@ -196,40 +199,41 @@ def fwht_rows(tables: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _level_onehot(bits: int, low: int, dtype) -> np.ndarray:
     """Read-only one-hot matrix C[h (low + 1) + i, |h| + i] = 1 of ``dtype``,
-    h < 2^bits, i <= low: a row of sums over the levels i of the low bits,
-    one run of low + 1 per mask h of the high bits, times C is the row's
-    sums over the levels of all bits.  With low = 0, C[h, |h|] = 1."""
+    h < 2^bits, i <= low: it lifts sums over the levels i of the low bits, one
+    run of low + 1 per high mask h, to all bits.  With low = 0, C[h, |h|] = 1."""
     levels = (np.bitwise_count(np.arange(1 << bits))[:, None] + np.arange(low + 1)).ravel()
     c = (levels[:, None] == np.arange(bits + low + 1)).astype(dtype)
     c.setflags(write=False)
     return c
 
 
+def _by_level(squares: np.ndarray, bits: int, low: int) -> np.ndarray:
+    """The level sums (rows, bits + 1) of a float (rows, 2^bits) block of squares:
+    one-hot products in its dtype over the low ``low`` bits, then the rest."""
+    sums = squares.reshape(-1, 1 << low) @ _level_onehot(low, 0, squares.dtype.type)
+    if low < bits:
+        sums = sums.reshape(len(squares), -1) @ _level_onehot(bits - low, low, squares.dtype.type)
+    return sums
+
+
 def function_level_rows(tables: np.ndarray, n: int) -> np.ndarray:
-    """Per row of a boolean (rows, 2^n) table: the level sums of the spectrum
-    of its membership function, sum of s(S)^2 over each level |S| = k, as
-    int64 (rows, n+1); ``level_sum_rows(fwht_rows(tables), n)`` without the
-    spectra table.  While a row fits in a block (2^n <= ``_BLOCK_ENTRIES``),
-    each block's spectra are squared in float32 (n <= 12) or float64 and
-    summed by level in BLAS products with ``_level_onehot`` matrices: over
-    all n bits, or for n > 12 over the low ceil(n/2) bits and then the high
-    ones.  Exact in any summation order: every partial sum is an integer in
-    [0, 4^n], and 4^n <= 2^24 (float32) or 2^30 (float64)."""
+    """Per row of a boolean (rows, 2^n) table: ``level_sum_rows(fwht_rows(tables),
+    n)`` without the spectra table.  While a row fits in a block (2^n <=
+    ``_BLOCK_ENTRIES``), each block's spectra are squared in float32 (n <= 12,
+    low = n) or float64 (low = ceil(n/2)) and summed by ``_by_level``.  Exact
+    in any summation order: every partial sum is an integer in [0, 4^n], and
+    4^n <= 2^24 (float32) or 2^30 (float64)."""
     if _cube_bits(tables) != n:
         raise ValueError(f"expected rows of 2^{n} entries, got {tables.shape[1]}")
     if 1 << n > _BLOCK_ENTRIES:
         return level_sum_rows(fwht_rows(tables), n)
     exact, low = (np.float32, n) if n <= 12 else (np.float64, -(-n // 2))
-    by_low = _level_onehot(low, 0, exact)
-    by_high = _level_onehot(n - low, low, exact) if low < n else None
     out = np.empty((len(tables), n + 1), dtype=np.int64)
     squares = np.empty(min(tables.size, _BLOCK_ENTRIES), dtype=exact)
     for (rows, _), x in _low_products(tables, _factors(n), *_float32_buffers(tables.size)):
-        # dtype=exact: numpy picks the loop from the input, so without it a
-        # float32 x is squared in float32 and rounds once s^2 > 2^24 (n >= 14)
-        sums = np.square(x, out=squares[:x.size].reshape(x.shape), dtype=exact)
-        sums = sums.reshape(-1, 1 << low) @ by_low
-        out[rows] = sums if by_high is None else sums.reshape(len(x), -1) @ by_high
+        # dtype=exact: numpy would square a float32 x in float32, rounding at n >= 14
+        out[rows] = _by_level(np.square(x, out=squares[:x.size].reshape(x.shape), dtype=exact),
+                              n, low)
     return out
 
 
@@ -263,29 +267,26 @@ def naive_transform(f: BooleanFunction) -> Spectrum:
 
 def level_sum_rows(spectra: np.ndarray, n: int) -> np.ndarray:
     """Per row of integer spectra (..., 2^n): the sums of s(S)^2 over each level
-    |S| = k, as int64 (..., n+1).  Each row is read in segments of 2^b masks,
-    b = min(n, 15), in blocks of at most 2^15 entries: a block is gathered in
-    the level order of the low b bits, squared in place and summed at the
-    level bounds, and each segment's sums then move up by the popcount of
-    its high bits.  The input is only read; no table of squares is built."""
+    |S| = k, as int64 (..., n+1), from float64 squares of segments of 2^b masks,
+    b = min(n, 15), taken in blocks of at most 2^15 entries and summed by
+    ``_by_level``; one more one-hot product lifts each segment's sums by the
+    popcount of its high bits.  ``TypeError`` unless int64 holds the entries,
+    ``ValueError`` if a level sum reaches 2^53: the terms are nonnegative and
+    rounding is monotone, so a sum read below 2^53 is exact, and a true one of
+    2^53 or more never reads below it.  (+/-1 functions' sums total 4^n <= 2^48.)"""
     b = min(n, _BLOCK_BITS)
-    segments = spectra.reshape(-1, (1 << n) >> b, 1 << b)  # a view for any 2-D input
-    order, bounds = level_order(b)
-    order = order.astype(np.intp)  # np.take would convert int32 indices per block
-    partial = np.empty(segments.shape[:2] + (b + 1,), dtype=np.int64)
-    buffer = np.empty(min(segments.size, _BLOCK_ENTRIES), dtype=np.int64)
+    segments = _integer_table(spectra).reshape(-1, (1 << n) >> b, 1 << b)
+    partial = np.empty(segments.shape[:2] + (b + 1,))
+    squares = np.empty(min(segments.size, _BLOCK_ENTRIES))
     for at in _blocks(segments.shape):
         block = segments[at]
-        squares = np.take(block, order, axis=-1, out=buffer[:block.size].reshape(block.shape),
-                          mode="clip")  # "clip" writes straight to out: the indices are in range
-        squares *= squares
-        partial[at] = np.add.reduceat(squares, bounds[:-1], axis=-1)
-    high_order, high_bounds = level_order(n - b)
-    by_high = np.add.reduceat(partial[:, high_order], high_bounds[:-1], axis=1)
-    out = np.zeros((len(partial), n + 1), dtype=np.int64)
-    for p in range(n - b + 1):  # segments whose high bits hold p elements
-        out[:, p:p + b + 1] += by_high[:, p]
-    return out.reshape(spectra.shape[:-1] + (n + 1,))
+        # dtype: without it numpy squares in int64, which wraps, and then casts
+        block = np.square(block, out=squares[:block.size].reshape(block.shape), dtype=np.float64)
+        partial[at] = _by_level(block.reshape(-1, 1 << b), b, -(-b // 2)).reshape(partial[at].shape)
+    out = partial.reshape(len(partial), (b + 1) << (n - b)) @ _level_onehot(n - b, b, np.float64)
+    if out.max(initial=0) >= 1 << 53:
+        raise ValueError("a level sum reaches 2^53, beyond float64's exact integers")
+    return out.astype(np.int64).reshape(spectra.shape[:-1] + (n + 1,))
 
 
 def level_sums(spec: Spectrum) -> tuple[int, ...]:

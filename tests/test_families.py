@@ -178,8 +178,6 @@ def test_shadows_match_oracle():
             table = fam.to_bool()
             assert np.array_equal(upper_shadow(fam).to_bool(), oracle_upper_shadow(table, n))
             assert np.array_equal(lower_shadow(fam).to_bool(), oracle_lower_shadow(table, n))
-        every = every_table(n)
-        assert np.array_equal(missing_lower_rows(every, n), oracle_missing_lower(every, n))
     # seeded batches of sparse to dense rows
     rng = np.random.default_rng(16)
     density = np.array([[0.02], [0.1], [0.3], [0.5], [0.7], [0.95]])

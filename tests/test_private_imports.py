@@ -3,8 +3,9 @@ module keeps an import it does not use, the modules import each other in
 one layer order only, one gate checks integer arguments, core holds the
 one bit codec and popcount, and every membership row the package builds,
 of a function or of a family, enters through ``_of``: the copying
-constructors read only callers' tables.  The tests define each oracle and
-each shared input once, in ``oracles.py``."""
+constructors read only callers' tables, and the level sums have one
+reduction.  The tests define each oracle and each shared input once, in
+``oracles.py``."""
 
 import ast
 from fnmatch import fnmatch
@@ -105,6 +106,23 @@ def test_one_bit_layer():
             if (isinstance(node, ast.Attribute) and node.attr in ("packbits", "unpackbits")
                     and path.name != "core.py"):
                 offenders.append(f"{path.name}:{node.lineno}: calls np.{node.attr}")
+    assert offenders == []
+
+
+def test_one_level_sum_reduction():
+    # spectral._by_level sums squares by level for level_sum_rows and
+    # function_level_rows alike: no module sums at level bounds with reduceat,
+    # and the level order is read only by the family-file writer
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            if name == "reduceat":
+                offenders.append(f"{path.name}:{node.lineno}: calls reduceat")
+            if (name == "level_order" and path.name != "familyfile.py"
+                    and not isinstance(node, ast.FunctionDef)):
+                offenders.append(f"{path.name}:{node.lineno}: reads level_order")
     assert offenders == []
 
 

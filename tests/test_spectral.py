@@ -4,6 +4,7 @@ level identities."""
 import pickle
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from ucx.core import (
     DimensionError,
     SetFamily,
     family_to_function,
-    level_order,
 )
 from ucx.influence import influence_identity_check
 from ucx.spectral import (
@@ -93,13 +93,6 @@ def test_parseval_random_large():
             assert int(spec.s @ spec.s) == 1 << (2 * n)
 
 
-def test_fwht_rows_matches_naive_transform_exhaustive_small():
-    for n in (1, 2, 3):
-        functions = list(all_functions(n))
-        spectra = fwht_rows(np.array([f.to_bool() for f in functions]))
-        assert spectra.tolist() == [naive_transform(f).s.tolist() for f in functions]
-
-
 @pytest.mark.parametrize("n", range(1, 14))
 def test_fwht_rows_matches_the_butterfly(n):
     """Every factor split (n < 6, n not a multiple of 6) and every chunk
@@ -159,6 +152,12 @@ def test_butterfly_exact_at_the_extremes(n, monkeypatch):
         assert int(spec.s[0]) == value << n and not spec.s[1:].any()
         assert level_sums(spec) == (four_n,) + (0,) * n
         del spec
+    # -1 only at the empty set: s(empty) = 2^n - 2 and s(S) = -2 elsewhere, so
+    # at n = 24 level 0 holds the largest square a +/-1 function gives
+    spec = transform(family_to_function(SetFamily.from_sets(n, [[]])))
+    assert int(spec.s[0]) == (1 << n) - 2 and (spec.s[1:] == -2).all()
+    assert level_sums(spec) == ((2 ** n - 2) ** 2, *(4 * comb(n, k) for k in range(1, n + 1)))
+    del spec
     f = random_function(np.random.default_rng(n), n)
     spec = transform(f)
     assert int(spec.s @ spec.s) == sum(level_sums(spec)) == four_n
@@ -197,21 +196,35 @@ def test_level_sum_rows_by_definition():
 
 def test_level_sum_rows_walks_a_large_row_in_segments():
     """One n = 20 row: the kernel holds a block of squares at a time, not a
-    copy of the row (2.0x when the whole row is gathered at once)."""
+    copy of the row (1.0x for the row's float64 squares alone)."""
     n = 20
     spectrum = np.random.default_rng(20).integers(-(1 << 10), 1 << 10, size=1 << n)
-    expected = level_sum_rows(spectrum, n)  # builds the cached level order first
+    expected = level_sum_rows(spectrum, n)  # builds the cached one-hot matrices first
     tracemalloc.start()
     try:
         levels = level_sum_rows(spectrum, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    order, bounds = level_order(n)
-    squares = spectrum[order] ** 2
+    popcounts = np.bitwise_count(np.arange(1 << n))
     assert levels.tolist() == expected.tolist() == [
-        int(squares[bounds[k]:bounds[k + 1]].sum()) for k in range(n + 1)]
+        int((spectrum[popcounts == k] ** 2).sum()) for k in range(n + 1)]
     assert peak <= 0.6 * spectrum.nbytes, peak / spectrum.nbytes
+
+
+def test_level_sum_rows_refuses_what_it_cannot_sum_exactly():
+    """Integer spectra only, and level sums below 2^53, where float64 sums of
+    integer squares are exact; a square that wraps in int64 is refused, not
+    returned negative."""
+    for dtype in (np.float64, np.bool_, np.uint64):
+        with pytest.raises(TypeError, match="integer"):
+            level_sum_rows(np.ones((1, 4), dtype=dtype), 2)
+    with pytest.raises(ValueError, match="2\\^53"):
+        level_sums(Spectrum(2, [3_037_000_500, 0, 0, 0]))  # its square wraps in int64
+    with pytest.raises(ValueError, match="2\\^53"):
+        level_sum_rows(np.array([[0, 2**26, 2**26, 0]]), 2)  # level 1 is exactly 2^53
+    assert level_sum_rows(np.array([[0, 2**26, 2**26 - 1, 0]]), 2).tolist() == [
+        [0, 2**53 - 2**27 + 1, 0]]
 
 
 def test_spectrum_structural_invariants():
