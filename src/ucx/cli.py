@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
         property=args.property,
         n=args.n,
         mode="exhaustive" if args.exhaustive else "random",
-        samples=args.samples,  # validate stores None in exhaustive mode
+        samples=args.samples,  # the plan stores None when built in exhaustive mode
         seed=args.seed,
         worker_count=args.workers,
         witness_cap=args.witness_cap,

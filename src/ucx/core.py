@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -65,20 +64,6 @@ def check_dimension(n) -> int:
     if not 1 <= n <= cap:
         raise DimensionError(f"dimension n={n} outside [1, {cap}] (raise via {ENV_MAX_N})")
     return n
-
-
-@lru_cache(maxsize=None)
-def level_order(n: int) -> np.ndarray:
-    """The masks below 2^n sorted by (popcount, mask), as a read-only int32
-    array.  Built by doubling: the level-k masks below 2^{i+1} are those
-    below 2^i, then the level-(k-1) ones below 2^i with bit i set."""
-    levels = [np.zeros(1, dtype=np.int32)] + [np.zeros(0, dtype=np.int32)] * n
-    for i in range(n):
-        levels[1:] = [np.concatenate((levels[k], levels[k - 1] | (1 << i)))
-                      for k in range(1, n + 1)]
-    order = np.concatenate(levels)
-    order.setflags(write=False)
-    return order
 
 
 def iter_bits(mask: int) -> Iterator[int]:

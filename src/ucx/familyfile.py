@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SetFamily, level_order, max_dimension
+from .core import SetFamily, max_dimension
 
 _HEADER = re.compile(r"^n=([0-9]+)$")
 _TOKEN = re.compile(r"\S+")
@@ -85,14 +85,15 @@ def _label_lines(first: int, count: int) -> list[str]:
 
 
 def format_family(family: SetFamily) -> str:
-    """The canonical file: each member's line joins the label lines of the
-    low and the high half of its mask, read from two tables of at most
-    2^ceil(n/2) lines."""
+    """The canonical file: the members in (cardinality, mask) order, a stable
+    sort by popcount of the ascending masks.  Each member's line joins the
+    label lines of the low and the high half of its mask, read from two
+    tables of at most 2^ceil(n/2) lines."""
     n, half = family.n, family.n // 2
     low, high = _label_lines(0, half), _label_lines(half, n - half)
-    order = level_order(n)
+    members = np.flatnonzero(family.to_bool())
     lines = [f"n={n}"]
-    for mask in order[family.to_bool()[order]].tolist():
+    for mask in members[np.argsort(np.bitwise_count(members), kind="stable")].tolist():
         first, last = low[mask & ((1 << half) - 1)], high[mask >> half]
         lines.append(f"{first} {last}" if first and last else first or last or "-")
     return "\n".join(lines) + "\n"

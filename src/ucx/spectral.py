@@ -270,10 +270,13 @@ def level_sum_rows(spectra: np.ndarray, n: int) -> np.ndarray:
     |S| = k, as int64 (..., n+1), from float64 squares of segments of 2^b masks,
     b = min(n, 15), taken in blocks of at most 2^15 entries and summed by
     ``_by_level``; one more one-hot product lifts each segment's sums by the
-    popcount of its high bits.  ``TypeError`` unless int64 holds the entries,
-    ``ValueError`` if a level sum reaches 2^53: the terms are nonnegative and
-    rounding is monotone, so a sum read below 2^53 is exact, and a true one of
-    2^53 or more never reads below it.  (+/-1 functions' sums total 4^n <= 2^48.)"""
+    popcount of its high bits.  ``ValueError`` unless the rows hold 2^n entries,
+    ``TypeError`` unless int64 holds them, ``ValueError`` if a level sum reaches
+    2^53: the terms are nonnegative and rounding is monotone, so a sum read
+    below 2^53 is exact, and a true one of 2^53 or more never reads below it.
+    (+/-1 functions' sums total 4^n <= 2^48.)"""
+    if spectra.shape[-1] != 1 << n:
+        raise ValueError(f"expected rows of 2^{n} entries, got {spectra.shape[-1]}")
     b = min(n, _BLOCK_BITS)
     segments = _integer_table(spectra).reshape(-1, (1 << n) >> b, 1 << b)
     partial = np.empty(segments.shape[:2] + (b + 1,))

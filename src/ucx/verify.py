@@ -191,13 +191,17 @@ class SweepPlan:
     worker_count: int = 1
     witness_cap: int = 10
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        """The one check of a sweep's or scan's arguments, before any row is
-        drawn; ``samples`` is read in random mode only, and stored as None in
-        exhaustive mode, so it cannot change an exhaustive report.  Each
-        integer field is stored back as the ``int`` its gate returns, so a
-        numpy scalar never reaches a shift (where numpy would wrap ``1 << n``
-        to 0)."""
+        """The one check of a sweep's or scan's arguments, run when the plan
+        is built, so before any row is drawn; ``samples`` is read in random
+        mode only, and stored as None in exhaustive mode, so it cannot change
+        an exhaustive report.  Each integer field is stored as the ``int`` its
+        gate returns, so a numpy scalar never reaches a shift (where numpy
+        would wrap ``1 << n`` to 0).  Checking a built plan again changes
+        nothing."""
         if self.property not in PROPERTY_NAMES:
             raise ValueError(f"unknown property {self.property!r}")
         gated = {"n": check_dimension(self.n), "samples": None}
@@ -667,7 +671,6 @@ def scan(prop: str, n: int, samples: int, seed: int) -> Iterator[tuple[int, np.n
     whether it is a violation.  The arguments are validated before the first
     row is drawn."""
     plan = SweepPlan(prop, n, "random", samples=samples, seed=seed)
-    plan.validate()
 
     def instances():
         for start, rows, found in _evaluated(plan, 0, plan.samples):
@@ -687,7 +690,6 @@ def _split(total: int, parts: int) -> list[tuple[int, int]]:
 
 def run_sweep(plan: SweepPlan) -> VerificationReport:
     """Execute a sweep; the canonical report depends only on (plan, seed)."""
-    plan.validate()
     started = time.perf_counter()
     total = (1 << (1 << plan.n)) if plan.mode == "exhaustive" else int(plan.samples)
     blocks = _split(total, plan.worker_count)

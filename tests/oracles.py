@@ -229,6 +229,15 @@ def oracle_pairs(tables, n):
     return np.stack(enter, axis=-1), np.stack(leave, axis=-1)
 
 
+def oracle_family_text(table, n):
+    """The canonical family file: the header, then each member's ascending
+    1-based labels (``-`` for the empty set), by cardinality, then mask."""
+    lines = [f"n={n}"]
+    for m in sorted(members(table).tolist(), key=lambda m: (m.bit_count(), m)):
+        lines.append(" ".join(str(i + 1) for i in range(n) if m >> i & 1) or "-")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # spectra, bounds and distances
 

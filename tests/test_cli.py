@@ -15,6 +15,7 @@ from oracles import (
     every_table,
     nearest_dictator_by_definition,
     oracle_deficiency,
+    oracle_family_text,
     oracle_frequencies,
     oracle_level_sums,
     oracle_pairs,
@@ -48,6 +49,11 @@ def test_parse_ignores_comments_and_blanks():
 def test_format_orders_by_cardinality_then_mask():
     fam = SetFamily.from_members(3, [0b111, 0b001, 0b110, 0])
     assert familyfile.format_family(fam) == "n=3\n-\n1\n2 3\n1 2 3\n"
+    rng = np.random.default_rng(48)
+    for n in range(1, 17):
+        for table in (rng.random(1 << n) < 0.5, np.zeros(1 << n, bool), np.ones(1 << n, bool)):
+            text = familyfile.format_family(SetFamily.from_bool(n, table))
+            assert text == oracle_family_text(table, n), n
 
 
 def test_parse_errors_carry_position():

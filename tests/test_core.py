@@ -26,7 +26,6 @@ from ucx.core import (
     function_to_family,
     inner_product,
     iter_bits,
-    level_order,
     mask_from_elements,
     max_dimension,
     packed_words,
@@ -218,14 +217,6 @@ def test_word_pairs_match_coordinate_pairs():
                 want = [side.reshape(tables.shape[:-1] + (size >> 1,))
                         for side in coordinate_pairs(tables, i)]
                 assert all(map(np.array_equal, got, want)), (n, i, tables.shape)
-
-
-def test_level_order_sorts_by_popcount_then_mask():
-    for n in range(1, 17):
-        order = level_order(n)
-        assert not order.flags.writeable
-        pops = np.bitwise_count(np.arange(1 << n))
-        assert np.array_equal(order, np.argsort(pops, kind="stable")), n
 
 
 def test_function_to_family_dictator():

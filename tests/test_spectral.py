@@ -219,6 +219,9 @@ def test_level_sum_rows_refuses_what_it_cannot_sum_exactly():
     for dtype in (np.float64, np.bool_, np.uint64):
         with pytest.raises(TypeError, match="integer"):
             level_sum_rows(np.ones((1, 4), dtype=dtype), 2)
+    for shape, n in (((1, 8), 2), ((3, 2), 2), ((1, 4), 3)):
+        with pytest.raises(ValueError, match=f"expected rows of 2\\^{n} entries, got {shape[1]}"):
+            level_sum_rows(np.zeros(shape, dtype=np.int64), n)
     with pytest.raises(ValueError, match="2\\^53"):
         level_sums(Spectrum(2, [3_037_000_500, 0, 0, 0]))  # its square wraps in int64
     with pytest.raises(ValueError, match="2\\^53"):

@@ -251,12 +251,22 @@ def test_plan_rejects_counts_that_are_not_ints(name, value, monkeypatch):
         raise AssertionError("a row was drawn")
 
     monkeypatch.setattr(verify._Property, "chunks", no_rows)
-    plan = SweepPlan("parseval", 3, "random", **{"samples": 2, name: value})
+    counts = {"samples": 2, "seed": 0, name: value}
     with pytest.raises(TypeError, match=f"{name} must be an int"):
-        run_sweep(plan)
+        run_sweep(SweepPlan("parseval", 3, "random", **counts))
     if name in ("samples", "seed"):
         with pytest.raises(TypeError, match=f"{name} must be an int"):
-            verify.scan("conjecture2", 3, plan.samples, plan.seed)
+            verify.scan("conjecture2", 3, counts["samples"], counts["seed"])
+
+
+def test_run_sweep_leaves_its_plan_as_built():
+    # the plan is checked when built: a sweep does not rewrite its fields,
+    # so its hash and its place in a set hold
+    plan = SweepPlan("parseval", 3, "exhaustive", samples=5)
+    fields_before, hash_before, plans = dataclasses.astuple(plan), hash(plan), {plan}
+    run_sweep(plan)
+    assert dataclasses.astuple(plan) == fields_before and plan.samples is None
+    assert hash(plan) == hash_before and plan in plans
 
 
 def test_dimension_rejects_bools():
