@@ -5,12 +5,12 @@ time, and hands each chunk to the property's vectorized evaluator.  Chunks
 are sized for the cache: at most 2^20 table entries and 2048 rows each.
 Witnesses are taken in index order and summaries merge associatively, so a
 report does not depend on the chunking.  Per row the evaluator returns
-whether the property applies, whether it holds and the integer quantities
-behind the violation details, the summaries and the columns of
-``ucx scan``.  Every row is a boolean membership row: a family
-property reads the family, a function property the membership function of
-the row, which is -1 exactly on its members.  The two modes differ only in
-where the rows come from:
+whether the property applies, its integer slack, negative exactly where
+the claim fails, and the integer quantities behind the violation details,
+the summaries and the columns of ``ucx scan``.  Every row is a boolean
+membership row: a family property reads the family, a function property
+the membership function of the row, which is -1 exactly on its members.
+The two modes differ only in where the rows come from:
 
 * exhaustive mode (n <= 4 only) takes the binary digits of the instance
   index ``bits`` in [0, 2^{2^n}), the family whose bitset is ``bits``;
@@ -142,7 +142,7 @@ def duality_check(family: SetFamily) -> bool:
     set <=> complement simply-rooted.  The left side is read off the family's
     subset-union cover and the right side off the complement's root masks.
     """
-    return bool(_one_row("duality", family).ok[0])
+    return not _one_row("duality", family).failed[0]
 
 
 def shadow_lemma_check(family: SetFamily) -> bool:
@@ -150,16 +150,16 @@ def shadow_lemma_check(family: SetFamily) -> bool:
     in exactly one set (the unique root removed) when the member has a single
     root, and in no set otherwise.  Always true on the stated domain.
     """
-    return bool(_one_row("shadow-lemma", family,
-                         "shadow dichotomy requires a simply-rooted family").ok[0])
+    return not _one_row("shadow-lemma", family,
+                        "shadow dichotomy requires a simply-rooted family").failed[0]
 
 
 def positive_influence_cap_check(family: SetFamily) -> bool:
     """For a simply-rooted family: I^+ = unique_root_count / 2^{n-1} and
     I^+ <= min(1, |F| / 2^{n-1}).
     """
-    return bool(_one_row("positive-cap", family,
-                         "positive-influence cap requires a simply-rooted family").ok[0])
+    return not _one_row("positive-cap", family,
+                        "positive-influence cap requires a simply-rooted family").failed[0]
 
 
 def conjecture2_margin(family: SetFamily) -> tuple[int | None, Fraction | None]:
@@ -174,7 +174,7 @@ def conjecture2_margin(family: SetFamily) -> tuple[int | None, Fraction | None]:
 def kotlov_check(vertices: SetFamily) -> bool:
     """For a vertex set larger than half the cube: some connected component
     of the induced subgraph uses edges in all n directions."""
-    return bool(_one_row("kotlov", vertices, "vertex set must exceed half the cube").ok[0])
+    return not _one_row("kotlov", vertices, "vertex set must exceed half the cube").failed[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +399,22 @@ def _simply_rooted_complement(rows: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Rows:
-    """Per row of a chunk: whether the property applies and whether it holds;
-    the detail of a failing row, the chunk's summary update, and the integer
-    quantities that ``scan`` writes out."""
+    """Per row of a chunk: whether the property applies and its slack, an
+    int64 that is negative exactly where the claim fails (0 where a claim
+    made of cases has none); the detail of a failing row, the chunk's summary
+    update, and the integer quantities that ``scan`` writes out."""
 
     applicable: np.ndarray
-    ok: np.ndarray
+    slack: np.ndarray
     detail: Callable[[int], dict]
     summary: dict = field(default_factory=dict)
     quantities: dict = field(default_factory=dict)
 
     @property
     def failed(self) -> np.ndarray:
-        """The violations: rows the property applies to but does not hold on."""
-        return self.applicable & ~self.ok
+        """The violations: rows the property applies to with negative slack,
+        the one place a verdict is compared."""
+        return self.applicable & (self.slack < 0)
 
 
 def _every(rows: np.ndarray) -> np.ndarray:
@@ -435,23 +437,17 @@ def _extreme(key: str, values: np.ndarray, mask: np.ndarray) -> dict:
     return {key: int(picked.max() if key.startswith("max_") else picked.min())}
 
 
-def _first_failure(fail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a (rows, cases) failure table: whether no case fails, and
-    the first failing case."""
-    return ~fail.any(axis=1), fail.argmax(axis=1)
-
-
 def _parseval(t: np.ndarray, n: int) -> _Rows:
     four_n = 1 << (2 * n)
     sums = function_level_rows(t, n).sum(axis=1)
-    return _Rows(_every(t), sums == four_n,
+    return _Rows(_every(t), -np.abs(sums - four_n),
                  lambda r: {"coefficient_square_sum": int(sums[r]), "expected": four_n})
 
 
 def _influence_identity(t: np.ndarray, n: int) -> _Rows:
     pivotal = flip_count_rows(t, n).sum(axis=1)
     weighted = function_level_rows(t, n) @ np.arange(n + 1)
-    return _Rows(_every(t), weighted == pivotal << (n + 1),
+    return _Rows(_every(t), -np.abs(weighted - (pivotal << (n + 1))),
                  lambda r: {"pivotal_pairs": int(pivotal[r]),
                             "weighted_square_sum": int(weighted[r])})
 
@@ -459,8 +455,9 @@ def _influence_identity(t: np.ndarray, n: int) -> _Rows:
 def _corollary_lb(t: np.ndarray, n: int) -> _Rows:
     bounds = corollary_bound_rows(function_level_rows(t, n), n)
     lhs = flip_count_rows(t, n).sum(axis=1) << (n + 1)  # I(f) * 2 * 4^n / 2^n
-    ok, first = _first_failure(lhs[:, None] < bounds)
-    return _Rows(_every(t), ok,
+    gaps = lhs[:, None] - bounds
+    first = (gaps < 0).argmax(axis=1)
+    return _Rows(_every(t), gaps.min(axis=1),
                  lambda r: {"k": int(first[r]) + 1, "influence_scaled": int(lhs[r]),
                             "bound_scaled": int(bounds[r, first[r]])})
 
@@ -469,9 +466,10 @@ def _edge_iso(t: np.ndarray, n: int) -> _Rows:
     thresholds, caps = or_family_ladder(n)
     s0 = (1 << n) - 2 * np.count_nonzero(t, axis=1)  # s(empty) = 2^n - 2|F|
     pivotal = flip_count_rows(t, n).sum(axis=1)  # I = pivotal / 2^{n-1}
-    ok, first = _first_failure((s0[:, None] >= thresholds) & (s0[:, None] <= 0)
-                               & (pivotal[:, None] < caps))
-    return _Rows(_every(t), ok,
+    rungs = (s0[:, None] >= thresholds) & (s0[:, None] <= 0)
+    gaps = np.where(rungs, pivotal[:, None] - caps, n << n)  # n << n tops every gap
+    first = (gaps < 0).argmax(axis=1)
+    return _Rows(_every(t), np.where(rungs.any(axis=1), gaps.min(axis=1), 0),
                  lambda r: {"k": int(first[r]), "pivotal_pairs": int(pivotal[r]),
                             "mean_scaled": int(s0[r])})
 
@@ -479,23 +477,23 @@ def _edge_iso(t: np.ndarray, n: int) -> _Rows:
 def _fkn_zero(t: np.ndarray, n: int) -> _Rows:
     first = first_level_rows(t, n)
     qualifying = (first * first).sum(axis=1) == 1 << (2 * n)
-    ok = ~qualifying | (nearest_signed_rows(first)[2] == 1 << n)
-    return _Rows(_every(t), ok, _reason("full level-1 weight but not a signed dictator"),
+    slack = np.where(qualifying, nearest_signed_rows(first)[2] - (1 << n), 0)
+    return _Rows(_every(t), slack, _reason("full level-1 weight but not a signed dictator"),
                  _count("num_qualifying", qualifying))
 
 
 def _ks_zero(t: np.ndarray, n: int) -> _Rows:
     qualifying = function_level_rows(t, n)[:, 2] == 1 << (2 * n)
-    ok = ~qualifying
+    slack = np.zeros(len(t), dtype=np.int64)
     best = nearest_signed_rows(ks_correlation_rows(fwht_rows(t[qualifying]), n))[2]
-    ok[qualifying] = best == 1 << (n + 1)  # correlation 1 with a member
-    return _Rows(_every(t), ok, _reason("full level-2 weight but outside the quadratic class"),
+    slack[qualifying] = best - (1 << (n + 1))  # 0 at correlation 1 with a member
+    return _Rows(_every(t), slack, _reason("full level-2 weight but outside the quadratic class"),
                  _count("num_qualifying", qualifying))
 
 
 def _duality(t: np.ndarray, n: int) -> _Rows:
     lhs = union_closed_rows(t, n) & t[:, 0]  # union-closed and holding the empty set
-    return _Rows(_every(t), lhs == rooted_rows(~t, n)[1], _reason("duality mismatch"))
+    return _Rows(_every(t), (lhs == rooted_rows(~t, n)[1]) - 1, _reason("duality mismatch"))
 
 
 def _frankl(t: np.ndarray, n: int) -> _Rows:
@@ -503,15 +501,15 @@ def _frankl(t: np.ndarray, n: int) -> _Rows:
     applicable = (sizes > 0) & ~((sizes == 1) & t[:, 0]) & union_closed_rows(t, n)
     freqs = frequency_rows(t, n)
     excess = (2 * freqs - sizes[:, None]).max(axis=1)
-    return _Rows(applicable, excess >= 0, lambda r: {"frequencies": freqs[r].tolist()},
+    return _Rows(applicable, excess, lambda r: {"frequencies": freqs[r].tolist()},
                  _extreme("min_abundance_excess", excess, applicable))
 
 
 def _theorem2(t: np.ndarray, n: int) -> _Rows:
     found, applicable = rooted_rows(~t, n)  # union-closed with the empty set, by the duality
     deficiency, unique = upper_shadow_deficiency(t, n), unique_root_counts(found)
-    ok = (deficiency == unique) & (deficiency <= 1 << (n - 1))
-    return _Rows(applicable, ok,
+    slack = np.minimum(-np.abs(deficiency - unique), (1 << (n - 1)) - deficiency)
+    return _Rows(applicable, slack,
                  lambda r: {"deficiency": int(deficiency[r]), "unique_root_count": int(unique[r])},
                  _extreme("max_deficiency", deficiency, applicable),
                  {"size": np.count_nonzero(t, axis=1), "deficiency": deficiency})
@@ -520,28 +518,28 @@ def _theorem2(t: np.ndarray, n: int) -> _Rows:
 def _shadow_lemma(t: np.ndarray, n: int) -> _Rows:
     found, applicable = rooted_rows(t, n)
     missing = missing_lower_rows(t, n)
-    ok = np.all(~t | np.where(uniquely_rooted(found), missing == found, missing == 0), axis=1)
-    return _Rows(applicable, ok, _reason("shadow dichotomy failed"))
+    broken = t & np.where(uniquely_rooted(found), missing != found, missing != 0)
+    return _Rows(applicable, -np.count_nonzero(broken, axis=1), _reason("shadow dichotomy failed"))
 
 
 def _thin_boundary(t: np.ndarray, n: int) -> _Rows:
     applicable = rooted_rows(t, n)[1]
-    return _Rows(applicable, thin_boundary_rows(t, n), _reason("member covers two missing sets"))
+    return _Rows(applicable, thin_boundary_rows(t, n) - 1, _reason("member covers two missing sets"))
 
 
 def _positive_cap(t: np.ndarray, n: int) -> _Rows:
     found, applicable = rooted_rows(t, n)
     enter = pair_count_rows(t, n)[0].sum(axis=1)
     unique = unique_root_counts(found)
-    ok = (enter == unique) & (enter <= np.minimum(1 << (n - 1), np.count_nonzero(t, axis=1)))
-    return _Rows(applicable, ok,
+    cap = np.minimum(1 << (n - 1), np.count_nonzero(t, axis=1))
+    return _Rows(applicable, np.minimum(-np.abs(enter - unique), cap - enter),
                  lambda r: {"enter_pairs": int(enter[r]), "unique_root_count": int(unique[r])})
 
 
 def _partial_claim(t: np.ndarray, n: int) -> _Rows:
     applicable = rooted_rows(t, n)[1] & (4 * np.count_nonzero(t, axis=1) > 3 << n)
     enter = pair_count_rows(t, n)[0].sum(axis=1)
-    return _Rows(applicable, enter < 1 << (n - 1), lambda r: {"enter_pairs": int(enter[r])},
+    return _Rows(applicable, (1 << (n - 1)) - 1 - enter, lambda r: {"enter_pairs": int(enter[r])},
                  _count("num_applicable", applicable))
 
 
@@ -555,17 +553,18 @@ def _conjecture2(t: np.ndarray, n: int) -> _Rows:
     summary = _count("num_applicable", capped)
     if summary:
         summary["min_margin"] = Fraction(int(margin[capped].min()), half)
-    return _Rows(applicable, (k < 0) | (margin >= 0),
+    return _Rows(applicable, np.where(k < 0, 0, margin),
                  lambda r: {"k": int(k[r]), "margin": Fraction(int(margin[r]), half)},
                  summary, {"size": sizes, "enter_pairs": enter, "k": k, "margin_scaled": margin})
 
 
 def _kotlov(t: np.ndarray, n: int) -> _Rows:
     applicable = np.count_nonzero(t, axis=1) > 1 << (n - 1)
-    spans = np.zeros(len(t), dtype=bool)
+    slack = np.zeros(len(t), dtype=np.int64)
     if applicable.any():  # a refused kotlov_check labels nothing
-        spans[applicable] = np.any(component_directions(t[applicable], n) == (1 << n) - 1, axis=1)
-    return _Rows(applicable, spans, _reason("no component spans all directions"))
+        spans = np.bitwise_count(component_directions(t[applicable], n)).max(axis=1)
+        slack[applicable] = spans.astype(np.int64) - n  # bitwise_count is uint8
+    return _Rows(applicable, slack, _reason("no component spans all directions"))
 
 
 @dataclass(frozen=True)

@@ -396,7 +396,7 @@ def test_cmd_scan_reports_the_first_violation(target, prop, tmp_path, monkeypatc
     original = verify._PROPERTIES[prop]
 
     def fail_every_row(rows, n):
-        return dataclasses.replace(original.evaluate(rows, n), ok=np.zeros(len(rows), dtype=bool))
+        return dataclasses.replace(original.evaluate(rows, n), slack=np.full(len(rows), -1))
 
     monkeypatch.setitem(verify._PROPERTIES, prop,
                         dataclasses.replace(original, evaluate=fail_every_row))

@@ -4,8 +4,9 @@ one layer order only, one gate checks integer arguments, core holds the
 one bit codec and popcount, and every membership row the package builds,
 of a function or of a family, enters through ``_of``: the copying
 constructors read only callers' tables, and the level sums have one
-reduction.  The tests define each oracle and each shared input once, in
-``oracles.py``."""
+reduction.  Every sweep evaluator returns an integer slack, and
+``_Rows.failed`` is the one place a verdict is compared.  The tests define
+each oracle and each shared input once, in ``oracles.py``."""
 
 import ast
 from fnmatch import fnmatch
@@ -196,4 +197,31 @@ def test_oracles_live_in_one_module():
                     and isinstance(node.left, ast.Subscript) and isinstance(node.left.value, ast.Call)
                     and getattr(node.left.value.func, "attr", None) == "arange"):
                 offenders.append(f"{path.name}:{node.lineno}: writes out every_table")
+    assert offenders == []
+
+
+def test_one_verdict_comparison():
+    # _Rows carries a slack and no ok; slack is compared (by an operator or a
+    # comparison ufunc) only inside _Rows.failed, and _first_failure is gone
+    comparisons = {"less", "less_equal", "greater", "greater_equal", "equal", "not_equal"}
+    path = SRC / "verify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    rows = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Rows")
+    assert "slack" in {field.target.id for field in rows.body if isinstance(field, ast.AnnAssign)}
+    failed = next(node for node in rows.body if getattr(node, "name", None) == "failed")
+    inside = {id(sub) for sub in ast.walk(failed)}
+    offenders = [f"_Rows:{field.lineno}: field ok" for field in rows.body
+                 if isinstance(field, ast.AnnAssign) and field.target.id == "ok"]
+    for node in ast.walk(tree):
+        compared = (isinstance(node, ast.Compare) or isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) in comparisons)
+        if compared and id(node) not in inside and any(
+                "slack" in (getattr(sub, "id", None), getattr(sub, "attr", None))
+                for sub in ast.walk(node)):
+            offenders.append(f"verify.py:{node.lineno}: compares slack outside _Rows.failed")
+    for other in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(other.read_text(encoding="utf-8"))):
+            if "_first_failure" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                    getattr(node, "name", None)):
+                offenders.append(f"{other.name}:{node.lineno}: names _first_failure")
     assert offenders == []

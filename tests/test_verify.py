@@ -147,7 +147,8 @@ def test_conjecture2_margin_rows_match_fractions():
 def test_edge_iso_ladder_on_every_small_row(monkeypatch):
     """No sweep reaches a failing edge-iso row, so the flip counts are
     replaced by values that walk through every influence below n: each row
-    is checked against the inequality for each k on its own."""
+    is checked against the inequality for each k on its own, and its slack
+    is the least pivotal - cap over the rungs that apply (0 for none)."""
 
     def walking_flips(t, n):
         flips = np.zeros((len(t), n), dtype=np.int64)
@@ -163,10 +164,11 @@ def test_edge_iso_ladder_on_every_small_row(monkeypatch):
         for r, size in enumerate(np.count_nonzero(rows, axis=1).tolist()):
             mean = Fraction((1 << n) - 2 * size, 1 << n)
             influence = Fraction(pivotal[r], 1 << (n - 1))
-            failing = [k for k in range(n)
-                       if -(1 - Fraction(1, 1 << k)) <= mean <= 0
-                       and influence < Fraction(k + 1, 1 << k)]
-            assert bool(found.ok[r]) == (not failing), (n, r)
+            rungs = [k for k in range(n) if -(1 - Fraction(1, 1 << k)) <= mean <= 0]
+            failing = [k for k in rungs if influence < Fraction(k + 1, 1 << k)]
+            gaps = [pivotal[r] - (k + 1) * (1 << (n - 1)) // (1 << k) for k in rungs]
+            assert found.slack[r] == min(gaps, default=0), (n, r)
+            assert bool(found.failed[r]) == bool(failing), (n, r)
             if failing:
                 failures += 1
                 assert found.detail(r)["k"] == failing[0], (n, r)
@@ -354,7 +356,7 @@ def test_pool_forked_after_blas_gives_the_same_report():
 
 def test_witness_serialization(monkeypatch):
     def fail_every_row(rows, n):
-        return verify._Rows(np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool),
+        return verify._Rows(np.ones(len(rows), dtype=bool), np.full(len(rows), -1),
                             lambda r: {"reason": "forced"})
 
     for prop, kind in (("parseval", "function"), ("duality", "family")):
@@ -377,7 +379,7 @@ def test_package_families_enter_through_of(monkeypatch):
     copying constructor refusing every call, each path that returns a family
     still returns the one it did, over a read-only table."""
     def fail_every_row(rows, n):
-        return verify._Rows(np.ones(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool),
+        return verify._Rows(np.ones(len(rows), dtype=bool), np.full(len(rows), -1),
                             lambda r: {"reason": "forced"})
 
     monkeypatch.setitem(verify._PROPERTIES, "duality",
@@ -430,7 +432,7 @@ def test_single_family_checks_read_their_sweep_evaluators(monkeypatch):
     assert conjecture2_margin(fam) == (1, 0)
     for applicable in (True, False):
         def forced(rows, n):
-            return verify._Rows(np.full(len(rows), applicable), np.zeros(len(rows), dtype=bool),
+            return verify._Rows(np.full(len(rows), applicable), np.full(len(rows), -1),
                                 lambda r: {"reason": "forced"},
                                 quantities={"k": np.full(len(rows), 0),
                                             "margin_scaled": np.full(len(rows), -3)})
@@ -442,7 +444,8 @@ def test_single_family_checks_read_their_sweep_evaluators(monkeypatch):
             assert [check(fam) for check in checks.values()] == [False] * 4
             assert conjecture2_margin(fam) == (0, Fraction(-3, 2))
             continue
-        assert duality_check(fam) is False  # defined on every family: never refused
+        # defined on every family, so never refused; a row it does not apply to never fails
+        assert duality_check(fam) is True
         for check in (shadow_lemma_check, positive_influence_cap_check, kotlov_check,
                       conjecture2_margin):
             with pytest.raises(PreconditionError):
@@ -537,7 +540,8 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
 
         def forced(rows, n):
             found = evaluate(rows, n)
-            return dataclasses.replace(found, ok=found.ok & (np.count_nonzero(rows, axis=1) % 3 > 0))
+            thirds = np.count_nonzero(rows, axis=1) % 3 == 0
+            return dataclasses.replace(found, slack=np.where(thirds, -1, found.slack))
 
         return dataclasses.replace(verify._PROPERTIES[prop], evaluate=forced)
 
