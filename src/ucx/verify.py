@@ -258,10 +258,8 @@ def jsonable(value):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
     return value
 
 
@@ -413,7 +411,7 @@ class _Rows:
     @property
     def failed(self) -> np.ndarray:
         """The violations: rows the property applies to with negative slack,
-        the one place a verdict is compared."""
+        the one place slack is compared."""
         return self.applicable & (self.slack < 0)
 
 
@@ -437,6 +435,13 @@ def _extreme(key: str, values: np.ndarray, mask: np.ndarray) -> dict:
     return {key: int(picked.max() if key.startswith("max_") else picked.min())}
 
 
+def _least_gap(gaps: np.ndarray, cases: np.ndarray | bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, over the ``cases`` that apply: the least gap (0 if none) and the first negative."""
+    cases = np.broadcast_to(cases, gaps.shape)
+    least = gaps.min(axis=1, where=cases, initial=np.iinfo(np.int64).max)
+    return np.where(cases.any(axis=1), least, 0), (cases & (gaps < 0)).argmax(axis=1)
+
+
 def _parseval(t: np.ndarray, n: int) -> _Rows:
     four_n = 1 << (2 * n)
     sums = function_level_rows(t, n).sum(axis=1)
@@ -455,9 +460,8 @@ def _influence_identity(t: np.ndarray, n: int) -> _Rows:
 def _corollary_lb(t: np.ndarray, n: int) -> _Rows:
     bounds = corollary_bound_rows(function_level_rows(t, n), n)
     lhs = flip_count_rows(t, n).sum(axis=1) << (n + 1)  # I(f) * 2 * 4^n / 2^n
-    gaps = lhs[:, None] - bounds
-    first = (gaps < 0).argmax(axis=1)
-    return _Rows(_every(t), gaps.min(axis=1),
+    slack, first = _least_gap(lhs[:, None] - bounds)
+    return _Rows(_every(t), slack,
                  lambda r: {"k": int(first[r]) + 1, "influence_scaled": int(lhs[r]),
                             "bound_scaled": int(bounds[r, first[r]])})
 
@@ -467,9 +471,8 @@ def _edge_iso(t: np.ndarray, n: int) -> _Rows:
     s0 = (1 << n) - 2 * np.count_nonzero(t, axis=1)  # s(empty) = 2^n - 2|F|
     pivotal = flip_count_rows(t, n).sum(axis=1)  # I = pivotal / 2^{n-1}
     rungs = (s0[:, None] >= thresholds) & (s0[:, None] <= 0)
-    gaps = np.where(rungs, pivotal[:, None] - caps, n << n)  # n << n tops every gap
-    first = (gaps < 0).argmax(axis=1)
-    return _Rows(_every(t), np.where(rungs.any(axis=1), gaps.min(axis=1), 0),
+    slack, first = _least_gap(pivotal[:, None] - caps, rungs)
+    return _Rows(_every(t), slack,
                  lambda r: {"k": int(first[r]), "pivotal_pairs": int(pivotal[r]),
                             "mean_scaled": int(s0[r])})
 
@@ -702,15 +705,12 @@ def run_sweep(plan: SweepPlan) -> VerificationReport:
             futures = [pool.submit(_sweep_block, plan, lo, hi) for lo, hi in blocks]
             partials = [f.result() for f in futures]
 
-    checked = violation_count = 0
-    violations: list[dict] = []
+    checked, violation_counts, witnesses, summaries = zip(*partials)
+    violation_count = sum(violation_counts)
     summary: dict = {}
-    for block_checked, block_violations, witnesses, block_summary in partials:
-        checked += block_checked
-        violation_count += block_violations
-        violations.extend(witnesses)
+    for block_summary in summaries:
         _merge_summary(summary, block_summary)
-    violations = violations[: plan.witness_cap]
+    violations = [w for block in witnesses for w in block][: plan.witness_cap]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     return VerificationReport(
@@ -721,7 +721,7 @@ def run_sweep(plan: SweepPlan) -> VerificationReport:
         seed=plan.seed,
         worker_count=plan.worker_count,
         enumerated=total,
-        checked=checked,
+        checked=sum(checked),
         violation_count=violation_count,
         violations=tuple(violations),
         summary=jsonable(summary),

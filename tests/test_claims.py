@@ -1,13 +1,15 @@
 """Every claim can fail: one planted violation per sweep property.
 
-Each row of ``PLANTED`` names a kernel that ``ucx.verify`` imported, a
-perturbation of its output and the detail keys of the witness it must
-produce.  With the name patched where ``verify`` reads it, the evaluator
-sees the perturbed quantity, and three things must say "violated": an
+Each row of ``PLANTED`` names the kernels that ``ucx.verify`` imported, a
+perturbation of each one's output and the detail keys of the witness it
+must produce.  With the names patched where ``verify`` reads them, the
+evaluator sees the perturbed quantities, and three things must say "violated": an
 exhaustive sweep (n = 3; n = 4 for ``ks-zero``, where the quadratic class
 also has four-index members), the single-family check where one exists, on
 the first flagged row, and ``ucx verify``.  Sums over coordinates are moved on
-coordinate 0, so the total moves by the stated amount.  With the slack
+coordinate 0, so the total moves by the stated amount.  A claim made of
+an identity and a bound has a case that breaks only the identity and one
+that breaks only the bound.  With the slack
 clipped at 0, each planted check must fail: the check tests the verdict,
 not only the kernels.
 
@@ -46,49 +48,71 @@ def _moved(values, amount):
 
 
 class Planted(NamedTuple):
-    name: str  # the kernel, as ``verify`` imported it
-    perturb: Callable  # (kernel output, n) -> perturbed output
+    moves: dict  # kernel, as ``verify`` imported it -> (its output, n) -> perturbed output
     detail: frozenset
     flagged: int  # rows the perturbed exhaustive sweep reports
 
+    @property
+    def name(self) -> str:
+        return "+".join(self.moves)
 
-def _planted(name, perturb, *keys, flagged):
-    return Planted(name, perturb, frozenset(keys), flagged)
+
+def _planted(*keys, flagged, **moves):
+    return Planted(moves, frozenset(keys), flagged)
+
+
+def _enter_up(pc, n):
+    return _moved(pc[0], 1), pc[1]
+
+
+def _to_half_cube_and_one(values, n):
+    return np.full_like(values, (1 << (n - 1)) + 1)
+
+
+def _one_more(values, n):
+    return values + 1
 
 
 PLANTED = {
-    "partial-claim": (_planted("pair_count_rows", lambda pc, n: (_moved(pc[0], 1 << (n - 1)), pc[1]),
-                               "enter_pairs", flagged=1),),
-    "conjecture2": (_planted("pair_count_rows", lambda pc, n: (_moved(pc[0], 1), pc[1]),
-                             "k", "margin", flagged=22),),
-    "positive-cap": (_planted("pair_count_rows", lambda pc, n: (_moved(pc[0], 1), pc[1]),
-                              "enter_pairs", "unique_root_count", flagged=61),),
-    "edge-iso": (_planted("flip_count_rows", lambda flips, n: _moved(flips, -1),
-                          "k", "pivotal_pairs", "mean_scaled", flagged=26),),
-    "fkn-zero": (_planted("nearest_signed_rows", lambda best, n: (*best[:2], best[2] - 1),
-                          "reason", flagged=6),),
-    "ks-zero": (_planted("nearest_signed_rows", lambda best, n: (*best[:2], best[2] - 1),
-                         "reason", flagged=36),),
-    "kotlov": (_planted("component_directions", lambda labels, n: labels & ~np.uint32(1),
-                        "reason", flagged=93),),
-    "thin-boundary": (_planted("thin_boundary_rows", lambda thin, n: ~thin, "reason", flagged=61),),
-    "shadow-lemma": (_planted("missing_lower_rows", lambda missing, n: missing ^ np.uint32(1),
-                              "reason", flagged=60),),
-    "frankl": (_planted("frequency_rows", lambda freqs, n: freqs - 1, "frequencies", flagged=53),),
-    "theorem2": (
-        _planted("upper_shadow_deficiency", lambda d, n: np.full_like(d, (1 << (n - 1)) + 1),
-                 "deficiency", "unique_root_count", flagged=61),
-        _planted("unique_root_counts", lambda unique, n: unique - 1,
-                 "deficiency", "unique_root_count", flagged=61),
+    "partial-claim": (_planted("enter_pairs", flagged=1, pair_count_rows=lambda pc, n: (
+        _moved(pc[0], 1 << (n - 1)), pc[1])),),
+    "conjecture2": (_planted("k", "margin", flagged=22, pair_count_rows=_enter_up),),
+    "positive-cap": (
+        _planted("enter_pairs", "unique_root_count", flagged=61, pair_count_rows=_enter_up),
+        # the identity holds, and only the cap min(2^{n-1}, |F|) breaks
+        _planted("enter_pairs", "unique_root_count", flagged=44,
+                 pair_count_rows=_enter_up, unique_root_counts=_one_more),
     ),
-    "duality": (_planted("rooted_rows", lambda found, n: (found[0], ~found[1]),
-                         "reason", flagged=256),),
-    "parseval": (_planted("function_level_rows", lambda levels, n: _moved(levels, 1),
-                          "coefficient_square_sum", "expected", flagged=256),),
-    "influence-identity": (_planted("flip_count_rows", lambda flips, n: _moved(flips, 1),
-                                    "pivotal_pairs", "weighted_square_sum", flagged=256),),
-    "corollary-lb": (_planted("corollary_bound_rows", lambda bounds, n: bounds + (1 << (2 * n)),
-                              "k", "influence_scaled", "bound_scaled", flagged=256),),
+    "edge-iso": (_planted("k", "pivotal_pairs", "mean_scaled", flagged=26,
+                          flip_count_rows=lambda flips, n: _moved(flips, -1)),),
+    "fkn-zero": (_planted("reason", flagged=6,
+                          nearest_signed_rows=lambda best, n: (*best[:2], best[2] - 1)),),
+    "ks-zero": (_planted("reason", flagged=36,
+                         nearest_signed_rows=lambda best, n: (*best[:2], best[2] - 1)),),
+    "kotlov": (_planted("reason", flagged=93,
+                        component_directions=lambda labels, n: labels & ~np.uint32(1)),),
+    "thin-boundary": (_planted("reason", flagged=61, thin_boundary_rows=lambda thin, n: ~thin),),
+    "shadow-lemma": (_planted("reason", flagged=60,
+                              missing_lower_rows=lambda missing, n: missing ^ np.uint32(1)),),
+    "frankl": (_planted("frequencies", flagged=53, frequency_rows=lambda freqs, n: freqs - 1),),
+    "theorem2": (
+        _planted("deficiency", "unique_root_count", flagged=61,
+                 upper_shadow_deficiency=_to_half_cube_and_one),
+        # the bound holds, and only the identity breaks
+        _planted("deficiency", "unique_root_count", flagged=61,
+                 unique_root_counts=lambda unique, n: unique - 1),
+        # the identity holds, and only the bound 2^{n-1} breaks
+        _planted("deficiency", "unique_root_count", flagged=61,
+                 upper_shadow_deficiency=_to_half_cube_and_one,
+                 unique_root_counts=_to_half_cube_and_one),
+    ),
+    "duality": (_planted("reason", flagged=256, rooted_rows=lambda found, n: (found[0], ~found[1])),),
+    "parseval": (_planted("coefficient_square_sum", "expected", flagged=256,
+                          function_level_rows=lambda levels, n: _moved(levels, 1)),),
+    "influence-identity": (_planted("pivotal_pairs", "weighted_square_sum", flagged=256,
+                                    flip_count_rows=lambda flips, n: _moved(flips, 1)),),
+    "corollary-lb": (_planted("k", "influence_scaled", "bound_scaled", flagged=256,
+                              corollary_bound_rows=lambda bounds, n: bounds + (1 << (2 * n))),),
 }
 CASES = [pytest.param(prop, case, id=f"{prop}-{case.name}")
          for prop, cases in PLANTED.items() for case in cases]
@@ -104,8 +128,10 @@ CHECKS = {
 
 
 def _plant(monkeypatch, case: Planted, n: int) -> None:
-    kernel = getattr(verify, case.name)
-    monkeypatch.setattr(verify, case.name, lambda *args: case.perturb(kernel(*args), n))
+    for name, perturb in case.moves.items():
+        kernel = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda *args, kernel=kernel, perturb=perturb: perturb(kernel(*args), n))
 
 
 def _assert_planted_fails(monkeypatch, prop: str, case: Planted) -> None:
@@ -157,6 +183,11 @@ def _or_families(n):
     return [or_family(m, n).family.to_bool() for m in (1, 2, 3)]
 
 
+def _or_families_at_the_cap(n):
+    """The OR-families with I^+ = 1, m = 1, 2: at m = 3, I^+ = 3/4."""
+    return _or_families(n)[:2]
+
+
 def _dictators(n):
     row = dictator(1, n).family.to_bool()
     return [row, ~row]
@@ -172,23 +203,25 @@ def _full_set_flipped(missing, n):
     return missing ^ (np.arange(1 << n) == (1 << n) - 1).astype(np.uint32)
 
 
-def _move(name, perturb):
-    """A one-unit move of a kernel, planted like a row of ``PLANTED``."""
-    return Planted(name, perturb, frozenset(), 0)
+def _move(**moves):
+    """A one-unit move of kernels, planted like a row of ``PLANTED``."""
+    return Planted(moves, frozenset(), 0)
 
 
-ENTER_UP = _move("pair_count_rows", lambda pc, n: (_moved(pc[0], 1), pc[1]))
-# (property, tight rows at n, the kernel moved one unit past the bound, slack after the move)
+# (property, tight rows at n, the kernels moved one unit past the bound, slack after the move)
 EDGES = [
-    ("theorem2", _half_cube, _move("upper_shadow_deficiency", lambda d, n: d + 1), -1),
-    ("theorem2", _half_cube, PLANTED["theorem2"][1], -1),  # the equality half
+    ("theorem2", _half_cube, _move(upper_shadow_deficiency=_one_more), -1),
+    ("theorem2", _half_cube, PLANTED["theorem2"][1], -1),  # the identity alone
+    ("theorem2", _half_cube,  # the bound alone
+     _move(upper_shadow_deficiency=_one_more, unique_root_counts=_one_more), -1),
     # one unit of a frequency is two units of the excess 2|F_i| - |F|
     ("frankl", _half_cube, PLANTED["frankl"][0], -2),
-    ("positive-cap", _or_families, ENTER_UP, -1),
-    ("conjecture2", _or_families, ENTER_UP, -1),
+    ("positive-cap", _or_families, _move(pair_count_rows=_enter_up), -1),
+    ("positive-cap", _or_families_at_the_cap, PLANTED["positive-cap"][1], -1),  # the bound alone
+    ("conjecture2", _or_families, PLANTED["conjecture2"][0], -1),
     ("edge-iso", _or_families, PLANTED["edge-iso"][0], -1),
-    ("corollary-lb", _or_families, _move("corollary_bound_rows", lambda bounds, n: bounds + 1), -1),
-    ("shadow-lemma", _or_families, _move("missing_lower_rows", _full_set_flipped), -1),
+    ("corollary-lb", _or_families, _move(corollary_bound_rows=_one_more), -1),
+    ("shadow-lemma", _or_families, _move(missing_lower_rows=_full_set_flipped), -1),
     ("thin-boundary", _or_families, PLANTED["thin-boundary"][0], -1),
     ("fkn-zero", _dictators, PLANTED["fkn-zero"][0], -1),
     ("ks-zero", _ks_ends, PLANTED["ks-zero"][0], -1),
@@ -197,7 +230,7 @@ EDGES = [
     ("duality", _half_cube, PLANTED["duality"][0], -1),
     ("parseval", _dictators, PLANTED["parseval"][0], -1),
     ("influence-identity", _dictators,  # level 1 up by one moves the weighted sum by one
-     _move("function_level_rows", lambda levels, n: levels + (np.arange(n + 1) == 1)), -1),
+     _move(function_level_rows=lambda levels, n: levels + (np.arange(n + 1) == 1)), -1),
 ]
 
 

@@ -5,7 +5,7 @@ one bit codec and popcount, and every membership row the package builds,
 of a function or of a family, enters through ``_of``: the copying
 constructors read only callers' tables, and the level sums have one
 reduction.  Every sweep evaluator returns an integer slack, and
-``_Rows.failed`` is the one place a verdict is compared.  The tests define
+``_Rows.failed`` is the one place slack is compared.  The tests define
 each oracle and each shared input once, in ``oracles.py``."""
 
 import ast
