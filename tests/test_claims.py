@@ -3,24 +3,24 @@
 Each row of ``PLANTED`` names the kernels that ``ucx.verify`` imported, a
 perturbation of each one's output and the detail keys of the witness it
 must produce.  With the names patched where ``verify`` reads them, the
-evaluator sees the perturbed quantities, and three things must say "violated": an
-exhaustive sweep (n = 3; n = 4 for ``ks-zero``, where the quadratic class
-also has four-index members), the single-family check where one exists, on
-the first flagged row, and ``ucx verify``.  Sums over coordinates are moved on
-coordinate 0, so the total moves by the stated amount.  A claim made of
-an identity and a bound has a case that breaks only the identity and one
-that breaks only the bound.  With the slack
+evaluator sees the perturbed quantities, and three things must say
+"violated": an exhaustive sweep (n = 3; n = 4 for ``ks-zero``, where the
+quadratic class also has four-index members), the single-family check where
+one exists, on the first flagged row, and ``ucx verify``.  Sums over
+coordinates are moved on coordinate 0, so the total moves by the stated
+amount.  A claim made of an identity and a bound has a case that breaks
+only the identity and one that breaks only the bound.  With the slack
 clipped at 0, each planted check must fail: the check tests the verdict,
 not only the kernels.
 
 ``EDGES`` holds the package's tight constructions: each reads slack exactly
-0 at n = 4..6, and the same row with one kernel moved one unit past the
+0 at n = 4..6, and the same row with its kernels moved one unit past the
 bound reads slack -1 and is reported.  ``partial-claim`` has no tight
 construction in the package, so it has no edge.
 """
 
 import dataclasses
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import pytest
