@@ -10,11 +10,13 @@ block at a time into float32 and runs it through matrix products.  It is
 still exact: each value it forms is an integer of magnitude at most
 2^n <= 2^24, and float32 represents every integer up to 2^24, so no addition
 rounds.  The level sums have one reduction, ``_by_level``: float squares
-times one-hot popcount matrices in BLAS.  ``function_level_rows`` feeds it
-each transform block squared (float32 at n <= 12, float64 to n = 15), with
-no spectra table, and ``level_sum_rows`` the float64 squares of integer
-spectra.  Every partial sum is an integer the float holds: at most 4^n,
-2^24 or 2^30, on the first path, and below 2^53, as checked, on the second.
+times one-hot popcount matrices in BLAS, first over the low bits of a mask,
+then over the rest.  ``function_level_rows`` feeds it each transform block
+squared (float32 at n <= 12, float64 to n = 15), split at the low ceil(n/2)
+bits for every n, with no spectra table, and ``level_sum_rows`` the float64
+squares of integer spectra.  Every partial sum is an integer the float
+holds: at most 4^n, 2^24 or 2^30, on the first path, and below 2^53, as
+checked, on the second.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class Spectrum(CubeTable):
 # H_{2^f} with at most _GEMM_VOLUME = 2^18 multiply-adds: OpenBLAS runs a
 # product that small on the calling thread alone, and forked pool workers do
 # not oversubscribe the cores.  (It adds a thread only from 2^19 on, so the level
-# sums' one-hot products (at most 13 * 2^15 a block, 25 * 2^13 a row) run there too.)
+# sums' one-hot products (at most 9 * 2^15 a block, 25 * 2^13 a row) run there too.)
 # Rows pass through the kernels in blocks of at most _BLOCK_ENTRIES = 2^15
 # entries (128 kB of float32, 256 kB of int64), which stay in L2.
 _FACTOR_BITS = 5
@@ -219,21 +221,21 @@ def _by_level(squares: np.ndarray, bits: int, low: int) -> np.ndarray:
 def function_level_rows(tables: np.ndarray, n: int) -> np.ndarray:
     """Per row of a boolean (rows, 2^n) table: ``level_sum_rows(fwht_rows(tables),
     n)`` without the spectra table.  While a row fits in a block (2^n <=
-    ``_BLOCK_ENTRIES``), each block's spectra are squared in float32 (n <= 12,
-    low = n) or float64 (low = ceil(n/2)) and summed by ``_by_level``.  Exact
-    in any summation order: every partial sum is an integer in [0, 4^n], and
-    4^n <= 2^24 (float32) or 2^30 (float64)."""
+    ``_BLOCK_ENTRIES``), each block's spectra are squared in float32 (n <= 12)
+    or float64 (n = 13..15) and summed by ``_by_level`` over the low ceil(n/2)
+    bits, then the rest.  Exact in any summation order: every partial sum is
+    an integer in [0, 4^n], and 4^n <= 2^24 (float32) or 2^30 (float64)."""
     if _cube_bits(tables) != n:
         raise ValueError(f"expected rows of 2^{n} entries, got {tables.shape[1]}")
     if 1 << n > _BLOCK_ENTRIES:
         return level_sum_rows(fwht_rows(tables), n)
-    exact, low = (np.float32, n) if n <= 12 else (np.float64, -(-n // 2))
+    exact = np.float32 if n <= 12 else np.float64
     out = np.empty((len(tables), n + 1), dtype=np.int64)
     squares = np.empty(min(tables.size, _BLOCK_ENTRIES), dtype=exact)
     for (rows, _), x in _low_products(tables, _factors(n), *_float32_buffers(tables.size)):
         # dtype=exact: numpy would square a float32 x in float32, rounding at n >= 14
         out[rows] = _by_level(np.square(x, out=squares[:x.size].reshape(x.shape), dtype=exact),
-                              n, low)
+                              n, -(-n // 2))
     return out
 
 

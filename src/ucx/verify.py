@@ -66,6 +66,9 @@ EXHAUSTIVE_MAX_N = 4
 # cache.  At n <= 15 a function chunk's spectra are reduced to level sums a
 # block at a time and never held as a table.
 _CHUNK_ENTRIES = 1 << 20
+# Generators per draw of random_union_closed: 8 MB of int64 indices, so the
+# check that the cube is full (at most 2^24 entries) costs less than a draw.
+_GENERATOR_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +99,21 @@ def enumerate_families(n: int, which: str = "all") -> Iterator[SetFamily]:
 
 
 def random_union_closed(n: int, generator_count: int, seed: int) -> SetFamily:
-    """Union closure of ``generator_count`` uniform subsets; deterministic."""
+    """Union closure of ``generator_count`` uniform subsets; deterministic.
+
+    The generators are drawn ``_GENERATOR_CHUNK`` at a time from one
+    ``Generator``, which continues the stream of a single draw of them all,
+    and the draws stop once every set is a member: the closure is then the
+    full cube whatever follows.  So a huge count costs no more than filling
+    the cube."""
     n = check_dimension(n)
-    generator_count = check_int(generator_count, "generator_count", 0)
+    remaining = check_int(generator_count, "generator_count", 0)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     table = np.zeros(1 << n, dtype=bool)
-    table[rng.integers(0, 1 << n, size=generator_count, dtype=np.int64)] = True
+    while remaining and not table.all():
+        size = min(remaining, _GENERATOR_CHUNK)
+        table[rng.integers(0, 1 << n, size=size, dtype=np.int64)] = True
+        remaining -= size
     return SetFamily._of(n, closure_rows(table, n))
 
 
@@ -593,7 +605,10 @@ class _Property:
         spare 32-bit half that an earlier row's ``integers`` call may have
         kept, so each row's draws are bit-identical to those of a fresh
         ``default_rng((seed, index))``, without building one per row.
-        Exhaustive mode does not load ``numpy.random``."""
+        Every chunk is drawn into one table, sized by the first chunk and
+        cleared before each later one, so a chunk's rows are valid only until
+        the next chunk is drawn.  Exhaustive mode does not load
+        ``numpy.random``."""
         n = plan.n
         if plan.mode == "exhaustive":
             for start, stop in _chunks(n, lo, hi):
@@ -601,8 +616,12 @@ class _Property:
             return
         bits = np.random.PCG64(0)
         rng = np.random.Generator(bits)
+        table = None
         for start, stop in _chunks(n, lo, hi):
-            rows = np.zeros((stop - start, 1 << n), dtype=bool)
+            if table is None:
+                table = np.empty((stop - start, 1 << n), dtype=bool)
+            rows = table[:stop - start]
+            rows.fill(False)
             for r, state in enumerate(_pcg64_states(plan.seed, start, stop)):
                 bits.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
                 self.draw(rng, n, rows[r])
@@ -662,7 +681,7 @@ def _sweep_block(plan: SweepPlan, lo: int, hi: int) -> tuple[int, int, list[dict
         _merge_summary(summary, found.summary)
         failing = np.flatnonzero(found.failed)
         violation_count += len(failing)
-        for r in failing[: plan.witness_cap - len(witnesses)].tolist():
+        for r in failing[: plan.witness_cap - len(witnesses)].tolist():  # the next chunk overwrites rows
             witnesses.append(_witness(kind, start + r, plan.n, rows[r], found.detail(r)))
     return checked, violation_count, witnesses, summary
 
@@ -670,7 +689,8 @@ def _sweep_block(plan: SweepPlan, lo: int, hi: int) -> tuple[int, int, list[dict
 def scan(prop: str, n: int, samples: int, seed: int) -> Iterator[tuple[int, np.ndarray, dict, bool]]:
     """Per-row output mode of a random sweep of a family property: for each
     instance in index order, its index, membership row, integer quantities and
-    whether it is a violation.  The arguments are validated before the first
+    whether it is a violation.  Each row is a copy, so it stays valid after
+    the next chunk is drawn.  The arguments are validated before the first
     row is drawn."""
     plan = SweepPlan(prop, n, "random", samples=samples, seed=seed)
 
@@ -678,7 +698,7 @@ def scan(prop: str, n: int, samples: int, seed: int) -> Iterator[tuple[int, np.n
         for start, rows, found in _evaluated(plan, 0, plan.samples):
             failed = found.failed.tolist()
             for r, row in enumerate(rows):
-                yield (start + r, row, {key: int(v[r]) for key, v in found.quantities.items()},
+                yield (start + r, row.copy(), {key: int(v[r]) for key, v in found.quantities.items()},
                        failed[r])
 
     return instances()

@@ -10,6 +10,13 @@ set, a closure with one member dropped, and complements of closures that
 hold the empty set, which are simply-rooted.  Each batch is handed over as
 0, 1 and all rows, with leading dimensions (2, 3), in C, Fortran and
 strided layouts, and read-only; the kernel must leave its input unchanged.
+
+Above n = 13, where the oracles are too slow, ``_closed_forms`` gives each
+kernel's output on six union-closed families by formula: the empty and the
+full family, ``half_cube_missing``, an ``or_family``, a ``dictator`` and
+the up-set of the sets of size at least n/2.  They run as one table at
+n = 14, 16 and 20, under ``UCX_MAX_N=24``, and the half cube alone at
+n = 24.
 """
 
 import ast
@@ -33,10 +40,13 @@ from oracles import (
     rowwise,
 )
 
+from ucx.core import SetFamily
+from ucx.extremal import dictator, half_cube_missing, or_family
 from ucx.families import (
     closure_rows,
     component_directions,
     cover_table,
+    lower_shadow,
     missing_lower_rows,
     root_masks,
     rooted_rows,
@@ -44,6 +54,7 @@ from ucx.families import (
     union_closed_rows,
     unique_root_counts,
     uniquely_rooted,
+    upper_shadow,
     upper_shadow_deficiency,
 )
 
@@ -109,3 +120,93 @@ def test_every_row_kernel_has_an_oracle():
     kernels = {node.name for node in tree.body
                if isinstance(node, ast.FunctionDef) and node.name.endswith("_rows")}
     assert kernels and kernels <= set(KERNELS)
+
+
+# ---------------------------------------------------------------------------
+# closed forms above the oracles' range: n = 14, 16, 20 and 24
+
+
+def _cube(n):
+    """The masks of the n-cube, their popcounts and the full mask."""
+    masks = np.arange(1 << n, dtype=np.uint32)
+    return masks, np.bitwise_count(masks), (1 << n) - 1
+
+
+def _half_cube_missing(n):
+    """The sets avoiding i = n // 2: a subcube holding the empty set, whose
+    every member is all roots, and which every set holding i covers.  Its
+    tables are built when read, since at n = 24 most go unread."""
+    masks, pop, full = _cube(n)
+    bit = 1 << (n // 2 - 1)
+    avoiding = masks & bit == 0
+    return half_cube_missing(n // 2, n).family.to_bool(), dict(
+        roots=lambda: np.where(avoiding, masks, 0), unique=n - 1, simply_rooted=False,
+        closure=avoiding, missing=lambda: np.where(avoiding, 0, masks ^ bit),
+        deficiency=1 << (n - 1), upper=lambda: pop >= 1, lower=lambda: avoiding & (pop <= n - 2),
+        directions=lambda: np.where(avoiding, full ^ bit, 0))
+
+
+def _meeting(table, mask, n):
+    """The sets meeting ``mask``, an up-set: a member's roots are its
+    elements in ``mask``, so it is uniquely rooted when it meets the mask
+    once; members are joined in every direction but a one-element mask's."""
+    masks, pop, full = _cube(n)
+    members, hits = masks & mask != 0, np.bitwise_count(masks & mask)
+    size = mask.bit_count()
+    return table, dict(
+        roots=masks & mask, unique=size << (n - size), simply_rooted=True, closure=members,
+        missing=np.where(members, np.where(hits == 1, masks & mask, 0), masks), deficiency=0,
+        upper=members & (pop >= 2), lower=masks != full,
+        directions=np.where(members, full ^ mask if size == 1 else full, 0))
+
+
+def _closed_forms(n):
+    """name -> (membership table, closed forms) of six union-closed
+    families: their roots and unique-root counts, whether they are
+    simply-rooted, their closures, ``missing_lower_rows``, upper-shadow
+    deficiencies, upper and lower shadows, and component directions."""
+    masks, pop, full = _cube(n)
+    none, every = np.zeros(1 << n, dtype=bool), np.ones(1 << n, dtype=bool)
+    k = n // 2  # the up-set of the sets of size at least k
+    return {
+        "empty": (none, dict(
+            roots=0, unique=0, simply_rooted=True, closure=none, missing=masks, deficiency=0,
+            upper=none, lower=none, directions=0)),
+        "full": (every, dict(
+            roots=masks, unique=n, simply_rooted=False, closure=every, missing=0, deficiency=0,
+            upper=pop >= 1, lower=pop <= n - 1, directions=full)),
+        "half_cube_missing": _half_cube_missing(n),
+        "or_family": _meeting(or_family(3, n).family.to_bool(), 0b111, n),
+        "dictator": _meeting(dictator(n // 2, n).family.to_bool(), 1 << (n // 2 - 1), n),
+        "up-set": (pop >= k, dict(
+            roots=0, unique=0, simply_rooted=False, closure=pop >= k,
+            missing=np.where(pop <= k, masks, 0), deficiency=0, upper=pop >= k + 1,
+            lower=(pop >= k - 1) & (pop <= n - 1), directions=np.where(pop >= k, full, 0))),
+    }
+
+
+@pytest.mark.parametrize("n", [14, 16, 20, 24])
+def test_family_kernels_match_closed_forms_above_the_oracles(n, monkeypatch):
+    """The kernels on every family of ``_closed_forms``, as the rows of one
+    table per n.  At n = 24 one row, the half cube, through the two sweeps
+    every kernel rests on: ``cover_table`` (its roots) and
+    ``missing_lower_rows`` (its deficiency); the other kernels would add
+    about 3 s there, and ``component_directions`` 2.8 s more."""
+    monkeypatch.setenv("UCX_MAX_N", "24")
+    cases = {"half_cube_missing": _half_cube_missing(n)} if n == 24 else _closed_forms(n)
+    tables = np.array([table for table, _ in cases.values()])
+    roots, simply_rooted = rooted_rows(tables, n)
+    got = {"roots": roots, "unique": unique_root_counts(roots), "simply_rooted": simply_rooted,
+           "deficiency": upper_shadow_deficiency(tables, n)}
+    if n < 24:
+        assert union_closed_rows(tables, n).all()
+        got.update(closure=closure_rows(tables, n), missing=missing_lower_rows(tables, n),
+                   directions=component_directions(tables, n))
+    for r, (name, (table, forms)) in enumerate(cases.items()):
+        row = {key: value[r] for key, value in got.items()}
+        if n < 24:
+            family = SetFamily._of(n, table)
+            row.update(upper=upper_shadow(family).to_bool(), lower=lower_shadow(family).to_bool())
+        for key, value in row.items():
+            want = forms[key]() if callable(forms[key]) else forms[key]
+            assert np.array_equal(value, np.broadcast_to(want, value.shape)), (key, name, n)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import every_table, oracle_closure, oracle_component_directions, oracle_threshold_k
 
-from ucx import families, familyfile, spectral, verify
+from ucx import cli, families, familyfile, spectral, verify
 from ucx.core import DimensionError, SetFamily, check_dimension
 from ucx.families import (
     PreconditionError,
@@ -124,6 +125,29 @@ def test_random_union_closed():
         random_union_closed(4, 5, -1)
     with pytest.raises(ValueError, match="generator_count must be >= 0"):
         random_union_closed(4, -1, 1)
+
+
+def test_random_union_closed_stops_once_the_cube_is_full(capsys):
+    """10^11 generators at n = 4 would take 800 GB drawn at once; the draws
+    stop at the first chunk that makes every set a member."""
+    started = time.perf_counter()
+    assert random_union_closed(4, 10**11, 1) == SetFamily.full(4)
+    assert time.perf_counter() - started < 1.0
+    assert cli.main(["gen", "--n", "4", "--generators", str(10**11)]) == 0
+    assert familyfile.parse_family(capsys.readouterr().out) == SetFamily.full(4)
+
+
+def test_random_union_closed_draws_in_chunks_of_one_stream(monkeypatch):
+    """Generators drawn a chunk at a time are those of one draw of them all,
+    for counts on both sides of the chunk boundaries."""
+    monkeypatch.setattr(verify, "_GENERATOR_CHUNK", 8)
+    n = 7
+    for count in (0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25):
+        for seed in (0, 5):
+            drawn = np.zeros(1 << n, dtype=bool)
+            drawn[np.random.default_rng(seed).integers(0, 1 << n, size=count, dtype=np.int64)] = True
+            want = SetFamily._of(n, oracle_closure(drawn, n))
+            assert random_union_closed(n, count, seed) == want, (count, seed)
 
 
 def test_threshold_k_examples():
@@ -649,3 +673,34 @@ def test_function_sweeps_build_no_second_table():
             tracemalloc.stop()
         assert report.passed
         assert peak < 4 << 20, (prop, peak / (1 << 20))
+
+
+def test_random_sweep_draws_every_chunk_into_one_table():
+    """A random sweep of 8 chunks holds one 1 MB chunk table, not the last
+    one and the next: warmed up, so the cached matrices are not counted,
+    parseval at n = 12 over 2048 rows (256 a chunk) peaks under 2 MB."""
+    plan = SweepPlan("parseval", 12, "random", samples=2048, seed=3)
+    assert run_sweep(plan).passed
+    tracemalloc.start()
+    try:
+        report = run_sweep(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == 2048
+    assert peak < 2 << 20, peak / (1 << 20)
+
+
+def test_scan_rows_outlive_their_chunk(monkeypatch):
+    """``scan`` yields a copy of each row: rows of earlier chunks, held
+    until the scan ends, are still their own fresh generator draws, and none
+    keeps a chunk table alive."""
+    monkeypatch.setattr(verify, "_CHUNK_ENTRIES", 1 << 10)  # 4 rows a chunk at n = 8
+    n, seed = 8, 21
+    rows = [(index, row) for index, row, _, _ in verify.scan("parseval", n, 11, seed)]
+    assert [index for index, _ in rows] == list(range(11))
+    for index, row in rows:
+        fresh = np.zeros(1 << n, dtype=bool)
+        verify._draw_signs(np.random.default_rng((seed, index)), n, fresh)
+        assert np.array_equal(row, fresh), index
+        assert row.base is None, index
