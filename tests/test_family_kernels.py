@@ -16,7 +16,7 @@ kernel's output on six union-closed families by formula: the empty and the
 full family, ``half_cube_missing``, an ``or_family``, a ``dictator`` and
 the up-set of the sets of size at least n/2.  They run as one table at
 n = 14, 16 and 20, under ``UCX_MAX_N=24``, and the half cube alone at
-n = 24.
+n = 24, for its roots and deficiency.
 """
 
 import ast
@@ -132,18 +132,27 @@ def _cube(n):
     return masks, np.bitwise_count(masks), (1 << n) - 1
 
 
-def _half_cube_missing(n):
+def _half_cube_roots(n):
     """The sets avoiding i = n // 2: a subcube holding the empty set, whose
     every member is all roots, and which every set holding i covers.  Its
-    tables are built when read, since at n = 24 most go unread."""
+    table and the closed forms of its roots and deficiency, which are all
+    that n = 24 reads."""
+    masks = np.arange(1 << n, dtype=np.uint32)
+    avoiding = masks & (1 << (n // 2 - 1)) == 0
+    return half_cube_missing(n // 2, n).family.to_bool(), dict(
+        roots=np.where(avoiding, masks, 0), unique=n - 1, simply_rooted=False,
+        deficiency=1 << (n - 1))
+
+
+def _half_cube_missing(n):
+    """``_half_cube_roots`` with the half cube's other closed forms."""
     masks, pop, full = _cube(n)
     bit = 1 << (n // 2 - 1)
     avoiding = masks & bit == 0
-    return half_cube_missing(n // 2, n).family.to_bool(), dict(
-        roots=lambda: np.where(avoiding, masks, 0), unique=n - 1, simply_rooted=False,
-        closure=avoiding, missing=lambda: np.where(avoiding, 0, masks ^ bit),
-        deficiency=1 << (n - 1), upper=lambda: pop >= 1, lower=lambda: avoiding & (pop <= n - 2),
-        directions=lambda: np.where(avoiding, full ^ bit, 0))
+    table, forms = _half_cube_roots(n)
+    return table, dict(
+        forms, closure=avoiding, missing=np.where(avoiding, 0, masks ^ bit), upper=pop >= 1,
+        lower=avoiding & (pop <= n - 2), directions=np.where(avoiding, full ^ bit, 0))
 
 
 def _meeting(table, mask, n):
@@ -193,7 +202,7 @@ def test_family_kernels_match_closed_forms_above_the_oracles(n, monkeypatch):
     ``missing_lower_rows`` (its deficiency); the other kernels would add
     about 3 s there, and ``component_directions`` 2.8 s more."""
     monkeypatch.setenv("UCX_MAX_N", "24")
-    cases = {"half_cube_missing": _half_cube_missing(n)} if n == 24 else _closed_forms(n)
+    cases = {"half_cube_missing": _half_cube_roots(n)} if n == 24 else _closed_forms(n)
     tables = np.array([table for table, _ in cases.values()])
     roots, simply_rooted = rooted_rows(tables, n)
     got = {"roots": roots, "unique": unique_root_counts(roots), "simply_rooted": simply_rooted,
@@ -208,5 +217,4 @@ def test_family_kernels_match_closed_forms_above_the_oracles(n, monkeypatch):
             family = SetFamily._of(n, table)
             row.update(upper=upper_shadow(family).to_bool(), lower=lower_shadow(family).to_bool())
         for key, value in row.items():
-            want = forms[key]() if callable(forms[key]) else forms[key]
-            assert np.array_equal(value, np.broadcast_to(want, value.shape)), (key, name, n)
+            assert np.array_equal(value, np.broadcast_to(forms[key], value.shape)), (key, name, n)

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -127,14 +126,27 @@ def test_random_union_closed():
         random_union_closed(4, -1, 1)
 
 
-def test_random_union_closed_stops_once_the_cube_is_full(capsys):
+def test_random_union_closed_stops_once_the_cube_is_full(monkeypatch, capsys):
     """10^11 generators at n = 4 would take 800 GB drawn at once; the draws
-    stop at the first chunk that makes every set a member."""
-    started = time.perf_counter()
+    stop after the first chunk that makes every set a member."""
+    seen, sizes = set(), []
+
+    class Recording(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            assert len(seen) < 16, "drew again after every set was drawn"
+            drawn = super().integers(*args, **kwargs)
+            seen.update(drawn.tolist())
+            sizes.append(len(drawn))
+            return drawn
+
+    monkeypatch.setattr(verify, "_GENERATOR_CHUNK", 4)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Recording(np.random.PCG64(seed)))
     assert random_union_closed(4, 10**11, 1) == SetFamily.full(4)
-    assert time.perf_counter() - started < 1.0
+    assert len(seen) == 16 and sizes == [4] * len(sizes)
+    seen.clear()
     assert cli.main(["gen", "--n", "4", "--generators", str(10**11)]) == 0
     assert familyfile.parse_family(capsys.readouterr().out) == SetFamily.full(4)
+    assert len(seen) == 16
 
 
 def test_random_union_closed_draws_in_chunks_of_one_stream(monkeypatch):
